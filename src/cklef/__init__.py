@@ -9,7 +9,7 @@ algebra harness verifying the abstract Lefschetz identity.
 """
 
 from .errors import CkError
-from .sft_core import TransitionMatrix, validate_matrix, enumerate_paths, count_paths
+from .sft_core import TransitionMatrix, validate_matrix, enumerate_paths, iter_paths, count_paths
 from .word_algebra import element, monomial, multiply, adjoint, equals, normalize
 from .endo import (
     GeometricEndomorphism,

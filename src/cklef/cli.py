@@ -42,7 +42,6 @@ from .index import (
     fredholm_index_truncated,
     gamma_parts,
     index_polynomial_parts,
-    index_series,
     index_series_counted,
     propagation,
 )
@@ -50,7 +49,6 @@ from .ktheory import (
     generator_class,
     induced_k0,
     k_groups,
-    k0_reduce,
     lefschetz_number,
     zeta_coefficients,
     zeta_reconstruct,
@@ -239,9 +237,6 @@ def document_of(
 # Reports: aligned human text plus a round-trippable key-value rendering.
 # ---------------------------------------------------------------------------
 
-Value = "int | Fraction | str | bool | tuple[int, ...]"
-
-
 @dataclass
 class Report:
     command: str
@@ -344,12 +339,6 @@ def cmd_validate(doc: CkDocument, args) -> Report:
     return report
 
 
-def _series_report(endo: GeometricEndomorphism, depth: int | None):
-    if depth is not None:
-        return index_series_counted(endo, depth)
-    return index_series_counted(endo)
-
-
 def cmd_index(doc: CkDocument, args) -> Report:
     name, endo = _endo_from(doc, args.endo)
     endo.require_valid()
@@ -360,14 +349,15 @@ def cmd_index(doc: CkDocument, args) -> Report:
     method = args.method
     series = None
     if method in ("series", "all"):
-        series = _series_report(endo, args.depth)
+        series = index_series_counted(endo, args.depth)
         for k in sorted(series.per_k):
             report.add(f"index.k{k}", series.per_k[k])
         report.add("series.value", series.stabilized_value)
         report.add("series.depth", series.params["depth"])
     if method in ("gamma", "all"):
         psi = path_map(endo)
-        m = args.m if args.m is not None else endo.k + bound
+        # k + bound is 0 on an identity presentation; gamma needs m >= 1.
+        m = args.m if args.m is not None else max(1, endo.k + bound)
         shrink, stretch = gamma_parts(psi, m)
         report.add("gamma.m", m)
         report.add("gamma.shrink", shrink)

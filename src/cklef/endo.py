@@ -25,7 +25,7 @@ from .errors import (
     InvalidEndomorphism,
     ZeroMonomialPair,
 )
-from .sft_core import TransitionMatrix, Word, is_allowable, require_allowable, terminus
+from .sft_core import TransitionMatrix, Word, require_allowable, terminus
 from .word_algebra import (
     Element,
     Pair,
@@ -34,7 +34,6 @@ from .word_algebra import (
     element,
     equals,
     is_partial_isometry,
-    monomial,
     monomial_is_zero,
     multiply,
     normalize,

@@ -142,17 +142,6 @@ def compose_maps(t: GradedMap, s: GradedMap) -> GradedMap:
     return GradedMap(s.src, t.dst, degree, tuple(blocks))
 
 
-def add_maps(t: GradedMap, s: GradedMap) -> GradedMap:
-    if (t.src, t.dst, t.degree) != (s.src, s.dst, s.degree):
-        raise ShapeMismatch("can only add maps of identical shape and degree")
-    return GradedMap(
-        t.src,
-        t.dst,
-        t.degree,
-        (linalg.mat_add(t.blocks[0], s.blocks[0]), linalg.mat_add(t.blocks[1], s.blocks[1])),
-    )
-
-
 def scale_map(t: GradedMap, c) -> GradedMap:
     c = Fraction(c)
     return GradedMap(

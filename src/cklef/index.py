@@ -6,8 +6,9 @@ series this module provides the telescoped boundary count ``gamma_m``, the
 closed polynomial formula in matrix powers, and a truncated Fredholm-style
 kernel/cokernel count.  All four agree on valid endomorphisms.
 
-Enumeration-based routes walk the word sets directly and are meant for
-moderate depths.  The :class:`LengthTransfer` table can also be filled from
+Enumeration-based routes walk the word sets directly, streaming them from
+one depth-first walker without caching any word, and are meant for moderate
+depths.  The :class:`LengthTransfer` table can also be filled from
 the presentation pairs alone using matrix powers, which scales to deeply
 composed endomorphisms (the counts are exact, not asymptotic).
 """
@@ -15,11 +16,11 @@ composed endomorphisms (the counts are exact, not asymptotic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ExponentUnderflow, NoStabilization
-from .sft_core import TransitionMatrix, count_paths, enumerate_paths, terminus
-from .endo import GeometricEndomorphism, PartialPathMap, path_map
+from .sft_core import Word, count_paths, iter_paths, terminus
+from .endo import GeometricEndomorphism, PartialPathMap
 
 
 def propagation(e: GeometricEndomorphism) -> int:
@@ -48,9 +49,6 @@ class LengthTransfer:
     def __post_init__(self):
         object.__setattr__(self, "a", dict(self.a))
 
-    def delta(self, i: int, j: int) -> int:
-        return self.a.get((i, j), 0) - self.a.get((j, i), 0)
-
     def dom_count(self, k: int) -> int:
         return sum(c for (i, _), c in self.a.items() if i == k)
 
@@ -69,16 +67,45 @@ class LengthTransfer:
         return shrink - stretch
 
 
+def _walk(
+    psi: PartialPathMap,
+    lengths: Iterable[int],
+    start: Word = (),
+    last: int | None = None,
+) -> Iterator[tuple[int, Word | None]]:
+    """Yield ``(m, dot_apply(w))`` for every allowable word ``w`` of each
+    length ``m`` that extends ``start`` and, when given, ends in ``last``.
+
+    The one word enumerator of the enumerated routes.  Words are streamed,
+    so a route keeps only the words its answer needs.
+    """
+    matrix = psi.matrix
+    for m in lengths:
+        if last is None:
+            words = iter_paths(matrix, m, start)
+        else:
+            words = (
+                p + (last,)
+                for p in iter_paths(matrix, m - 1, start)
+                if not p or matrix.entry(p[-1], last)
+            )
+        for w in words:
+            yield m, psi.dot_apply(w)
+
+
+def _tally(psi: PartialPathMap, lengths: Iterable[int], a: dict[tuple[int, int], int]):
+    """Add the domain words of the given lengths to the a(i, j) counts."""
+    for m, r in _walk(psi, lengths):
+        if r is not None:
+            key = (m, len(r))
+            a[key] = a.get(key, 0) + 1
+
+
 def length_transfer_enumerated(psi: PartialPathMap, max_len: int) -> LengthTransfer:
     """Fill the a(i, j) table by evaluating the path map on all words."""
     bound = propagation(psi.endo)
     a: dict[tuple[int, int], int] = {}
-    for m in range(1, max_len + 1):
-        for w in enumerate_paths(psi.matrix, m):
-            r = psi.dot_apply(w)
-            if r is not None:
-                key = (m, len(r))
-                a[key] = a.get(key, 0) + 1
+    _tally(psi, range(1, max_len + 1), a)
     return LengthTransfer(a=a, max_len=max_len, bound=bound)
 
 
@@ -131,14 +158,12 @@ def index_at(psi: PartialPathMap, k: int) -> int:
     bound = propagation(psi.endo)
     dom = 0
     im = 0
-    for m in range(max(1, k - bound), k + bound + 1):
-        for w in enumerate_paths(psi.matrix, m):
-            r = psi.dot_apply(w)
-            if r is not None:
-                if m == k:
-                    dom += 1
-                if len(r) == k:
-                    im += 1
+    for m, r in _walk(psi, range(max(1, k - bound), k + bound + 1)):
+        if r is not None:
+            if m == k:
+                dom += 1
+            if len(r) == k:
+                im += 1
     return im - dom
 
 
@@ -149,15 +174,13 @@ def gamma_parts(psi: PartialPathMap, m: int) -> tuple[int, int]:
     bound = propagation(psi.endo)
     shrink = 0
     stretch = 0
-    for length in range(max(1, m - bound + 1), m + bound + 1):
-        for w in enumerate_paths(psi.matrix, length):
-            r = psi.dot_apply(w)
-            if r is None:
-                continue
-            if length > m and len(r) <= m:
-                shrink += 1
-            elif length <= m and len(r) > m:
-                stretch += 1
+    for length, r in _walk(psi, range(max(1, m - bound + 1), m + bound + 1)):
+        if r is None:
+            continue
+        if length > m and len(r) <= m:
+            shrink += 1
+        elif length <= m and len(r) > m:
+            stretch += 1
     return shrink, stretch
 
 
@@ -226,12 +249,7 @@ def index_series(psi: PartialPathMap, max_depth: int | None = None) -> IndexRepo
 
     def fill(upto: int):
         nonlocal filled
-        for m in range(filled + 1, upto + 1):
-            for w in enumerate_paths(psi.matrix, m):
-                r = psi.dot_apply(w)
-                if r is not None:
-                    key = (m, len(r))
-                    a[key] = a.get(key, 0) + 1
+        _tally(psi, range(filled + 1, upto + 1), a)
         filled = max(filled, upto)
 
     def index_of(k: int) -> int:
@@ -322,6 +340,51 @@ def index_polynomial(e: GeometricEndomorphism, m: int, N: int) -> int:
     return pos - neg
 
 
+def _shrinking_cylinders(e: GeometricEndomorphism, m: int, depth: int):
+    """``(mu, i)`` such that the words ``mu + q + (i,)`` of length ``m`` hold
+    every word of that length whose image has length at most ``depth``.
+
+    A word matched by the pair (nu, mu) of t_i has image length
+    |nu| + m - 1 - |mu|, so only pairs where that is at most ``depth`` can
+    land there.  Within a generator, a mu-word with a kept prefix adds no
+    word, so the cylinders are disjoint and each word lies in at most one.
+    """
+    for i in e.matrix.alphabet:
+        landing = {mu for nu, mu in e.raw_images[i - 1] if len(nu) + m - 1 - len(mu) <= depth}
+        kept: list[Word] = []
+        for mu in sorted(landing):
+            if not any(mu[: len(p)] == p for p in kept):
+                kept.append(mu)
+                yield mu, i
+
+
+def _fredholm_tally(psi: PartialPathMap, depth: int):
+    """Domain-word counts and distinct image sets at each length 1..depth.
+
+    Words of length <= depth are all walked.  Longer words, up to the
+    propagation bound past ``depth``, matter only through images landing at
+    length <= depth, so only the cylinders of :func:`_shrinking_cylinders`
+    are walked there; every visited word still goes through ``dot_apply``.
+    """
+    bound = propagation(psi.endo)
+    dom_count = {j: 0 for j in range(1, depth + 1)}
+    images: dict[int, set] = {j: set() for j in range(1, depth + 1)}
+
+    def record(r):
+        if r is not None and 1 <= len(r) <= depth:
+            images[len(r)].add(r)
+
+    for m, r in _walk(psi, range(1, depth + 1)):
+        if r is not None:
+            dom_count[m] += 1
+            record(r)
+    for m in range(depth + 1, depth + bound + 1):
+        for mu, i in _shrinking_cylinders(psi.endo, m, depth):
+            for _, r in _walk(psi, (m,), start=mu, last=i):
+                record(r)
+    return dom_count, images
+
+
 def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
     """Kernel-minus-cokernel count of the truncated permutation operator.
 
@@ -332,21 +395,10 @@ def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    bound = propagation(psi.endo)
-    dom_count = {j: 0 for j in range(1, depth + 1)}
-    images: dict[int, set] = {j: set() for j in range(1, depth + 1)}
-    for m in range(1, depth + bound + 1):
-        for w in enumerate_paths(psi.matrix, m):
-            r = psi.dot_apply(w)
-            if r is None:
-                continue
-            if m <= depth:
-                dom_count[m] += 1
-            if 1 <= len(r) <= depth:
-                images[len(r)].add(r)
+    dom_count, images = _fredholm_tally(psi, depth)
     total = 0
     for j in range(1, depth + 1):
-        p_j = len(enumerate_paths(psi.matrix, j))
+        p_j = sum(count_paths(psi.matrix, None, b, j) for b in psi.matrix.alphabet)
         not_in_dom = p_j - dom_count[j]
         not_in_im = p_j - len(images[j])
         total += not_in_dom - not_in_im

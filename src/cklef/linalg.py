@@ -43,14 +43,6 @@ def mat_vec(a: Matrix, v: Sequence) -> tuple[Fraction, ...]:
                  for i in range(len(a)))
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
 def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
@@ -114,10 +106,6 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     for i, v in enumerate(q):
         out[i] += v
     return poly_trim(tuple(out))
-
-
-def poly_scale(p: Poly, c) -> Poly:
-    return poly_trim(tuple(Fraction(c) * v for v in p))
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:

@@ -10,9 +10,8 @@ subsets described as unions of depth-``d`` cylinders.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DepthTooSmall,
@@ -121,11 +120,6 @@ def require_allowable(matrix: TransitionMatrix, w: Word) -> Word:
     return w
 
 
-def can_append(matrix: TransitionMatrix, w: Word, letter: int) -> bool:
-    """True when ``w + (letter,)`` is allowable (``w`` assumed allowable)."""
-    return not w or matrix.entry(w[-1], letter) == 1
-
-
 @functools.lru_cache(maxsize=None)
 def _matrix_power(matrix: TransitionMatrix, L: int):
     if L == 0:
@@ -159,37 +153,46 @@ def count_paths(matrix: TransitionMatrix, a: int | None, b: int, L: int) -> int:
     return _matrix_power(matrix, L)[a - 1][b - 1]
 
 
-def enumerate_paths(matrix: TransitionMatrix, k: int) -> list[Word]:
-    """All allowable words of length ``k`` in lexicographic order."""
+def iter_paths(matrix: TransitionMatrix, k: int, start: Word = EMPTY_WORD) -> Iterator[Word]:
+    """Allowable extensions of ``start`` to length ``k``, in lexicographic order.
+
+    A depth-first walk holding one word and one follower iterator per letter,
+    so memory is O(k) however many words there are.  A ``start`` longer than
+    ``k`` has no extension and yields nothing.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return list(_paths_cached(matrix, k))
-
-
-@functools.lru_cache(maxsize=None)
-def _paths_cached(matrix: TransitionMatrix, k: int) -> tuple[Word, ...]:
-    if k == 0:
-        return (EMPTY_WORD,)
-    if k == 1:
-        return tuple((a,) for a in matrix.alphabet)
-    shorter = _paths_cached(matrix, k - 1)
-    return tuple(
-        w + (j,) for w in shorter for j in matrix.alphabet if matrix.entry(w[-1], j) == 1
+    start = tuple(start)
+    if len(start) >= k:
+        if len(start) == k:
+            yield start
+        return
+    # successors[a] lists the letters that may follow a; index 0 is the
+    # empty terminus, which every letter may follow.
+    successors = (tuple(matrix.alphabet),) + tuple(
+        tuple(j + 1 for j, v in enumerate(row) if v) for row in matrix.rows
     )
+    word = list(start)
+    stack = [iter(successors[word[-1] if word else 0])]
+    while stack:
+        if len(word) + 1 == k:
+            prefix = tuple(word)
+            for x in stack.pop():
+                yield prefix + (x,)
+        else:
+            x = next(stack[-1], None)
+            if x is not None:
+                word.append(x)
+                stack.append(iter(successors[x]))
+                continue
+            stack.pop()
+        if len(word) > len(start):
+            word.pop()
 
 
-def extensions(matrix: TransitionMatrix, w: Word, depth: int) -> Iterable[Word]:
-    """All allowable extensions of ``w`` to length ``depth``."""
-    if depth < len(w):
-        raise DepthTooSmall(f"cannot shorten word of length {len(w)} to {depth}")
-    frontier = [w]
-    for _ in range(depth - len(w)):
-        frontier = [
-            u + (j,)
-            for u in frontier
-            for j in (matrix.followers(terminus(u)))
-        ]
-    return sorted(frontier)
+def enumerate_paths(matrix: TransitionMatrix, k: int) -> list[Word]:
+    """All allowable words of length ``k`` in lexicographic order."""
+    return list(iter_paths(matrix, k))
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,17 @@ class TestSubcommands:
         assert data["fredholm.value"] == 1
         assert data["index.k1"] == 1 and data["index.k2"] == 0
 
+    def test_index_on_identity_defaults_gamma_m_to_one(self, tmp_path):
+        # k = 0 and propagation 0: the default m = k + propagation would be 0
+        path = tmp_path / "identity.ck"
+        path.write_text("n = 3\nA = 110 111 011\n[t1]\n1 <- e\n[t2]\n2 <- e\n[t3]\n3 <- e\n")
+        out, code = run(["--structured", "index", str(path)])
+        assert code == 0
+        data = parse_structured(out)
+        assert data["gamma.m"] == 1
+        assert data["gamma.value"] == 0
+        assert data["series.value"] == data["fredholm.value"] == 0
+
     def test_index_polynomial_parts(self, main_file):
         out, _ = run(
             ["--structured", "index", main_file, "--method", "polynomial", "--m", "3", "--N", "1"]

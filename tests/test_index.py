@@ -5,6 +5,7 @@ import pytest
 from cklef.endo import path_map, power, represent_at_depth
 from cklef.errors import ExponentUnderflow, NoStabilization
 from cklef.index import (
+    _fredholm_tally,
     fredholm_index_truncated,
     gamma,
     gamma_parts,
@@ -19,7 +20,7 @@ from cklef.index import (
     stabilized_index,
 )
 from cklef.sampling import random_complete_graph_endomorphism, random_inner_automorphism
-from cklef.sft_core import validate_matrix
+from cklef.sft_core import enumerate_paths, validate_matrix
 
 
 class TestPropagation:
@@ -170,3 +171,65 @@ class TestAgreementProperties:
             deeper = represent_at_depth(main_endo, depth)
             assert stabilized_index(deeper) == 1
             assert index_series(path_map(deeper)).stabilized_value == 1
+
+
+def _brute_fredholm_tally(psi, depth):
+    """Domain counts and image sets from every word of lengths 1..depth+bound."""
+    bound = propagation(psi.endo)
+    dom = {j: 0 for j in range(1, depth + 1)}
+    images = {j: set() for j in range(1, depth + 1)}
+    for m in range(1, depth + bound + 1):
+        for w in enumerate_paths(psi.matrix, m):
+            r = psi.dot_apply(w)
+            if r is None:
+                continue
+            if m <= depth:
+                dom[m] += 1
+            if 1 <= len(r) <= depth:
+                images[len(r)].add(r)
+    return dom, images
+
+
+class TestFredholmPruning:
+    """The pruned walk against the brute-force walk over all words."""
+
+    @staticmethod
+    def _check(e, depths):
+        for depth in depths:
+            psi = path_map(e)
+            dom, images = _brute_fredholm_tally(psi, depth)
+            assert _fredholm_tally(psi, depth) == (dom, images)
+            expected = sum(len(images[j]) - dom[j] for j in dom)
+            assert fredholm_index_truncated(psi, depth) == expected
+
+    def test_main_example(self, main_endo):
+        # depth 1 lies below the largest |mu| = 2
+        self._check(main_endo, range(1, 7))
+
+    def test_main_example_squared(self, main_endo):
+        e2 = power(main_endo, 2)
+        assert max(len(mu) for pairs in e2.raw_images for _, mu in pairs) == 5
+        self._check(e2, (2, 4, 7, 10))
+
+    def test_complete_graph_sample(self):
+        matrix = validate_matrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+        e, _ = random_complete_graph_endomorphism(matrix, random.Random(11))
+        self._check(e, (1, e.k + 1, e.k + 4))
+
+    def test_inner_automorphism(self, main_matrix):
+        e = random_inner_automorphism(main_matrix, random.Random(12))
+        self._check(e, (1, e.k + 1, e.k + 4))
+
+    def test_visits_fewer_words(self, main_endo):
+        e2 = power(main_endo, 2)
+        depth = 8
+        psi = path_map(e2)
+        visited = []
+        apply = psi.dot_apply
+        psi.dot_apply = lambda w: visited.append(w) or apply(w)
+        _fredholm_tally(psi, depth)
+        assert len(visited) == len(set(visited))
+        every = sum(
+            len(enumerate_paths(e2.matrix, m)) for m in range(1, depth + propagation(e2) + 1)
+        )
+        assert len(visited) < every / 2

@@ -14,9 +14,11 @@ from cklef.sft_core import (
     enumerate_paths,
     is_allowable,
     is_partition,
+    iter_paths,
     terminus,
     validate_matrix,
 )
+from tests.conftest import small_matrices
 
 
 class TestValidateMatrix:
@@ -126,6 +128,54 @@ class TestEnumeratePaths:
                 for b in main_matrix.alphabet
             )
             assert len(enumerate_paths(main_matrix, k)) == matrix_total
+
+
+class TestIterPaths:
+    @staticmethod
+    def _breadth_first(m, k):
+        """The former cached construction: every length-(k-1) word extended
+        by each follower, in order."""
+        words = [()]
+        for _ in range(k):
+            words = [w + (j,) for w in words for j in m.alphabet if not w or m.entry(w[-1], j)]
+        return words
+
+    def test_matches_breadth_first_order(self):
+        for m in small_matrices():
+            for k in range(0, 7):
+                assert list(iter_paths(m, k)) == self._breadth_first(m, k)
+
+    def test_counts_agree_with_matrix_powers(self):
+        for m in small_matrices():
+            for k in range(1, 13):
+                expected = sum(count_paths(m, None, b, k) for b in m.alphabet)
+                assert sum(1 for _ in iter_paths(m, k)) == expected
+
+    def test_start_restricts_to_extensions(self, main_matrix):
+        for start in [(2,), (2, 3), (1, 1, 2)]:
+            for k in range(len(start), 7):
+                want = [w for w in enumerate_paths(main_matrix, k) if w[: len(start)] == start]
+                assert list(iter_paths(main_matrix, k, start)) == want
+
+    def test_start_longer_than_k_yields_nothing(self, main_matrix):
+        assert list(iter_paths(main_matrix, 1, (2, 3))) == []
+        assert list(iter_paths(main_matrix, 0, (1,))) == []
+
+    def test_start_of_length_k_is_its_own_extension(self, main_matrix):
+        assert list(iter_paths(main_matrix, 2, (2, 3))) == [(2, 3)]
+
+    def test_length_zero(self):
+        for m in small_matrices():
+            assert list(iter_paths(m, 0)) == [()]
+
+    def test_negative_length_rejected(self, main_matrix):
+        with pytest.raises(ValueError):
+            list(iter_paths(main_matrix, -1))
+
+    def test_streams_lazily(self, main_matrix):
+        words = iter_paths(main_matrix, 40)
+        assert next(words) == (1,) * 40
+        assert next(words) == (1,) * 39 + (2,)
 
 
 def _power_entry(m, a, b, p):
