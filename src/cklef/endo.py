@@ -16,7 +16,6 @@ insensitive to such short-word conventions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -47,10 +46,8 @@ from .word_algebra import (
 class GeometricEndomorphism:
     """A validated presentation ``s_i -> t_i = sum s_nu s_mu*``.
 
-    ``raw_images`` keeps the pairs as given (used by the path map); the
-    normalization to the common mu-length ``k`` is available through
-    :meth:`normalized_images` and is computed lazily because its size grows
-    like the number of length-``k`` words.
+    ``raw_images`` keeps the pairs as given; ``k`` is the common mu-length,
+    at least the longest raw mu-word.
     """
 
     matrix: TransitionMatrix
@@ -62,22 +59,9 @@ class GeometricEndomorphism:
         """The element t_i (1-based generator index)."""
         return element(self.matrix, [(nu, mu, 1) for nu, mu in self.raw_images[i - 1]])
 
-    def normalized_images(self) -> tuple[tuple[Pair, ...], ...]:
-        """Per-generator pairs with every mu-word expanded to length ``k``."""
-        return _normalized_images(self)
-
     def require_valid(self):
         if not self.valid:
             raise InvalidEndomorphism("presentation fails the Cuntz-Krieger checks")
-
-
-@functools.lru_cache(maxsize=None)
-def _normalized_images(endo: GeometricEndomorphism) -> tuple[tuple[Pair, ...], ...]:
-    images = []
-    for i in endo.matrix.alphabet:
-        norm = normalize(endo.image_element(i), endo.k)
-        images.append(tuple(sorted(norm.terms)))
-    return tuple(images)
 
 
 def build_endomorphism(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ExponentUnderflow, NoStabilization
-from .sft_core import Word, count_paths, iter_paths, terminus
+from .sft_core import TransitionMatrix, Word, count_paths, iter_paths, terminus
 from .endo import GeometricEndomorphism, PartialPathMap
 
 
@@ -109,32 +109,46 @@ def length_transfer_enumerated(psi: PartialPathMap, max_len: int) -> LengthTrans
     return LengthTransfer(a=a, max_len=max_len, bound=bound)
 
 
+def _pair_words(
+    matrix: TransitionMatrix, nu: Word, mu: Word, i: int, lengths: Iterable[int]
+) -> list[int]:
+    """Domain words matched by the pair (nu, mu) of t_i, counted at each length.
+
+    Such a word is ``mu + (i,)``, or ``mu + (c,) + u`` with c a follower of
+    both termini and u a word of length ``L - |mu| - 1`` that may follow c
+    and ends in i; counting the u is a matrix-power evaluation.  Words of
+    length < 2 are outside the domain.
+    """
+    first = matrix.followers(terminus(mu)) & matrix.followers(terminus(nu))
+    counts = []
+    for L in lengths:
+        if L >= len(mu) + 2:
+            counts.append(sum(count_paths(matrix, c, i, L - len(mu) - 1) for c in first))
+        elif L == len(mu) + 1 and mu and matrix.entry(terminus(mu), i) == 1:
+            counts.append(1)
+        else:
+            counts.append(0)
+    return counts
+
+
 def length_transfer_counted(e: GeometricEndomorphism, max_len: int) -> LengthTransfer:
     """Fill the a(i, j) table from the presentation pairs with matrix powers.
 
-    A domain word matched by the pair (nu, mu) of t_i has the shape
-    ``mu + q + (i,)`` where q runs over words that may follow both termini
-    and may precede i; counting those q is a matrix-power evaluation, so the
-    table is exact at any length without enumerating words.
+    A word matched by the pair (nu, mu) changes length by |nu| - |mu| - 1,
+    and :func:`_pair_words` counts the words a pair matches at each length,
+    so the table is exact at any length without enumerating words.
     """
     e.require_valid()
     matrix = e.matrix
     bound = propagation(e)
     a: dict[tuple[int, int], int] = {}
-
-    def bump(i: int, j: int, c: int):
-        if c:
-            a[(i, j)] = a.get((i, j), 0) + c
-
     for i in matrix.alphabet:
         for nu, mu in e.raw_images[i - 1]:
-            first = matrix.followers(terminus(mu)) & matrix.followers(terminus(nu))
-            # q empty: w = mu + (i,), defined only for |w| >= 2.
-            if mu and matrix.entry(terminus(mu), i) == 1:
-                bump(len(mu) + 1, len(nu), 1)
-            for r in range(1, max_len - len(mu)):
-                count = sum(count_paths(matrix, c, i, r) for c in first)
-                bump(len(mu) + r + 1, len(nu) + r, count)
+            shrink = len(mu) + 1 - len(nu)
+            lengths = range(len(mu) + 1, max_len + 1)
+            for L, c in zip(lengths, _pair_words(matrix, nu, mu, i, lengths)):
+                if c:
+                    a[(L, L - shrink)] = a.get((L, L - shrink), 0) + c
     return LengthTransfer(a=a, max_len=max_len, bound=bound)
 
 
@@ -205,14 +219,11 @@ def _active_floor(e: GeometricEndomorphism) -> int:
     return max(floor, 1)
 
 
-def _scan_for_window(
-    index_of, gamma_of, bound: int, max_depth: int, method: str, active_floor: int = 1
-):
+def _scan_for_window(index_of, bound: int, max_depth: int, method: str, active_floor: int = 1):
     """Sum Index_k until the stabilization window is met.
 
     Window: Index_k = 0 for bound + 2 consecutive k at or above the active
-    floor, and the independently computed gamma agrees with the partial sums
-    at three consecutive m.
+    floor, with k >= 3.
     """
     per_k: dict[int, int] = {}
     partial: list[int] = []
@@ -226,15 +237,13 @@ def _scan_for_window(
         if k >= active_floor:
             zeros = zeros + 1 if per_k[k] == 0 else 0
         if zeros >= need and k >= 3:
-            gammas = [gamma_of(m) for m in (k - 2, k - 1, k)]
-            if gammas == partial[-3:] and len(set(gammas)) == 1:
-                return IndexReport(
-                    per_k=per_k,
-                    partial_sums=tuple(partial),
-                    stabilized_value=running,
-                    method=method,
-                    params={"depth": k, "propagation": bound},
-                )
+            return IndexReport(
+                per_k=per_k,
+                partial_sums=tuple(partial),
+                stabilized_value=running,
+                method=method,
+                params={"depth": k, "propagation": bound},
+            )
     raise NoStabilization(max_depth, per_k)
 
 
@@ -247,24 +256,14 @@ def index_series(psi: PartialPathMap, max_depth: int | None = None) -> IndexRepo
     a: dict[tuple[int, int], int] = {}
     filled = 0
 
-    def fill(upto: int):
-        nonlocal filled
-        _tally(psi, range(filled + 1, upto + 1), a)
-        filled = max(filled, upto)
-
     def index_of(k: int) -> int:
-        fill(k + bound)
-        im = sum(c for (_, j), c in a.items() if j == k)
-        dom = sum(c for (i, _), c in a.items() if i == k)
-        return im - dom
+        nonlocal filled
+        _tally(psi, range(filled + 1, k + bound + 1), a)
+        filled = max(filled, k + bound)
+        return LengthTransfer(a=a, max_len=filled, bound=bound).index_at(k)
 
     return _scan_for_window(
-        index_of,
-        lambda m: gamma(psi, m),
-        bound,
-        max_depth,
-        "series",
-        active_floor=_active_floor(psi.endo),
+        index_of, bound, max_depth, "series", active_floor=_active_floor(psi.endo)
     )
 
 
@@ -277,12 +276,7 @@ def index_series_counted(
         max_depth = e.k + 3 * bound + 12
     table = length_transfer_counted(e, max_depth + bound)
     return _scan_for_window(
-        table.index_at,
-        table.gamma,
-        bound,
-        max_depth,
-        "series-counted",
-        active_floor=_active_floor(e),
+        table.index_at, bound, max_depth, "series-counted", active_floor=_active_floor(e)
     )
 
 
@@ -290,48 +284,36 @@ def stabilized_index(e: GeometricEndomorphism) -> int:
     return index_series_counted(e).stabilized_value
 
 
-def _polynomial_strata(e: GeometricEndomorphism, N: int):
-    """Nonempty (j, pair) strata of the polynomial formula with their exponents."""
-    pos = []  # (exponent offset j, mu, i) with |nu| <= |mu| - j + 1
-    neg = []  # (j, mu, i) with |nu| >= |mu| + j + 2
-    for i in e.matrix.alphabet:
-        for nu, mu in e.normalized_images()[i - 1]:
-            for j in range(1, N + 1):
-                if len(nu) <= len(mu) - j + 1:
-                    pos.append((j, mu, i))
-            for j in range(0, N):
-                if len(nu) >= len(mu) + j + 2:
-                    neg.append((j, mu, i))
-    return pos, neg
-
-
 def index_polynomial_parts(e: GeometricEndomorphism, m: int, N: int) -> tuple[int, int]:
     """Positive and negative sums of the closed formula at parameters (m, N).
 
-    The positive part counts words shrinking past length m via matrix powers
-    A^{m+j-k}; the negative part counts stretchers via A^{m-j-k}; k is the
-    common mu-length of the presentation.
+    A pair (nu, mu) shrinks the words it matches by d = |mu| + 1 - |nu|.
+    The positive part counts its words of lengths m+1 .. m+d when d > 0,
+    which shrink past length m; the negative part counts its words of
+    lengths m+d+1 .. m when d < 0, which stretch past it.  Each count is a
+    sum of entries of A^(L - |mu| - 1) (:func:`_pair_words`).
     """
     e.require_valid()
     bound = propagation(e)
-    # The j-strata cover shrinkage amounts 1..N and stretch amounts 1..N, so
-    # the formula is exact exactly when N reaches the two-sided length bound.
+    # Shrink and stretch amounts are at most the two-sided length bound, so
+    # the formula is exact exactly when N reaches it.
     if N < bound:
         raise ValueError(f"N must be at least the propagation bound {bound}")
-    k = e.k
-    pos_strata, neg_strata = _polynomial_strata(e, N)
-    minimal_m = 1 + k  # exponent m + j - k >= 1 with j >= 1 gives m >= k
-    if neg_strata:
-        max_j = max(j for j, _, _ in neg_strata)
-        minimal_m = max(minimal_m, 1 + max_j + k)
+    pairs = [(nu, mu, i) for i in e.matrix.alphabet for nu, mu in e.raw_images[i - 1]]
+    # Admissible m are those at which the formula over the pairs normalized
+    # to mu-length k has only positive exponents.
+    stretch = max(len(nu) - len(mu) - 1 for nu, mu, _ in pairs)
+    minimal_m = max(1 + e.k, stretch + e.k)
     if m < minimal_m:
         raise ExponentUnderflow(m, minimal_m)
-    pos = sum(
-        count_paths(e.matrix, terminus(mu), i, m + j - k) for j, mu, i in pos_strata
-    )
-    neg = sum(
-        count_paths(e.matrix, terminus(mu), i, m - j - k) for j, mu, i in neg_strata
-    )
+    pos = 0
+    neg = 0
+    for nu, mu, i in pairs:
+        d = len(mu) + 1 - len(nu)
+        if d > 0:
+            pos += sum(_pair_words(e.matrix, nu, mu, i, range(m + 1, m + d + 1)))
+        else:
+            neg += sum(_pair_words(e.matrix, nu, mu, i, range(m + d + 1, m + 1)))
     return pos, neg
 
 

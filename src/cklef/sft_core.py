@@ -9,8 +9,7 @@ subsets described as unions of depth-``d`` cylinders.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -29,11 +28,30 @@ EMPTY_WORD: Word = ()
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """A validated 0/1 transition matrix with 1-based letters."""
+    """A validated 0/1 transition matrix with 1-based letters.
+
+    The matrix owns two derived tables, left out of equality and hashing:
+    its follower table, built once, and the powers ``A^L`` computed so far.
+    """
 
     n: int
     rows: tuple[tuple[int, ...], ...]
     irreducible: bool
+    # _successors[a] lists the letters that may follow a, in order; index 0
+    # is the empty terminus, which every letter may follow.
+    _successors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # _powers[L] is A^L; the list grows to the largest L asked for.
+    _powers: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        successors = (tuple(self.alphabet),) + tuple(
+            tuple(j + 1 for j, v in enumerate(row) if v) for row in self.rows
+        )
+        identity = tuple(
+            tuple(1 if i == j else 0 for j in range(self.n)) for i in range(self.n)
+        )
+        object.__setattr__(self, "_successors", successors)
+        object.__setattr__(self, "_powers", [identity])
 
     def entry(self, a: int, b: int) -> int:
         return self.rows[a - 1][b - 1]
@@ -44,14 +62,20 @@ class TransitionMatrix:
 
     def followers(self, a: int | None) -> frozenset[int]:
         """Letters that may follow ``a``; the empty terminus follows everything."""
-        if a is None:
-            return frozenset(self.alphabet)
-        return _followers_cached(self, a)
+        return frozenset(self._successors[a or 0])
 
-
-@functools.lru_cache(maxsize=None)
-def _followers_cached(matrix: TransitionMatrix, a: int) -> frozenset[int]:
-    return frozenset(j for j in matrix.alphabet if matrix.entry(a, j) == 1)
+    def power(self, L: int) -> tuple[tuple[int, ...], ...]:
+        """``A^L`` as a tuple of rows, one product per exponent not yet computed."""
+        powers = self._powers
+        rows = self.rows
+        n = self.n
+        while len(powers) <= L:
+            prev = powers[-1]
+            powers.append(tuple(
+                tuple(sum(prev[i][t] * rows[t][j] for t in range(n)) for j in range(n))
+                for i in range(n)
+            ))
+        return powers[L]
 
 
 def validate_matrix(raw: Sequence[Sequence[int]]) -> TransitionMatrix:
@@ -120,21 +144,6 @@ def require_allowable(matrix: TransitionMatrix, w: Word) -> Word:
     return w
 
 
-@functools.lru_cache(maxsize=None)
-def _matrix_power(matrix: TransitionMatrix, L: int):
-    if L == 0:
-        return tuple(
-            tuple(1 if i == j else 0 for j in range(matrix.n)) for i in range(matrix.n)
-        )
-    prev = _matrix_power(matrix, L - 1)
-    rows = matrix.rows
-    n = matrix.n
-    return tuple(
-        tuple(sum(prev[i][t] * rows[t][j] for t in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def count_paths(matrix: TransitionMatrix, a: int | None, b: int, L: int) -> int:
     """Number of allowable words ``u`` of length ``L`` with last letter ``b``
     such that ``u`` may follow a word with terminus ``a``.
@@ -148,9 +157,9 @@ def count_paths(matrix: TransitionMatrix, a: int | None, b: int, L: int) -> int:
         # The empty word's followers are the full alphabet: any first letter.
         if L == 1:
             return 1
-        power = _matrix_power(matrix, L - 1)
+        power = matrix.power(L - 1)
         return sum(power[c - 1][b - 1] for c in matrix.alphabet)
-    return _matrix_power(matrix, L)[a - 1][b - 1]
+    return matrix.power(L)[a - 1][b - 1]
 
 
 def iter_paths(matrix: TransitionMatrix, k: int, start: Word = EMPTY_WORD) -> Iterator[Word]:
@@ -167,11 +176,7 @@ def iter_paths(matrix: TransitionMatrix, k: int, start: Word = EMPTY_WORD) -> It
         if len(start) == k:
             yield start
         return
-    # successors[a] lists the letters that may follow a; index 0 is the
-    # empty terminus, which every letter may follow.
-    successors = (tuple(matrix.alphabet),) + tuple(
-        tuple(j + 1 for j, v in enumerate(row) if v) for row in matrix.rows
-    )
+    successors = matrix._successors
     word = list(start)
     stack = [iter(successors[word[-1] if word else 0])]
     while stack:

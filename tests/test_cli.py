@@ -130,6 +130,13 @@ class TestSubcommands:
         assert data["polynomial.positive"] == 8
         assert data["polynomial.negative"] == 7
 
+    def test_index_polynomial_at_large_m(self, main_file):
+        out, code = run(
+            ["--structured", "index", main_file, "--method", "polynomial", "--m", "1200"]
+        )
+        assert code == 0
+        assert parse_structured(out)["polynomial.value"] == 1
+
     def test_ktheory(self, main_file):
         out, code = run(["--structured", "ktheory", main_file])
         assert code == 0

@@ -115,6 +115,45 @@ class TestPolynomialRoute:
         with pytest.raises(ValueError):
             index_polynomial(main_endo, 5, 0)
 
+    @staticmethod
+    def _check_against_gamma(e):
+        """The closed formula equals the enumerated boundary counts at every
+        admissible m up to k + bound + 4."""
+        psi = path_map(e)
+        bound = propagation(e)
+        admissible = []
+        for m in range(1, e.k + bound + 5):
+            try:
+                parts = index_polynomial_parts(e, m, bound)
+            except ExponentUnderflow:
+                assert not admissible  # admissible m form a ray
+                continue
+            assert parts == gamma_parts(psi, m)
+            admissible.append(m)
+        assert admissible
+
+    def test_parts_equal_gamma_on_main_example(self, main_endo):
+        self._check_against_gamma(main_endo)
+
+    def test_parts_equal_gamma_on_square(self, main_endo):
+        self._check_against_gamma(power(main_endo, 2))
+
+    def test_parts_equal_gamma_on_deeper_presentation(self, main_endo):
+        self._check_against_gamma(represent_at_depth(main_endo, 3))
+
+    def test_parts_equal_gamma_on_complete_graph_sample(self):
+        matrix = validate_matrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+        e, _ = random_complete_graph_endomorphism(matrix, random.Random(23))
+        self._check_against_gamma(e)
+
+    def test_parts_equal_gamma_on_inner_automorphism(self, main_matrix):
+        self._check_against_gamma(random_inner_automorphism(main_matrix, random.Random(24)))
+
+    def test_deep_composite(self, main_endo):
+        e8 = power(main_endo, 8)
+        n_param = propagation(e8)
+        assert index_polynomial(e8, 1 + n_param + e8.k, n_param) == 1
+
 
 class TestFredholmRoute:
     def test_depth_four(self, main_endo):

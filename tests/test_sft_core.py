@@ -102,6 +102,18 @@ class TestCountPaths:
             )
             assert total == len(enumerate_paths(main_matrix, length))
 
+    def test_long_length_on_fresh_matrix(self):
+        # A^1500 is reached without recursion, one product per exponent
+        m = validate_matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        assert count_paths(m, 1, 1, 1500) == _power_entry(m, 1, 1, 1500)
+
+    def test_owned_tables_ignored_by_equality_and_hash(self):
+        used = validate_matrix([[1, 1], [1, 0]])
+        count_paths(used, 1, 1, 9)
+        fresh = validate_matrix([[1, 1], [1, 0]])
+        assert used == fresh and hash(used) == hash(fresh)
+        assert used.followers(2) == frozenset({1}) and used.followers(None) == {1, 2}
+
 
 class TestEnumeratePaths:
     def test_length_one(self, main_matrix):
