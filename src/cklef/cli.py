@@ -54,7 +54,6 @@ from .ktheory import (
     zeta_reconstruct,
 )
 from .sft_core import TransitionMatrix, Word, is_allowable, validate_matrix
-from .word_algebra import adjoint, multiply, support
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +329,8 @@ def cmd_validate(doc: CkDocument, args) -> Report:
     report.add("k", endo.k)
     report.add("valid", endo.valid)
     for i in doc.matrix.alphabet:
-        t = endo.image_element(i)
-        rng = support(multiply(t, adjoint(t)))
-        cylinders = " ".join(format_word(w) for w in sorted(rng.members))
-        report.add(f"range.{i}", f"depth {rng.depth}: {cylinders}")
+        cylinders = sorted(endo.range_set(i).members)
+        report.add(f"range.{i}", " ".join(format_word(w) for w in cylinders))
     if not endo.valid:
         report.warn("presentation fails the Cuntz-Krieger checks")
     return report

@@ -4,7 +4,9 @@ A geometric endomorphism of O_A is presented by listing, for each generator
 ``s_i``, the pairs (nu, mu) of its image ``t_i = sum s_nu s_mu*``.  Validity
 is the purely algebraic statement that the ``t_i`` satisfy the same
 Cuntz-Krieger relations as the ``s_i``; the universal property then makes
-``s_i -> t_i`` an endomorphism.
+``s_i -> t_i`` an endomorphism.  Those relations are statements about
+cylinder sets: a pair (nu, mu) maps its source cylinders ``mu j`` onto its
+range cylinders ``nu j``, for the letters j that may follow both termini.
 
 The same pair data induces a partially defined self-map of the path set:
 with ``i`` the last letter of ``w`` and ``p`` the rest, a pair (nu, mu) of
@@ -24,7 +26,15 @@ from .errors import (
     InvalidEndomorphism,
     ZeroMonomialPair,
 )
-from .sft_core import TransitionMatrix, Word, require_allowable, terminus
+from .sft_core import (
+    ClopenSet,
+    TransitionMatrix,
+    Word,
+    clopen_make,
+    is_partition,
+    require_allowable,
+    terminus,
+)
 from .word_algebra import (
     Element,
     Pair,
@@ -32,7 +42,6 @@ from .word_algebra import (
     adjoint,
     element,
     equals,
-    is_partial_isometry,
     monomial_is_zero,
     multiply,
     normalize,
@@ -59,6 +68,10 @@ class GeometricEndomorphism:
         """The element t_i (1-based generator index)."""
         return element(self.matrix, [(nu, mu, 1) for nu, mu in self.raw_images[i - 1]])
 
+    def range_set(self, i: int) -> ClopenSet:
+        """The range of t_i: the union of the range cylinders of its pairs."""
+        return clopen_make(self.matrix, _cylinders(self.matrix, self.raw_images[i - 1]))
+
     def require_valid(self):
         if not self.valid:
             raise InvalidEndomorphism("presentation fails the Cuntz-Krieger checks")
@@ -68,13 +81,13 @@ def build_endomorphism(
     matrix: TransitionMatrix,
     raw_pairs: "list[list[tuple[Word, Word]]]",
     k: int | None = None,
-    _valid_hint: bool | None = None,
 ) -> GeometricEndomorphism:
     """Validate and normalize a presentation given as per-generator pair lists.
 
     The common mu-length defaults to the maximal raw mu-length; a larger
-    ``k`` may be requested.  Duplicate mu-words at the common length (which
-    would make the path map ambiguous or non-injective) are rejected.
+    ``k`` may be requested.  Repeated mu-words and overlapping source
+    cylinders within one generator (which would make the path map ambiguous
+    or non-injective) are rejected.
     """
     if len(raw_pairs) != matrix.n:
         raise InvalidEndomorphism(
@@ -111,53 +124,65 @@ def build_endomorphism(
         k=k,
         valid=False,
     )
-    valid = _valid_hint if _valid_hint is not None else _ck_checks(endo)
-    object.__setattr__(endo, "valid", valid)
+    object.__setattr__(endo, "valid", _ck_checks(endo))
     return endo
 
 
-def _check_mu_collisions(matrix: TransitionMatrix, i: int, pairs) -> None:
-    """Reject pair lists whose mu-words collide once expanded to a common length.
+def _cylinders(matrix: TransitionMatrix, pairs) -> list[Word]:
+    """The range cylinders ``nu j`` of the pairs (nu, mu), over the letters j
+    that may follow both termini; ``nu`` alone when every follower of nu's
+    terminus qualifies.  Swapping each pair gives the source cylinders."""
+    out = []
+    for nu, mu in pairs:
+        fol = matrix.followers(terminus(nu))
+        shared = fol & matrix.followers(terminus(mu))
+        out += [nu] if shared == fol else [nu + (j,) for j in sorted(shared)]
+    return out
 
-    Expanding (nu1, mu1) can reach the mu-word of another pair exactly when
-    mu1 is a prefix of mu2 and the connecting tail may follow nu1; in that
-    case the normalized presentation repeats a mu-word and the induced path
-    map would be ambiguous.
+
+def _check_mu_collisions(matrix: TransitionMatrix, i: int, pairs) -> None:
+    """Reject a repeated mu-word, or two pairs whose source cylinders overlap.
+
+    A pair (nu1, mu1) overlaps (nu2, mu2) exactly when mu1 is a proper prefix
+    of mu2 and the connecting tail may follow nu1; expanded to a common
+    mu-length, the presentation would then repeat a mu-word and the induced
+    path map would be ambiguous.
     """
-    for a, (nu1, mu1) in enumerate(pairs):
-        for b, (nu2, mu2) in enumerate(pairs):
-            if a == b or len(mu1) > len(mu2) or mu2[: len(mu1)] != mu1:
-                continue
-            if len(mu1) == len(mu2):
+    nu_of: dict[Word, Word] = {}
+    for nu, mu in pairs:
+        if mu in nu_of:
+            raise DuplicateMuAfterNormalization(f"generator {i}: mu-word {mu} repeated")
+        nu_of[mu] = nu
+    for mu2 in nu_of:
+        for n in range(len(mu2)):
+            nu1 = nu_of.get(mu2[:n])
+            if nu1 is not None and (not nu1 or matrix.entry(terminus(nu1), mu2[n])):
                 raise DuplicateMuAfterNormalization(
-                    f"generator {i}: mu-word {mu1} repeated"
-                )
-            tail = mu2[len(mu1):]
-            if not nu1 or matrix.entry(terminus(nu1), tail[0]) == 1:
-                raise DuplicateMuAfterNormalization(
-                    f"generator {i}: mu-words {mu1} and {mu2} collide after normalization"
+                    f"generator {i}: mu-words {mu2[:n]} and {mu2} collide after normalization"
                 )
 
 
 def _ck_checks(endo: GeometricEndomorphism) -> bool:
-    """The three Cuntz-Krieger checks defining the VALID flag."""
+    """The Cuntz-Krieger relations, read on cylinder sets.
+
+    The range cylinders of all pairs of all generators partition the space
+    (each t_i is a partial isometry and sum t_i t_i* = 1), and the sources of
+    each t_i make up the ranges of the t_j with A[i, j] = 1
+    (t_i* t_i = sum_j A[i, j] t_j t_j*).
+    """
     matrix = endo.matrix
-    ts = [endo.image_element(i) for i in matrix.alphabet]
-    for t in ts:
-        if not is_partial_isometry(t):
+    pairs = [pair for raw in endo.raw_images for pair in raw]
+    if not is_partition([clopen_make(matrix, _cylinders(matrix, [p])) for p in pairs]):
+        return False
+    ranges = [endo.range_set(j).members for j in matrix.alphabet]
+    for i, raw in zip(matrix.alphabet, endo.raw_images):
+        sources = clopen_make(matrix, _cylinders(matrix, [(mu, nu) for nu, mu in raw]))
+        image = clopen_make(
+            matrix, [w for j in matrix.alphabet if matrix.entry(i, j) for w in ranges[j - 1]]
+        )
+        if sources != image:
             return False
-    ranges = [multiply(t, adjoint(t)) for t in ts]
-    for i in matrix.alphabet:
-        rhs = zero(matrix)
-        for j in matrix.alphabet:
-            if matrix.entry(i, j):
-                rhs = add(rhs, ranges[j - 1])
-        if not equals(multiply(adjoint(ts[i - 1]), ts[i - 1]), rhs):
-            return False
-    total = zero(matrix)
-    for r in ranges:
-        total = add(total, r)
-    return equals(total, unit(matrix))
+    return True
 
 
 def identity_endomorphism(matrix: TransitionMatrix) -> GeometricEndomorphism:
@@ -199,10 +224,7 @@ def compose(e: GeometricEndomorphism, f: GeometricEndomorphism) -> GeometricEndo
                 f"composite image of generator {i} is not a sum of distinct monomials"
             )
         pair_lists.append(sorted(elt.terms))
-    # apply() is a unital *-homomorphism, so the composite images satisfy the
-    # Cuntz-Krieger relations whenever both factors do; re-running the checks
-    # would only repeat that argument at exponential cost.
-    return build_endomorphism(e.matrix, pair_lists, _valid_hint=True)
+    return build_endomorphism(e.matrix, pair_lists)
 
 
 def power(e: GeometricEndomorphism, n: int) -> GeometricEndomorphism:
@@ -236,8 +258,7 @@ def represent_at_depth(e: GeometricEndomorphism, k: int) -> GeometricEndomorphis
     for i in e.matrix.alphabet:
         norm = normalize(e.image_element(i), k)
         pair_lists.append(sorted(norm.terms))
-    # The images are unchanged as algebra elements, so validity carries over.
-    return build_endomorphism(e.matrix, pair_lists, k=k, _valid_hint=e.valid)
+    return build_endomorphism(e.matrix, pair_lists, k=k)
 
 
 class PartialPathMap:

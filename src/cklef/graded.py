@@ -500,16 +500,7 @@ def rational_supertrace_series(f: GradedMap, order: int) -> tuple[Fraction, ...]
     total = [Fraction(0)] * (order + 1)
     for e, sig in ((0, 1), (1, -1)):
         d = f.src.dim(e)
-        entries = [
-            [
-                linalg.poly_trim(
-                    ((Fraction(1) if i == j else Fraction(0)), -f.blocks[e][i][j])
-                )
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-        q = linalg.det_poly_matrix(entries) if d else (Fraction(1),)
+        q = linalg.reciprocal_charpoly(f.blocks[e])
         qp = linalg.poly_deriv(q)
         ratio = linalg.series_div(qp, q, order)
         # d - t * (q'/q)

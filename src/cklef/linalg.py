@@ -6,7 +6,6 @@ ints where noted); no floating point anywhere.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -99,25 +98,6 @@ def solve(a: Matrix, b: Sequence) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, v in enumerate(p):
-        out[i] += v
-    for i, v in enumerate(q):
-        out[i] += v
-    return poly_trim(tuple(out))
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(tuple(out))
-
-
 def poly_deriv(p: Poly) -> Poly:
     return poly_trim(tuple(Fraction(i) * v for i, v in enumerate(p)))[1:] if len(p) > 1 else ()
 
@@ -143,28 +123,20 @@ def series_div(p: Poly, q: Poly, order: int) -> Poly:
     return tuple(coeffs)
 
 
-def det_poly_matrix(entries: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a small matrix of polynomials by permutation expansion."""
-    n = len(entries)
-    total: Poly = ()
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        # parity via cycle decomposition
-        p = list(perm)
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term: Poly = (Fraction(sign),)
-        for i in range(n):
-            term = poly_mul(term, entries[i][perm[i]])
-        total = poly_add(total, term)
-    return total
+def reciprocal_charpoly(f: Matrix) -> Poly:
+    """det(I - tF) by Faddeev-LeVerrier: O(d^4) exact operations.
+
+    With M_1 = I and M_k = F M_{k-1} + a_{k-1} I, the coefficient of t^k is
+    a_k = -tr(F M_k) / k, where a_0 = 1.
+    """
+    d = len(f)
+    coeffs = [Fraction(1)]
+    fm = zeros(d, d)
+    for k in range(1, d + 1):
+        m = tuple(
+            tuple(fm[i][j] + (coeffs[-1] if i == j else 0) for j in range(d))
+            for i in range(d)
+        )
+        fm = mat_mul(f, m)
+        coeffs.append(-trace(fm) / k)
+    return poly_trim(tuple(coeffs))

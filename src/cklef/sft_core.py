@@ -4,7 +4,7 @@ The symbol space of a 0/1 transition matrix ``A`` is the one-sided shift of
 finite type: infinite sequences over ``{1..n}`` whose consecutive letters
 satisfy ``A[x_i, x_{i+1}] = 1``.  Finite data suffices everywhere in this
 package, so the module works with finite allowable words and with clopen
-subsets described as unions of depth-``d`` cylinders.
+subsets described by their maximal cylinders.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    DepthTooSmall,
     EntryOutOfRange,
     MatrixMismatch,
     NonSquare,
@@ -202,94 +201,89 @@ def enumerate_paths(matrix: TransitionMatrix, k: int) -> list[Word]:
 
 @dataclass(frozen=True)
 class ClopenSet:
-    """A clopen subset of the symbol space: a union of depth-``d`` cylinders.
+    """A clopen subset of the symbol space, held as its maximal cylinders.
 
-    Instances are kept in canonical form: the minimal depth denoting the
-    same subset.  Use :func:`clopen_make` to construct one.
+    ``members`` are the words whose cylinders lie in the set while their
+    parents' do not.  Letters are allowable and no row of A is zero, so every
+    cylinder is nonempty and this form is unique: two sets are equal exactly
+    when their members are.  Use :func:`clopen_make` to construct one.
     """
 
     matrix: TransitionMatrix
-    depth: int
     members: frozenset[Word]
 
 
-def clopen_make(matrix: TransitionMatrix, depth: int, members: Iterable[Word]) -> ClopenSet:
-    mset = frozenset(members)
-    for w in mset:
-        if len(w) != depth:
-            raise DepthTooSmall(f"member {w!r} does not have length {depth}")
+def clopen_make(matrix: TransitionMatrix, words: Iterable[Word]) -> ClopenSet:
+    """The union of the cylinders of ``words``, which may have any lengths.
+
+    Words covered by a shorter one are dropped; then, deepest first, each
+    sibling group that covers every follower of its parent merges into it.
+    """
+    members: set[Word] = set()
+    for w in sorted(set(words), key=len):
         require_allowable(matrix, w)
-    depth, mset = _reduce(matrix, depth, mset)
-    return ClopenSet(matrix=matrix, depth=depth, members=mset)
-
-
-def _reduce(matrix: TransitionMatrix, depth: int, members: frozenset[Word]):
-    """Lower the depth while the member set is a union of shallower cylinders."""
-    while depth > 0:
-        by_prefix: dict[Word, set[Word]] = {}
+        if not _has_prefix_in(w, members):
+            members.add(w)
+    for depth in range(max(map(len, members), default=0), 0, -1):
+        by_parent: dict[Word, set[Word]] = {}
         for w in members:
-            by_prefix.setdefault(w[:-1], set()).add(w)
-        reducible = all(
-            {p + (j,) for j in matrix.followers(terminus(p))} == kids
-            for p, kids in by_prefix.items()
-        )
-        if not reducible:
-            break
-        depth -= 1
-        members = frozenset(by_prefix)
-    return depth, members
+            if len(w) == depth:
+                by_parent.setdefault(w[:-1], set()).add(w)
+        for p, kids in by_parent.items():
+            if len(kids) == len(matrix.followers(terminus(p))):
+                members -= kids
+                members.add(p)
+    return ClopenSet(matrix=matrix, members=frozenset(members))
+
+
+def _has_prefix_in(w: Word, words) -> bool:
+    """Whether ``w`` or one of its prefixes is in ``words``."""
+    return any(w[:n] in words for n in range(len(w) + 1))
+
+
+def _same_matrix(first: ClopenSet, *rest: ClopenSet) -> TransitionMatrix:
+    matrix = first.matrix
+    if any(s.matrix != matrix for s in rest):
+        raise MatrixMismatch("clopen sets over different matrices")
+    return matrix
 
 
 def clopen_whole_space(matrix: TransitionMatrix) -> ClopenSet:
-    return clopen_make(matrix, 0, [EMPTY_WORD])
-
-
-def clopen_refine(s: ClopenSet, depth: int) -> ClopenSet:
-    """The same subset written as a union of depth-``depth`` cylinders."""
-    if depth < s.depth:
-        raise DepthTooSmall(f"refinement depth {depth} below {s.depth}")
-    members = set(s.members)
-    for _ in range(depth - s.depth):
-        members = {w + (j,) for w in members for j in s.matrix.followers(terminus(w))}
-    # Bypass canonicalization: callers asked for this exact depth.
-    return ClopenSet(matrix=s.matrix, depth=depth, members=frozenset(members))
-
-
-def _common_depth(a: ClopenSet, b: ClopenSet):
-    if a.matrix != b.matrix:
-        raise MatrixMismatch("clopen sets over different matrices")
-    d = max(a.depth, b.depth)
-    return d, clopen_refine(a, d), clopen_refine(b, d)
+    return clopen_make(matrix, [EMPTY_WORD])
 
 
 def clopen_equals(a: ClopenSet, b: ClopenSet) -> bool:
-    _, ra, rb = _common_depth(a, b)
-    return ra.members == rb.members
+    _same_matrix(a, b)
+    return a.members == b.members
 
 
 def clopen_union(a: ClopenSet, b: ClopenSet) -> ClopenSet:
-    d, ra, rb = _common_depth(a, b)
-    return clopen_make(a.matrix, d, ra.members | rb.members)
+    return clopen_make(_same_matrix(a, b), a.members | b.members)
 
 
 def clopen_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
-    d, ra, rb = _common_depth(a, b)
-    return clopen_make(a.matrix, d, ra.members & rb.members)
+    """Both are antichains, so each cylinder of the intersection is a member
+    of one set lying inside a member of the other."""
+    matrix = _same_matrix(a, b)
+    return clopen_make(
+        matrix,
+        [w for w in a.members if _has_prefix_in(w, b.members)]
+        + [w for w in b.members if _has_prefix_in(w, a.members)],
+    )
 
 
 def is_partition(parts: Sequence[ClopenSet]) -> bool:
-    """True when the parts are pairwise disjoint and cover the symbol space."""
+    """True when the parts are pairwise disjoint and cover the symbol space.
+
+    Each part is an antichain, so the parts are disjoint exactly when no
+    member of one is a prefix of a member of another.
+    """
     if not parts:
         return False
-    matrix = parts[0].matrix
-    for p in parts[1:]:
-        if p.matrix != matrix:
-            raise MatrixMismatch("clopen sets over different matrices")
-    d = max(p.depth for p in parts)
-    refined = [clopen_refine(p, d) for p in parts]
+    matrix = _same_matrix(*parts)
     seen: set[Word] = set()
-    for r in refined:
-        if r.members & seen:
+    for w in sorted((w for p in parts for w in p.members), key=len):
+        if _has_prefix_in(w, seen):
             return False
-        seen |= r.members
-    return seen == set(enumerate_paths(matrix, d))
+        seen.add(w)
+    return clopen_make(matrix, seen).members == {EMPTY_WORD}

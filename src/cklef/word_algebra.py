@@ -243,4 +243,4 @@ def support(p: Element) -> ClopenSet:
                 "projection is not a sum of cylinder projections with coefficient 1"
             )
         words.add(nu)
-    return clopen_make(p.matrix, d, words)
+    return clopen_make(p.matrix, words)

@@ -203,6 +203,38 @@ class TestSubcommands:
         assert data["index.k3"] == -1 and data["index.k4"] == 2
 
 
+    def test_validate_lists_maximal_range_cylinders(self, main_file):
+        out, code = run(["--structured", "validate", main_file])
+        assert code == 0
+        data = parse_structured(out)
+        assert data["valid"] is True
+        assert (data["range.1"], data["range.2"], data["range.3"]) == ("1 2", "3,2", "3,3")
+
+    def test_validate_overlapping_ranges(self):
+        # the ranges 1 and 1,1 of t1 overlap, so t1 t1* is not a projection
+        text = (
+            "n = 3\nA = 110 111 011\n[t1]\n1 <- 1\n1,1 <- 2\n"
+            "[t2]\n2 <- e\n[t3]\n3 <- e\n"
+        )
+        out, code = run(["--structured", "validate", "-"], stdin_text=text)
+        assert code == 0
+        data = parse_structured(out)
+        assert data["valid"] is False
+        assert data["warning.0"] == "presentation fails the Cuntz-Krieger checks"
+        assert data["range.1"] == "1"
+
+    def test_deep_power_round_trip(self, main_file, tmp_path):
+        # the written sixth power is checked afresh once it is parsed back
+        out_path = str(tmp_path / "p6.ck")
+        _, code = run(["power", main_file, "--n", "6", "--out", out_path])
+        assert code == 0
+        out, code = run(["--structured", "validate", out_path])
+        assert code == 0
+        assert parse_structured(out)["valid"] is True
+        out, code = run(["--structured", "index", out_path, "--method", "polynomial"])
+        assert code == 0
+        assert parse_structured(out)["polynomial.value"] == 1
+
 class TestStructuredFormat:
     def test_round_trip_all_tags(self):
         report = Report(command="demo")

@@ -14,13 +14,29 @@ from cklef.endo import (
     represent_at_depth,
 )
 from cklef.errors import (
+    CkError,
     DepthTooSmall,
     DuplicateMuAfterNormalization,
     InvalidEndomorphism,
+    UnallowableWord,
     ZeroMonomialPair,
 )
-from cklef.sft_core import enumerate_paths, validate_matrix
-from cklef.word_algebra import element, equals, generator, monomial
+from cklef.sampling import random_complete_graph_endomorphism, random_inner_automorphism
+from cklef.sft_core import enumerate_paths, is_allowable, terminus, validate_matrix
+from cklef.word_algebra import (
+    add,
+    adjoint,
+    element,
+    equals,
+    generator,
+    is_partial_isometry,
+    monomial,
+    monomial_is_zero,
+    multiply,
+    support,
+    unit,
+    zero,
+)
 from tests.conftest import small_matrices
 
 
@@ -181,3 +197,139 @@ class TestRepresentAtDepth:
     def test_below_current_depth_rejected(self, main_endo):
         with pytest.raises(DepthTooSmall):
             represent_at_depth(main_endo, 1)
+
+
+def _reference_outcome(matrix, raw_pairs):
+    """What a presentation builds to, decided on algebra elements.
+
+    Returns the ``valid`` flag, or the type of the error raised.  The
+    mu-collision rule compares every pair with every other, and validity
+    checks the three Cuntz-Krieger relations on elements normalized to a
+    common mu-length: slow, but independent of the cylinder-set check.
+    """
+    if len(raw_pairs) != matrix.n:
+        return InvalidEndomorphism
+    for pairs in raw_pairs:
+        if not pairs:
+            return InvalidEndomorphism
+        for nu, mu in pairs:
+            if not (is_allowable(matrix, nu) and is_allowable(matrix, mu)):
+                return UnallowableWord
+            if monomial_is_zero(matrix, nu, mu):
+                return ZeroMonomialPair
+    for pairs in raw_pairs:
+        for a, (nu1, mu1) in enumerate(pairs):
+            for b, (_, mu2) in enumerate(pairs):
+                if a == b or len(mu1) > len(mu2) or mu2[: len(mu1)] != mu1:
+                    continue
+                if len(mu1) == len(mu2):
+                    return DuplicateMuAfterNormalization
+                if not nu1 or matrix.entry(terminus(nu1), mu2[len(mu1)]) == 1:
+                    return DuplicateMuAfterNormalization
+    ts = [element(matrix, [(nu, mu, 1) for nu, mu in pairs]) for pairs in raw_pairs]
+    if not all(is_partial_isometry(t) for t in ts):
+        return False
+    ranges = [multiply(t, adjoint(t)) for t in ts]
+    for i in matrix.alphabet:
+        rhs = zero(matrix)
+        for j in matrix.alphabet:
+            if matrix.entry(i, j):
+                rhs = add(rhs, ranges[j - 1])
+        if not equals(multiply(adjoint(ts[i - 1]), ts[i - 1]), rhs):
+            return False
+    total = zero(matrix)
+    for r in ranges:
+        total = add(total, r)
+    return equals(total, unit(matrix))
+
+
+def _outcome(matrix, raw_pairs):
+    try:
+        return build_endomorphism(matrix, raw_pairs).valid
+    except CkError as exc:
+        return type(exc)
+
+
+def _oracle_corpus(main_endo):
+    """Valid presentations: powers and re-presentations of the running
+    example, identities and inner automorphisms on the desk matrices, and
+    complete-graph samples."""
+    corpus = [main_endo, power(main_endo, 2), power(main_endo, 3)]
+    corpus += [represent_at_depth(main_endo, k) for k in (3, 4)]
+    rng = random.Random(2024)
+    for matrix in small_matrices():
+        corpus.append(identity_endomorphism(matrix))
+        corpus.append(random_inner_automorphism(matrix, rng))
+    for n in (2, 3):
+        matrix = validate_matrix([[1] * n for _ in range(n)])
+        corpus += [random_complete_graph_endomorphism(matrix, rng)[0] for _ in range(4)]
+    return corpus
+
+
+def _mutate(matrix, raw_images, rng):
+    """One seeded change: drop a pair, swap two nu-words, replace a nu or a
+    mu by a random allowable word, or add a pair."""
+    pairs = [list(p) for p in raw_images]
+    spots = [(i, a) for i, p in enumerate(pairs) for a in range(len(p))]
+
+    def word():
+        return rng.choice(enumerate_paths(matrix, rng.randrange(4)))
+
+    kind = rng.randrange(5)
+    i, a = rng.choice(spots)
+    nu, mu = pairs[i][a]
+    if kind == 0:
+        del pairs[i][a]
+    elif kind == 1:
+        j, b = rng.choice(spots)
+        pairs[i][a] = (pairs[j][b][0], mu)
+        pairs[j][b] = (nu, pairs[j][b][1])
+    elif kind == 2:
+        pairs[i][a] = (word(), mu)
+    elif kind == 3:
+        pairs[i][a] = (nu, word())
+    else:
+        pairs[rng.randrange(matrix.n)].append((word(), word()))
+    return pairs
+
+
+class TestCkChecksAgainstElementOracle:
+    def test_corpus_is_valid(self, main_endo):
+        for e in _oracle_corpus(main_endo):
+            assert e.valid
+            assert _reference_outcome(e.matrix, e.raw_images) is True
+
+    def test_seeded_mutations_agree(self, main_endo):
+        rng = random.Random(5)
+        tally = {}
+        for e in _oracle_corpus(main_endo):
+            # the deep bases cost the element check the most time
+            for _ in range(12 if e.k > 4 else 80):
+                raw = _mutate(e.matrix, e.raw_images, rng)
+                expected = _reference_outcome(e.matrix, raw)
+                assert _outcome(e.matrix, raw) == expected, raw
+                tally[expected] = tally.get(expected, 0) + 1
+        assert sum(tally.values()) >= 1000
+        assert tally[True] and tally[False] and tally[DuplicateMuAfterNormalization]
+
+    def test_range_set_is_support_of_range_projection(self, main_endo):
+        for e in _oracle_corpus(main_endo):
+            for i in e.matrix.alphabet:
+                t = e.image_element(i)
+                assert e.range_set(i) == support(multiply(t, adjoint(t)))
+
+    def test_repeated_mu_with_disjoint_followers_rejected(self):
+        # t_1 = s_1 + s_2: the two source cylinders 1 and 2 are disjoint, but
+        # the mu-word e repeats, so the path map could not tell them apart
+        m = validate_matrix([[1, 0], [0, 1]])
+        raw = [[((1,), ()), ((2,), ())], [((1,), (1,))]]
+        assert _reference_outcome(m, raw) is DuplicateMuAfterNormalization
+        with pytest.raises(DuplicateMuAfterNormalization, match=r"generator 1: mu-word \(\) repeated"):
+            build_endomorphism(m, raw)
+
+    def test_collision_names_generator_and_words(self, main_matrix):
+        raw = [[((1,), ()), ((2,), (1,))], [((2,), ())], [((3,), ())]]
+        with pytest.raises(
+            DuplicateMuAfterNormalization, match=r"generator 1: mu-words \(\) and \(1,\)"
+        ):
+            build_endomorphism(main_matrix, raw)

@@ -7,7 +7,6 @@ from cklef.sft_core import (
     clopen_equals,
     clopen_intersect,
     clopen_make,
-    clopen_refine,
     clopen_union,
     clopen_whole_space,
     count_paths,
@@ -203,47 +202,49 @@ def _power_entry(m, a, b, p):
 
 class TestClopen:
     def test_refine_depth1_to_2(self, main_matrix):
-        s = clopen_make(main_matrix, 1, {(1,)})
-        r = clopen_refine(s, 2)
-        assert r.members == frozenset({(1, 1), (1, 2)})
+        # the cylinders 11 and 12 make up the cylinder 1
+        s = clopen_make(main_matrix, {(1, 1), (1, 2)})
+        assert s.members == frozenset({(1,)})
 
     def test_refine_same_depth_identity(self, main_matrix):
-        s = clopen_make(main_matrix, 2, {(3, 2)})
-        assert clopen_refine(s, 2).members == s.members
+        # 32 has siblings 31 and 33 outside the set, so it stays maximal
+        s = clopen_make(main_matrix, {(3, 2)})
+        assert s.members == frozenset({(3, 2)})
 
     def test_refine_whole_space(self, main_matrix):
-        s = clopen_make(main_matrix, 0, {()})
-        assert clopen_refine(s, 1).members == frozenset({(1,), (2,), (3,)})
+        s = clopen_make(main_matrix, {(1,), (2,), (3,)})
+        assert s.members == frozenset({()})
 
     def test_partition_of_ranges(self, main_matrix):
-        z1 = clopen_make(main_matrix, 1, {(1,), (2,)})
-        z2 = clopen_make(main_matrix, 2, {(3, 2)})
-        z3 = clopen_make(main_matrix, 2, {(3, 3)})
+        z1 = clopen_make(main_matrix, {(1,), (2,)})
+        z2 = clopen_make(main_matrix, {(3, 2)})
+        z3 = clopen_make(main_matrix, {(3, 3)})
         assert is_partition([z1, z2, z3])
 
     def test_equality_survives_refinement(self, main_matrix):
-        s = clopen_make(main_matrix, 1, {(1,), (3,)})
-        assert clopen_equals(s, clopen_refine(s, 4))
+        s = clopen_make(main_matrix, {(1,), (3,)})
+        deep = [w for w in enumerate_paths(main_matrix, 4) if w[0] in (1, 3)]
+        assert clopen_equals(s, clopen_make(main_matrix, deep))
 
     def test_union_idempotent(self, main_matrix):
-        s = clopen_make(main_matrix, 1, {(1,)})
+        s = clopen_make(main_matrix, {(1,)})
         assert clopen_equals(clopen_union(s, s), s)
 
     def test_union_canonicalizes_depth(self, main_matrix):
         # {11,12} at depth 2 is the depth-1 cylinder {1}
-        a = clopen_make(main_matrix, 2, {(1, 1)})
-        b = clopen_make(main_matrix, 2, {(1, 2)})
+        a = clopen_make(main_matrix, {(1, 1)})
+        b = clopen_make(main_matrix, {(1, 2)})
         u = clopen_union(a, b)
-        assert clopen_equals(u, clopen_make(main_matrix, 1, {(1,)}))
+        assert clopen_equals(u, clopen_make(main_matrix, {(1,)}))
 
     def test_intersect(self, main_matrix):
-        a = clopen_make(main_matrix, 1, {(1,), (2,)})
-        b = clopen_make(main_matrix, 2, {(1, 1), (2, 3)})
+        a = clopen_make(main_matrix, {(1,), (2,)})
+        b = clopen_make(main_matrix, {(1, 1), (2, 3)})
         i = clopen_intersect(a, b)
         assert clopen_equals(i, b)
 
     def test_whole_space_partition_by_letters(self, main_matrix):
-        parts = [clopen_make(main_matrix, 1, {(i,)}) for i in main_matrix.alphabet]
+        parts = [clopen_make(main_matrix, {(i,)}) for i in main_matrix.alphabet]
         assert is_partition(parts)
         assert clopen_equals(
             clopen_union(clopen_union(parts[0], parts[1]), parts[2]),
@@ -254,5 +255,5 @@ class TestClopen:
         other = validate_matrix([[1]])
         with pytest.raises(MatrixMismatch):
             clopen_union(
-                clopen_make(main_matrix, 1, {(1,)}), clopen_make(other, 1, {(1,)})
+                clopen_make(main_matrix, {(1,)}), clopen_make(other, {(1,)})
             )

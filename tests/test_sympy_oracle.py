@@ -1,0 +1,53 @@
+"""sympy as an independent oracle for the exact linear algebra.
+
+sympy is a test-only dependency; these tests skip when it is absent.  The
+Smith-form comparison stops at n = 32, where sympy still answers in
+milliseconds; at n = 64 it takes about a minute.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cklef import linalg
+from cklef.ktheory import k_groups
+from cklef.sft_core import validate_matrix
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+
+
+def _random_matrix(rng, n, density):
+    while True:
+        rows = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+        if all(any(r) for r in rows) and all(any(c) for c in zip(*rows)):
+            return validate_matrix(rows)
+
+
+def test_reciprocal_charpoly_matches_sympy_charpoly():
+    rng = random.Random(41)
+    x = sympy.Symbol("x")
+    for trial in range(60):
+        d = 1 + trial % 8
+        f = tuple(
+            tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))) for _ in range(d))
+            for _ in range(d)
+        )
+        # det(xI - F) read highest degree first is det(I - tF) lowest first
+        expected = sympy.Matrix(f).charpoly(x).all_coeffs()
+        expected = linalg.poly_trim(tuple(Fraction(int(c.p), int(c.q)) for c in expected))
+        assert linalg.reciprocal_charpoly(f) == expected, f
+
+
+def test_reciprocal_charpoly_of_empty_matrix_is_one():
+    assert linalg.reciprocal_charpoly(()) == (Fraction(1),)
+
+
+def test_k_groups_invariant_factors_match_sympy():
+    rng = random.Random(42)
+    for n in list(range(1, 13)) + [16, 20, 24, 28, 32]:
+        for density in (0.2, 0.5, 0.8):
+            kt = k_groups(_random_matrix(rng, n, density))
+            expected = invariant_factors(sympy.Matrix(kt.presentation), domain=sympy.ZZ)
+            assert kt.invariant_factors == tuple(abs(int(v)) for v in expected), n

@@ -195,17 +195,17 @@ class TestSupport:
         t1 = main_endo.image_element(1)
         p = multiply(t1, adjoint(t1))
         assert clopen_equals(
-            support(p), clopen_make(main_matrix, 1, {(1,), (2,)})
+            support(p), clopen_make(main_matrix, {(1,), (2,)})
         )
 
     def test_generator_range_projection(self, main_matrix):
         s1 = generator(main_matrix, 1)
         p = multiply(s1, adjoint(s1))
-        assert clopen_equals(support(p), clopen_make(main_matrix, 1, {(1,)}))
+        assert clopen_equals(support(p), clopen_make(main_matrix, {(1,)}))
 
     def test_unit_support_is_whole_space(self, main_matrix):
         assert clopen_equals(
-            support(unit(main_matrix)), clopen_make(main_matrix, 0, {()})
+            support(unit(main_matrix)), clopen_make(main_matrix, {()})
         )
 
     def test_support_refinement_invariant(self, main_matrix):
