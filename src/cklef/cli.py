@@ -15,7 +15,10 @@ Input documents describe a transition matrix and named endomorphisms::
 
 Each block ``[<name><i>]`` lists the presentation pairs ``nu <- mu`` of
 generator ``i`` of endomorphism ``<name>``; ``e`` is the empty word, and a
-bare digit string like ``233`` may abbreviate ``2,3,3`` when n <= 9.
+bare digit string like ``233`` may abbreviate ``2,3,3`` when n <= 9.  From
+n = 10 on, ``[t11]`` could be generator 11 of ``t`` or generator 1 of
+``t1``, so blocks must be written ``[<name>.<i>]``, as in ``[t.11]``; the
+dotted form is accepted for every n.
 
 Subcommands: validate, index, ktheory, k0map, lefschetz, zeta, compose,
 power.  Exit codes: 0 success, 1 domain/validation failure, 2 parse error.
@@ -75,21 +78,28 @@ class CkDocument:
         return next(iter(self.endos))
 
 
-_BLOCK_RE = re.compile(r"^\[([A-Za-z_][A-Za-z_0-9]*)\]$")
+_BLOCK_RE = re.compile(r"^\[([A-Za-z_][A-Za-z_0-9]*(?:\.[0-9]+)?)\]$")
 
 
 def _split_block_label(label: str, n: int, line_no: int) -> tuple[str, int]:
-    """Split '<name><index>' taking the shortest trailing digit-run in 1..n.
+    """Split '<name>.<index>', or '<name><index>' when n <= 9.
 
-    For n <= 9 this is simply the final digit, so names may themselves end
-    in digits (as the power/compose emitters produce).
+    Undotted, the index is the final digit, so names may themselves end in
+    digits (as the power/compose emitters produce).  From n = 10 on that
+    reading is ambiguous, and an undotted label is refused.
     """
-    for cut in range(len(label) - 1, 0, -1):
-        suffix = label[cut:]
-        if not suffix.isdigit():
-            break
-        if 1 <= int(suffix) <= n:
-            return label[:cut], int(suffix)
+    name, dot, index = label.rpartition(".")
+    if not dot:
+        if n >= 10:
+            raise CkSyntaxError(
+                f"block [{label}] is ambiguous when n >= 10; "
+                f"write it as [<name>.<i>], as in [t.{n}]",
+                line_no,
+                1,
+            )
+        name, index = label[:-1], label[-1]
+    if name and index.isdigit() and 1 <= int(index) <= n:
+        return name, int(index)
     raise CkSyntaxError(
         f"block [{label}] must end in a generator index 1..{n}", line_no, 1
     )
@@ -177,12 +187,14 @@ def parse_document(text: str) -> CkDocument:
             per_endo = blocks.setdefault(name, {})
             if idx in per_endo:
                 raise CkSyntaxError(
-                    f"duplicate block [{name}{idx}]", line_no, 1
+                    f"duplicate block [{bm.group(1)}]", line_no, 1
                 )
             current = per_endo.setdefault(idx, [])
             continue
         if current is None:
-            raise CkSyntaxError("expected a '[name<i>]' block header", line_no, 1)
+            raise CkSyntaxError(
+                "expected a '[name<i>]' or '[name.<i>]' block header", line_no, 1
+            )
         if "<-" not in line:
             raise CkSyntaxError("expected '<nu> <- <mu>'", line_no, 1)
         left, _, right = line.partition("<-")
@@ -213,12 +225,14 @@ def format_word(w: Word) -> str:
 
 
 def render_document(doc: CkDocument) -> str:
+    """The document text; block labels are dotted, [t.11], only when n >= 10."""
     out = [f"n = {doc.matrix.n}"]
     out.append("A = " + " ".join("".join(str(v) for v in row) for row in doc.matrix.rows))
+    dot = "." if doc.matrix.n >= 10 else ""
     for name, pair_lists in doc.endos.items():
         for i, pairs in enumerate(pair_lists, start=1):
             out.append("")
-            out.append(f"[{name}{i}]")
+            out.append(f"[{name}{dot}{i}]")
             for nu, mu in pairs:
                 out.append(f"{format_word(nu)} <- {format_word(mu)}")
     return "\n".join(out) + "\n"

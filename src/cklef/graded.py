@@ -200,8 +200,11 @@ def tensor_vector(a: GradedVector, b: GradedVector) -> GradedVector:
     space = tensor_space(a.space, b.space)
     parity = (a.parity + b.parity) % 2
     coords = [Fraction(0)] * space.dim(parity)
+    bs = [(j, y) for j, y in enumerate(b.coords) if y]
     for i, x in enumerate(a.coords):
-        for j, y in enumerate(b.coords):
+        if not x:
+            continue
+        for j, y in bs:
             _, pos = tensor_position(a.space, b.space, a.parity, b.parity, i, j)
             coords[pos] = x * y
     return GradedVector(space, parity, tuple(coords))
@@ -288,16 +291,20 @@ def graded_pairing(
 
 
 def pair(p: GradedPairing, x: GradedVector, y: GradedVector) -> Fraction:
-    """(x | y); zero when the parities do not sum to n."""
+    """(x | y); zero when the parities do not sum to n.
+
+    The sum runs over the nonzero coordinates of x and y only.
+    """
     if x.space != p.space_a or y.space != p.space_b:
         raise ShapeMismatch("pairing arguments live in the wrong spaces")
     if (x.parity + y.parity) % 2 != p.n:
         return Fraction(0)
     block = p.blocks[x.parity]
+    ys = [(j, b) for j, b in enumerate(y.coords) if b]
     return sum(
-        (x.coords[i] * block[i][j] * y.coords[j]
-         for i in range(len(x.coords))
-         for j in range(len(y.coords))),
+        (a * block[i][j] * b
+         for i, a in enumerate(x.coords) if a
+         for j, b in ys),
         Fraction(0),
     )
 

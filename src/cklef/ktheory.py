@@ -5,6 +5,11 @@ the range projections e_i = [s_i s_i*]); K_1 is its kernel, free of the same
 rank as the free part of K_0.  Traces are taken on the rationalized free
 part; torsion is still tracked so that well-definedness of induced maps can
 be verified on the full group.
+
+The Smith form carries U^{-1} next to U, built by the inverse column
+operations, so an induced map descends to the free part in integers: only
+the r free rows of U T U^{-1} are formed, at r n^2 cost, and nothing at all
+when K_0 is torsion.
 """
 
 from __future__ import annotations
@@ -28,11 +33,15 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U · M · V = D with unimodular U, V and a nonnegative divisibility chain."""
+    """U · M · V = D with unimodular U, V and a nonnegative divisibility chain.
+
+    ``u_inv`` is U^{-1}, kept in step with U by the inverse column operations.
+    """
 
     u: IntMatrix
     v: IntMatrix
     d: IntMatrix
+    u_inv: IntMatrix
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
@@ -41,10 +50,14 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
     d = [list(map(int, row)) for row in m]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    # The columns of U^{-1}, held as rows: each row operation E on U becomes
+    # the column operation E^{-1} on U^{-1}, a row operation on this transpose.
+    u_inv_cols = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
+        u_inv_cols[i], u_inv_cols[j] = u_inv_cols[j], u_inv_cols[i]
 
     def swap_cols(i, j):
         for row in d:
@@ -56,6 +69,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
         # row dst += q * row src
         d[dst] = [a + q * b for a, b in zip(d[dst], d[src])]
         u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
+        # ... so column src of U^{-1} -= q * column dst
+        u_inv_cols[src] = [a - q * b for a, b in zip(u_inv_cols[src], u_inv_cols[dst])]
 
     def add_col(src, dst, q):
         for row in d:
@@ -66,6 +81,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
     def negate_row(i):
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
+        u_inv_cols[i] = [-x for x in u_inv_cols[i]]
 
     for t in range(min(rows, cols)):
         while True:
@@ -119,6 +135,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
         u=tuple(tuple(r) for r in u),
         v=tuple(tuple(r) for r in v),
         d=tuple(tuple(r) for r in d),
+        u_inv=tuple(zip(*u_inv_cols)),
     )
 
 
@@ -286,19 +303,28 @@ def _descend_free(kt: KTheoryData, t_rows: IntMatrix) -> IntMatrix:
     """Matrix of the descended map on the free part, in the SNF basis.
 
     The free summands are the SNF coordinates at zero invariant factors, so
-    the descended matrix is (U T U^{-1}) restricted to those indices; U is
-    unimodular, hence the restriction is integral.
+    the descended matrix is U T U^{-1} restricted to those indices.  Only
+    that r x r block is formed, in integers: the free rows of U times T
+    times the free columns of U^{-1}.  Each such column x must satisfy
+    U x = e_j, an r n^2 check that U^{-1} is the inverse it claims to be.
     """
-    u = linalg.to_matrix(kt.snf.u)
-    conj = linalg.mat_mul(linalg.mat_mul(u, linalg.to_matrix(t_rows)), linalg.inverse(u))
-    free = tuple(
-        tuple(int(conj[i][j]) for j in kt.free_indices) for i in kt.free_indices
+    n = kt.matrix.n
+    u, u_inv = kt.snf.u, kt.snf.u_inv
+    images = []
+    for j in kt.free_indices:
+        x = [u_inv[r][j] for r in range(n)]
+        if any(
+            sum(a * b for a, b in zip(u[i], x)) != (1 if i == j else 0)
+            for i in range(n)
+        ):
+            raise WellDefinednessFailure(
+                f"column {j + 1} of the Smith U^-1 is not inverse to U"
+            )
+        images.append([sum(a * b for a, b in zip(row, x)) for row in t_rows])
+    return tuple(
+        tuple(sum(a * b for a, b in zip(u[i], y)) for y in images)
+        for i in kt.free_indices
     )
-    for i in kt.free_indices:
-        for j in kt.free_indices:
-            if conj[i][j].denominator != 1:
-                raise WellDefinednessFailure("descended free-part matrix is not integral")
-    return free
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(a: Matrix, v: Sequence) -> tuple[Fraction, ...]:
-    return tuple(sum((a[i][j] * Fraction(v[j]) for j in range(len(v))), Fraction(0))
-                 for i in range(len(a)))
+    """a v, summed over the nonzero entries of v and of a only."""
+    support = [(j, Fraction(x)) for j, x in enumerate(v) if x]
+    return tuple(sum((row[j] * x for j, x in support if row[j]), Fraction(0))
+                 for row in a)
 
 
 def trace(a: Matrix) -> Fraction:

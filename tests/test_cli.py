@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from cklef.cli import (
 )
 from cklef.endo import compose, generator_equal, power
 from cklef.errors import CkSyntaxError, UnallowableWord, UnknownLetter
+from cklef.sampling import random_inner_automorphism
+from cklef.sft_core import validate_matrix
 from tests.conftest import MAIN_DOCUMENT
 
 
@@ -68,6 +71,46 @@ class TestParsing:
         text = render_document(document_of(main_matrix, "t", main_endo))
         again = parse_document(text)
         assert generator_equal(again.build("t"), main_endo)
+
+
+def _inner_automorphism(n, seed):
+    rng = random.Random(seed)
+    while True:
+        rows = [[int(rng.random() < 0.5) for _ in range(n)] for _ in range(n)]
+        if all(any(r) for r in rows) and all(any(c) for c in zip(*rows)):
+            return random_inner_automorphism(validate_matrix(rows), rng, depth=2)
+
+
+class TestBlockLabels:
+    """From n = 10 on, generator blocks are written [name.i]."""
+
+    def test_round_trip_at_n12(self, tmp_path):
+        e = _inner_automorphism(12, 5)
+        text = render_document(document_of(e.matrix, "t", e))
+        assert "[t.11]" in text and "[t.12]" in text and "[t11]" not in text
+        built = parse_document(text).build("t")
+        assert built.valid and built.raw_images == e.raw_images
+        path = tmp_path / "inner12.ck"
+        path.write_text(text)
+        out, code = run(["--structured", "k0map", str(path)])
+        assert code == 0
+        assert parse_structured(out)["well.defined"] is True
+
+    def test_undotted_label_refused_from_n10(self):
+        e = _inner_automorphism(10, 6)
+        text = render_document(document_of(e.matrix, "t", e)).replace("[t.10]", "[t10]")
+        with pytest.raises(CkSyntaxError, match=r"\[<name>\.<i>\]"):
+            parse_document(text)
+
+    def test_small_n_keeps_undotted_labels(self, main_endo, main_matrix):
+        text = render_document(document_of(main_matrix, "tp2", main_endo))
+        assert "[tp21]" in text and "." not in text
+        dotted = text.replace("[tp21]", "[tp2.1]").replace("[tp23]", "[tp2.3]")
+        assert parse_document(dotted).endos == parse_document(text).endos
+
+    def test_dotted_index_out_of_range(self):
+        with pytest.raises(CkSyntaxError, match="1..3"):
+            parse_document("n = 3\nA = 110 111 011\n[t.4]\n1 <- e\n")
 
 
 class TestRunExitCodes:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cklef import linalg
 from cklef.errors import DegeneratePairing, NotDegreeZero
 from cklef.graded import (
     GradedSpace,
@@ -260,3 +261,102 @@ class TestZetaModel:
             sp = _rand_space(rng, 3)
             fmap = _rand_map(rng, sp, sp, 0)
             assert zeta_model_check(fmap, 8)
+
+
+def _sparse_fraction(rng, zero_share):
+    if rng.random() < zero_share:
+        return Fraction(0)
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+
+
+def _dense_mat_vec(a, v):
+    return tuple(
+        sum((a[i][j] * Fraction(v[j]) for j in range(len(v))), Fraction(0))
+        for i in range(len(a))
+    )
+
+
+def _dense_pair(block, x, y):
+    return sum(
+        (x[i] * block[i][j] * y[j] for i in range(len(x)) for j in range(len(y))),
+        Fraction(0),
+    )
+
+
+class TestZeroSkipping:
+    """mat_vec and pair sum only nonzero terms; the sums must not change."""
+
+    @pytest.mark.parametrize("zero_share", [0.0, 0.5, 1.0])
+    def test_mat_vec_equals_dense_sum(self, zero_share):
+        rng = random.Random(47)
+        for _ in range(60):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            a = tuple(
+                tuple(_sparse_fraction(rng, zero_share) for _ in range(cols))
+                for _ in range(rows)
+            )
+            v = [_sparse_fraction(rng, zero_share) for _ in range(cols)]
+            if rows and rng.random() < 0.3:
+                a = a[:-1] + (tuple(Fraction(0) for _ in range(cols)),)
+            got = linalg.mat_vec(a, v)
+            assert got == _dense_mat_vec(a, v)
+            assert all(isinstance(c, Fraction) for c in got)
+
+    def test_mat_vec_on_empty_dimensions(self):
+        assert linalg.mat_vec((), ()) == ()
+        assert linalg.mat_vec(((), (), ()), ()) == (0, 0, 0)
+        assert linalg.mat_vec(((Fraction(0),),), [0]) == (0,)
+
+    def test_mat_vec_takes_int_vectors(self):
+        a = linalg.to_matrix([[1, 2], [3, 4]])
+        assert linalg.mat_vec(a, [0, 5]) == (10, 20)
+
+    @pytest.mark.parametrize("zero_share", [0.0, 0.5, 1.0])
+    def test_pair_equals_dense_sum(self, zero_share):
+        rng = random.Random(53)
+        for _ in range(60):
+            n = rng.randint(0, 1)
+            a = _rand_space(rng, 5)
+            b = _rand_space(rng, 5)
+            blocks = [
+                [
+                    [_sparse_fraction(rng, zero_share) for _ in range(b.dim(n + e))]
+                    for _ in range(a.dim(e))
+                ]
+                for e in (0, 1)
+            ]
+            p = graded_pairing(a, b, n, blocks)
+            for px in (0, 1):
+                for py in (0, 1):
+                    x = graded_vector(
+                        a, px, [_sparse_fraction(rng, zero_share) for _ in range(a.dim(px))]
+                    )
+                    y = graded_vector(
+                        b, py, [_sparse_fraction(rng, zero_share) for _ in range(b.dim(py))]
+                    )
+                    want = (
+                        _dense_pair(p.blocks[px], x.coords, y.coords)
+                        if (px + py) % 2 == n
+                        else 0
+                    )
+                    assert pair(p, x, y) == want
+
+    def test_pair_with_zero_row_and_empty_parts(self):
+        a = GradedSpace(2, 0)
+        p = graded_pairing(a, a, 0, [[[0, 0], [3, 4]], []])
+        x = graded_vector(a, 0, [5, 7])
+        y = graded_vector(a, 0, [1, 1])
+        assert pair(p, x, y) == _dense_pair(p.blocks[0], x.coords, y.coords) == 49
+
+    def test_empty_dimensions(self):
+        # the d = 0 parts that compose_maps special-cases
+        empty = GradedSpace(0, 0)
+        q = graded_pairing(empty, empty, 0, [[], []])
+        assert pair(q, graded_vector(empty, 0, []), graded_vector(empty, 0, [])) == 0
+        v, w = GradedSpace(2, 1), GradedSpace(0, 1)
+        f = graded_map(v, w, 0, [[], [[Fraction(2, 3)]]])
+        x = graded_vector(v, 0, [1, 2])
+        assert apply_map(f, x).coords == _dense_mat_vec(f.blocks[0], x.coords) == ()
+        g = graded_map(w, v, 0, [[[], []], [[5]]])
+        assert compose_maps(g, f).blocks[0] == ((0, 0), (0, 0))
+        assert apply_map(compose_maps(g, f), x).coords == (0, 0)

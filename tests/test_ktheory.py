@@ -1,11 +1,18 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from cklef import linalg
 from cklef.endo import compose, identity_endomorphism, power, represent_at_depth
-from cklef.errors import DimensionMismatch, ReconstructionInconsistent
+from cklef.errors import (
+    DimensionMismatch,
+    ReconstructionInconsistent,
+    WellDefinednessFailure,
+)
 from cklef.ktheory import (
+    _descend_free,
     generator_class,
     induced_k0,
     induced_k0_support_route,
@@ -85,6 +92,19 @@ class TestSmithNormalForm:
                     assert b % a == 0
                 else:
                     assert b == 0
+
+    def test_u_inv_is_inverse(self):
+        assert smith_normal_form([]).u_inv == ()
+        rng = random.Random(17)
+        shapes = [(1, 1), (3, 1), (1, 3)] + [
+            (rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60)
+        ]
+        for rows, cols in shapes:
+            m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            snf = smith_normal_form(m)
+            eye = [[int(i == j) for j in range(rows)] for i in range(rows)]
+            assert _mat_mul(snf.u, snf.u_inv) == eye
+            assert _mat_mul(snf.u_inv, snf.u) == eye
 
 
 class TestKGroups:
@@ -172,6 +192,62 @@ class TestInducedK0:
             tuple(sum(f[i][t] * f[t][j] for t in range(len(f))) for j in range(len(f)))
             for i in range(len(f))
         )
+
+
+def _random_01(rng, n):
+    while True:
+        rows = [[int(rng.random() < 0.5) for _ in range(n)] for _ in range(n)]
+        if all(any(r) for r in rows) and all(any(c) for c in zip(*rows)):
+            return validate_matrix(rows)
+
+
+def _fraction_descent(kt, t_rows):
+    """The reference: U T U^{-1} over Fraction, with a Gauss-Jordan inverse,
+    restricted to the free indices."""
+    u = linalg.to_matrix(kt.snf.u)
+    conj = linalg.mat_mul(linalg.mat_mul(u, linalg.to_matrix(t_rows)), linalg.inverse(u))
+    assert all(c.denominator == 1 for row in conj for c in row)
+    return tuple(tuple(int(conj[i][j]) for j in kt.free_indices) for i in kt.free_indices)
+
+
+class TestIntegerDescent:
+    def test_matches_fraction_conjugation(self):
+        # 150 matrices of free rank 0 and at least 150 of free rank >= 1
+        rng = random.Random(23)
+        ranks = []
+        while ranks.count(0) < 150 or len(ranks) - ranks.count(0) < 150:
+            n = rng.randint(1, 10)
+            kt = k_groups(_random_01(rng, n))
+            if kt.rank_k0_free == 0 and ranks.count(0) >= 150:
+                continue
+            ranks.append(kt.rank_k0_free)
+            t = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+            assert _descend_free(kt, t) == _fraction_descent(kt, t), (kt.matrix.rows, t)
+        assert max(ranks) >= 2
+
+    def test_torsion_k0_forms_nothing(self):
+        kt = k_groups(validate_matrix([[1] * 3 for _ in range(3)]))
+        assert _descend_free(kt, ((5, 1, 2), (0, 3, 1), (7, 7, 7))) == ()
+
+    def test_identity_on_free_rank_two(self):
+        # Q, the smallest irreducible 4 x 4 0/1 matrix whose K_0 has free rank 2
+        q = validate_matrix([[0, 1, 1, 1], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
+        ind = induced_k0(identity_endomorphism(q))
+        assert ind.ktheory.rank_k0_free == 2
+        assert ind.free_part == ((1, 0), (0, 1))
+
+    def test_wrong_u_inv_column_rejected(self, main_matrix):
+        kt = k_groups(main_matrix)
+        (j,) = kt.free_indices
+        bad = [list(row) for row in kt.snf.u_inv]
+        bad[0][j] += 1
+        broken = dataclasses.replace(
+            kt, snf=dataclasses.replace(kt.snf, u_inv=tuple(map(tuple, bad)))
+        )
+        t = tuple(tuple(int(i == c) for c in range(3)) for i in range(3))
+        assert _descend_free(kt, t) == ((1,),)
+        with pytest.raises(WellDefinednessFailure):
+            _descend_free(broken, t)
 
 
 class TestLefschetz:

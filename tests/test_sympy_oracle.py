@@ -2,7 +2,9 @@
 
 sympy is a test-only dependency; these tests skip when it is absent.  The
 Smith-form comparison stops at n = 32, where sympy still answers in
-milliseconds; at n = 64 it takes about a minute.
+milliseconds; at n = 64 it takes about a minute.  The K_0 descent is checked
+the same way: sympy inverts U over QQ, and its U T U^{-1} restricted to the
+free indices must be the integer block the package forms.
 """
 
 import random
@@ -11,11 +13,12 @@ from fractions import Fraction
 import pytest
 
 from cklef import linalg
-from cklef.ktheory import k_groups
+from cklef.ktheory import _descend_free, k_groups
 from cklef.sft_core import validate_matrix
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 
 def _random_matrix(rng, n, density):
@@ -51,3 +54,26 @@ def test_k_groups_invariant_factors_match_sympy():
             kt = k_groups(_random_matrix(rng, n, density))
             expected = invariant_factors(sympy.Matrix(kt.presentation), domain=sympy.ZZ)
             assert kt.invariant_factors == tuple(abs(int(v)) for v in expected), n
+
+
+def test_descent_matches_sympy_conjugation():
+    rng = random.Random(43)
+    ranks = []
+    for n in list(range(1, 13)) + [16, 20, 24, 28, 32]:
+        for density in (0.2, 0.5, 0.8):
+            kt = k_groups(_random_matrix(rng, n, density))
+            qq = sympy.QQ
+            u = DomainMatrix.from_Matrix(sympy.Matrix(kt.snf.u)).convert_to(qq)
+            u_inv = DomainMatrix.from_Matrix(sympy.Matrix(kt.snf.u_inv)).convert_to(qq)
+            assert u * u_inv == DomainMatrix.eye(n, qq), n
+            sympy_inv = u.inv()
+            assert sympy_inv == u_inv, n
+            t = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            t_dm = DomainMatrix.from_Matrix(sympy.Matrix(t)).convert_to(qq)
+            conj = (u * t_dm * sympy_inv).to_Matrix()
+            expected = tuple(
+                tuple(int(conj[i, j]) for j in kt.free_indices) for i in kt.free_indices
+            )
+            assert _descend_free(kt, tuple(map(tuple, t))) == expected, n
+            ranks.append(kt.rank_k0_free)
+    assert max(ranks) >= 1
