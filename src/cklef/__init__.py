@@ -1,7 +1,7 @@
 """Lefschetz indices of geometric endomorphisms of Cuntz-Krieger algebras.
 
 The package computes the Lefschetz index of the partial path map induced by
-a geometric endomorphism of O_A by four independent routes (stabilizing
+a geometric endomorphism of O_A by four independent routes (finite index
 series, telescoped boundary count, closed polynomial formula, truncated
 Fredholm count), the K-theory of O_A via Smith normal form together with the
 induced K_0 map and zeta function, and provides an exact Z/2-graded linear
@@ -25,6 +25,7 @@ from .index import (
     propagation,
     index_series,
     index_series_counted,
+    series_end,
     stabilized_index,
     gamma,
     index_polynomial,

@@ -40,13 +40,14 @@ from .endo import (
     path_map,
     power,
 )
-from .errors import CkError, CkSyntaxError, UnallowableWord, UnknownLetter
+from .errors import CkError, CkSyntaxError, InvalidParameter, UnallowableWord, UnknownLetter
 from .index import (
     fredholm_index_truncated,
     gamma_parts,
     index_polynomial_parts,
     index_series_counted,
     propagation,
+    series_end,
 )
 from .ktheory import (
     generator_class,
@@ -358,9 +359,8 @@ def cmd_index(doc: CkDocument, args) -> Report:
     bound = propagation(endo)
     report.add("propagation", bound)
     method = args.method
-    series = None
     if method in ("series", "all"):
-        series = index_series_counted(endo, args.depth)
+        series = index_series_counted(endo)
         for k in sorted(series.per_k):
             report.add(f"index.k{k}", series.per_k[k])
         report.add("series.value", series.stabilized_value)
@@ -389,7 +389,8 @@ def cmd_index(doc: CkDocument, args) -> Report:
         report.add("polynomial.value", pos - neg)
     if method in ("fredholm", "all"):
         psi = path_map(endo)
-        depth = args.depth if args.depth is not None else endo.k + 2 * bound + 2
+        # Truncated at the series end, the count is the whole index.
+        depth = args.depth if args.depth is not None else series_end(endo)
         report.add("fredholm.depth", depth)
         report.add("fredholm.value", fredholm_index_truncated(psi, depth))
     return report
@@ -432,9 +433,14 @@ def _parse_k1_matrix(text: str, size: int):
     if text.strip() == "" and size == 0:
         return []
     rows = [r for r in text.split(";") if r.strip() != ""]
-    out = [[int(v) for v in row.split(",")] for row in rows]
-    if len(out) != size or any(len(r) != size for r in out):
-        raise CkError(f"--k1-matrix must be {size}x{size} (rows ';'-separated)")
+    try:
+        out = [[int(v) for v in row.split(",")] for row in rows]
+    except ValueError:
+        out = None
+    if out is None or len(out) != size or any(len(r) != size for r in out):
+        raise InvalidParameter(
+            f"--k1-matrix must be {size}x{size} integers (rows ';'-separated)"
+        )
     return out
 
 
@@ -547,7 +553,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=None,
+                   help="Fredholm truncation depth (default: the series end)")
     p = sub.add_parser("ktheory", help="K-groups of the algebra")
     p.add_argument("file")
     p = sub.add_parser("k0map", help="induced map on K0")

@@ -24,6 +24,7 @@ from .errors import (
     DepthTooSmall,
     DuplicateMuAfterNormalization,
     InvalidEndomorphism,
+    InvalidParameter,
     ZeroMonomialPair,
 )
 from .sft_core import (
@@ -229,7 +230,7 @@ def compose(e: GeometricEndomorphism, f: GeometricEndomorphism) -> GeometricEndo
 
 def power(e: GeometricEndomorphism, n: int) -> GeometricEndomorphism:
     if n < 1:
-        raise ValueError("power requires n >= 1")
+        raise InvalidParameter("power requires n >= 1")
     result = e
     for _ in range(n - 1):
         result = compose(e, result)

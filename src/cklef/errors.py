@@ -57,13 +57,8 @@ class InvalidEndomorphism(CkError):
     pass
 
 
-class NoStabilization(CkError):
-    def __init__(self, max_depth, per_k):
-        self.max_depth = max_depth
-        self.per_k = per_k
-        super().__init__(
-            f"index series did not meet the stabilization window by depth {max_depth}"
-        )
+class InvalidParameter(CkError, ValueError):
+    """A numeric parameter or option value outside its allowed range."""
 
 
 class ExponentUnderflow(CkError):

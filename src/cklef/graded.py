@@ -267,19 +267,26 @@ class GradedPairing:
                     f"parity-{e} pairing block must be {rows}x{cols}"
                 )
 
-    def is_nondegenerate(self) -> bool:
-        for e in (0, 1):
-            if self.space_a.dim(e) != self.space_b.dim(self.n + e):
-                return False
+    def _inverse_block(self, e: int) -> Matrix:
+        """The inverse of the parity-``e`` block; DegeneratePairing when the
+        block is not square or not invertible."""
+        if self.space_a.dim(e) == self.space_b.dim(self.n + e):
             try:
-                linalg.inverse(self.blocks[e])
+                return linalg.inverse(self.blocks[e])
             except ValueError:
-                return False
+                pass
+        raise DegeneratePairing("pairing blocks must be square and invertible")
+
+    def is_nondegenerate(self) -> bool:
+        try:
+            self.require_nondegenerate()
+        except DegeneratePairing:
+            return False
         return True
 
     def require_nondegenerate(self):
-        if not self.is_nondegenerate():
-            raise DegeneratePairing("pairing blocks must be square and invertible")
+        for e in (0, 1):
+            self._inverse_block(e)
 
 
 def graded_pairing(
@@ -314,13 +321,13 @@ def dual_basis(p: GradedPairing) -> tuple[list[list[GradedVector]], list[list[Gr
 
     Returns (xs, duals) with xs[e][i] the i-th standard basis vector of A_e
     and duals[e][i] in B_{n+e} satisfying (x_{e,i} | x*_{n+e,j}) = delta_{ij};
-    the duals are the columns of the inverse pairing block.
+    the duals are the columns of the inverse pairing block, which is formed
+    once per block.
     """
-    p.require_nondegenerate()
     xs = [basis(p.space_a, 0), basis(p.space_a, 1)]
     duals: list[list[GradedVector]] = []
     for e in (0, 1):
-        inv = linalg.inverse(p.blocks[e])
+        inv = p._inverse_block(e)
         eta = (p.n + e) % 2
         cols = [
             GradedVector(p.space_b, eta, tuple(inv[r][c] for r in range(len(inv))))
@@ -359,7 +366,6 @@ class FundamentalTensor:
 
 def dual_fundamental_class(p: GradedPairing) -> FundamentalTensor:
     """Delta-hat' = sum over (e, i) of (-1)^{n-e} x*_{n-e,i} (x) x_{e,i}."""
-    p.require_nondegenerate()
     _, duals = dual_basis(p)
     terms: dict[tuple[tuple[int, int], tuple[int, int]], Fraction] = {}
     for e in (0, 1):
@@ -427,24 +433,16 @@ def index_pairing(p: GradedPairing, f: GradedMap) -> Fraction:
     moved = apply_map(
         graded_tensor_map(f, identity_map(p.space_a)), ft.as_vector()
     )
+    labels = tensor_basis_labels(p.space_b, p.space_a, moved.parity)
     total = Fraction(0)
-    for pos, c in enumerate(moved.coords):
+    for c, (beta, j, alpha, i) in zip(moved.coords, labels):
         if c == 0:
             continue
-        beta, j, alpha, i = _unflatten(p.space_b, p.space_a, moved.parity, pos)
         # (b (x) a) contracted with the flipped pairing is (a | b).
         total += c * pair(
             p, basis_vector(p.space_a, alpha, i), basis_vector(p.space_b, beta, j)
         )
     return total
-
-
-def _unflatten(
-    v: GradedSpace, w: GradedSpace, parity: int, pos: int
-) -> tuple[int, int, int, int]:
-    labels = tensor_basis_labels(v, w, parity)
-    alpha, i, beta, j = labels[pos]
-    return alpha, i, beta, j
 
 
 def koszul_flip_check(

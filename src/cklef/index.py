@@ -1,10 +1,12 @@
 """The Lefschetz index of a partial path map, computed four ways.
 
 ``Index_k`` counts image words of length ``k`` minus domain words of length
-``k``; the index is the stabilizing sum over ``k``.  Besides the defining
-series this module provides the telescoped boundary count ``gamma_m``, the
-closed polynomial formula in matrix powers, and a truncated Fredholm-style
-kernel/cokernel count.  All four agree on valid endomorphisms.
+``k``; the index is the finite sum over ``k = 1 .. K_0 - 1``, since
+``Index_k`` vanishes from ``K_0`` on (:func:`series_end` holds the proof).
+Besides the defining series this module provides the telescoped boundary
+count ``gamma_m``, the closed polynomial formula in matrix powers, and a
+truncated Fredholm-style kernel/cokernel count.  All four agree on valid
+endomorphisms.
 
 Enumeration-based routes walk the word sets directly, streaming them from
 one depth-first walker without caching any word, and are meant for moderate
@@ -16,9 +18,10 @@ composed endomorphisms (the counts are exact, not asymptotic).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ExponentUnderflow, NoStabilization
+from .errors import ExponentUnderflow, InvalidParameter
 from .sft_core import TransitionMatrix, Word, count_paths, iter_paths, terminus
 from .endo import GeometricEndomorphism, PartialPathMap
 
@@ -58,7 +61,7 @@ class LengthTransfer:
 
     def index_at(self, k: int) -> int:
         if k > self.max_len - self.bound:
-            raise ValueError(f"table only covers Index_k for k <= {self.max_len - self.bound}")
+            raise InvalidParameter(f"table only covers Index_k for k <= {self.max_len - self.bound}")
         return self.im_count(k) - self.dom_count(k)
 
     def gamma(self, m: int) -> int:
@@ -93,19 +96,13 @@ def _walk(
             yield m, psi.dot_apply(w)
 
 
-def _tally(psi: PartialPathMap, lengths: Iterable[int], a: dict[tuple[int, int], int]):
-    """Add the domain words of the given lengths to the a(i, j) counts."""
-    for m, r in _walk(psi, lengths):
-        if r is not None:
-            key = (m, len(r))
-            a[key] = a.get(key, 0) + 1
-
-
 def length_transfer_enumerated(psi: PartialPathMap, max_len: int) -> LengthTransfer:
     """Fill the a(i, j) table by evaluating the path map on all words."""
     bound = propagation(psi.endo)
     a: dict[tuple[int, int], int] = {}
-    _tally(psi, range(1, max_len + 1), a)
+    for m, r in _walk(psi, range(1, max_len + 1)):
+        if r is not None:
+            a[(m, len(r))] = a.get((m, len(r)), 0) + 1
     return LengthTransfer(a=a, max_len=max_len, bound=bound)
 
 
@@ -168,7 +165,7 @@ class IndexReport:
 def index_at(psi: PartialPathMap, k: int) -> int:
     """Index_k = |P_k ∩ Im| - |P_k ∩ Dom| by direct enumeration."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidParameter("k must be >= 1")
     bound = propagation(psi.endo)
     dom = 0
     im = 0
@@ -184,7 +181,7 @@ def index_at(psi: PartialPathMap, k: int) -> int:
 def gamma_parts(psi: PartialPathMap, m: int) -> tuple[int, int]:
     """Words shrinking past length m and words stretching past it, separately."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidParameter("m must be >= 1")
     bound = propagation(psi.endo)
     shrink = 0
     stretch = 0
@@ -204,80 +201,68 @@ def gamma(psi: PartialPathMap, m: int) -> int:
     return shrink - stretch
 
 
-def _active_floor(e: GeometricEndomorphism) -> int:
-    """The least length at which a domain or image word can exist.
+def series_end(e: GeometricEndomorphism) -> int:
+    """The last k at which Index_k can be nonzero: K_0 - 1, where K_0 is the
+    maximum over the pairs (nu, mu) of max(|mu| + 2, |nu| + 1).
 
-    Index_k vanishes trivially below this length (a deep re-presentation has
-    no short domain words at all), so such zeros must not be mistaken for the
-    stabilization window.
+    Proof that Index_k = 0 for every k >= K_0.  Write Z(x) for the cylinder
+    of a word x.  The pair (nu, mu) of t_i has the range cylinders nu c and
+    the source cylinders mu c, for c a common follower of the termini of nu
+    and mu; R_i and S_i are their unions over the pairs of t_i.  A valid
+    presentation has three properties: the range cylinders of all pairs
+    partition the space, the source cylinders of one generator are disjoint
+    (no mu-word collides with another), and S_i is the union of the R_j with
+    A[i, j] = 1.  Every allowable word extends, so no cylinder is empty.
+
+    The pair sends the domain word mu y i to nu y.  An empty y gives a
+    domain word of length |mu| + 1 and an image of length |nu|, both below
+    K_0.  So for k >= K_0, summing over the pairs and using disjointness,
+
+        Im_k  = sum_j #{x : |x| = k,     Z(x) inside R_j, A[last x, j] = 1},
+        Dom_k = sum_i #{z : |z| = k - 1, Z(z) inside S_i, A[last z, i] = 1}.
+
+    Fix z of length k - 1 and a follower b of its last letter.  Every range
+    cylinder is at most |nu| + 1 <= k long, so Z(z b) lies inside one range
+    cylinder, of R_j for j = j(zb) say, and then Z(z b) lies inside S_i if
+    and only if A[i, j(zb)] = 1.  Every source cylinder is at most
+    |mu| + 1 <= k - 1 long, so Z(z) lies inside S_i if and only if Z(z b)
+    does, for any b.  Hence z contributes sum_b A[b, j(zb)] to Im_k, through
+    x = z b, and sum_i A[i, j(zi)] to Dom_k, both sums over the followers of
+    z: the same number.  So Im_k = Dom_k.  The enumerated and the counted
+    table both count exactly these words.
     """
-    floor = min(
-        min(max(len(mu) + 1, 2), max(len(nu), 1))
+    e.require_valid()
+    return max(
+        max(len(mu) + 2, len(nu) + 1)
         for pairs in e.raw_images
         for nu, mu in pairs
-    )
-    return max(floor, 1)
+    ) - 1
 
 
-def _scan_for_window(index_of, bound: int, max_depth: int, method: str, active_floor: int = 1):
-    """Sum Index_k until the stabilization window is met.
-
-    Window: Index_k = 0 for bound + 2 consecutive k at or above the active
-    floor, with k >= 3.
-    """
-    per_k: dict[int, int] = {}
-    partial: list[int] = []
-    running = 0
-    zeros = 0
-    need = bound + 2
-    for k in range(1, max_depth + 1):
-        per_k[k] = index_of(k)
-        running += per_k[k]
-        partial.append(running)
-        if k >= active_floor:
-            zeros = zeros + 1 if per_k[k] == 0 else 0
-        if zeros >= need and k >= 3:
-            return IndexReport(
-                per_k=per_k,
-                partial_sums=tuple(partial),
-                stabilized_value=running,
-                method=method,
-                params={"depth": k, "propagation": bound},
-            )
-    raise NoStabilization(max_depth, per_k)
-
-
-def index_series(psi: PartialPathMap, max_depth: int | None = None) -> IndexReport:
-    """The defining route: enumerate words, sum Index_k until stabilization."""
-    bound = propagation(psi.endo)
-    if max_depth is None:
-        max_depth = max(14, psi.endo.k + 2 * bound + 8)
-
-    a: dict[tuple[int, int], int] = {}
-    filled = 0
-
-    def index_of(k: int) -> int:
-        nonlocal filled
-        _tally(psi, range(filled + 1, k + bound + 1), a)
-        filled = max(filled, k + bound)
-        return LengthTransfer(a=a, max_len=filled, bound=bound).index_at(k)
-
-    return _scan_for_window(
-        index_of, bound, max_depth, "series", active_floor=_active_floor(psi.endo)
+def _report(table: LengthTransfer, end: int, method: str) -> IndexReport:
+    """Index_1 .. Index_end from a table that covers them, and their sum."""
+    per_k = {k: table.index_at(k) for k in range(1, end + 1)}
+    partial = tuple(accumulate(per_k.values()))
+    return IndexReport(
+        per_k=per_k,
+        partial_sums=partial,
+        stabilized_value=partial[-1],
+        method=method,
+        params={"depth": end, "propagation": table.bound},
     )
 
 
-def index_series_counted(
-    e: GeometricEndomorphism, max_depth: int | None = None
-) -> IndexReport:
-    """Stabilized index from the pair-counting table; scales to deep composites."""
-    bound = propagation(e)
-    if max_depth is None:
-        max_depth = e.k + 3 * bound + 12
-    table = length_transfer_counted(e, max_depth + bound)
-    return _scan_for_window(
-        table.index_at, bound, max_depth, "series-counted", active_floor=_active_floor(e)
-    )
+def index_series(psi: PartialPathMap) -> IndexReport:
+    """The defining route: enumerate words, sum Index_k up to the series end."""
+    end = series_end(psi.endo)
+    table = length_transfer_enumerated(psi, end + propagation(psi.endo))
+    return _report(table, end, "series")
+
+
+def index_series_counted(e: GeometricEndomorphism) -> IndexReport:
+    """The same sum from the pair-counting table; scales to deep composites."""
+    end = series_end(e)
+    return _report(length_transfer_counted(e, end + propagation(e)), end, "series-counted")
 
 
 def stabilized_index(e: GeometricEndomorphism) -> int:
@@ -298,7 +283,7 @@ def index_polynomial_parts(e: GeometricEndomorphism, m: int, N: int) -> tuple[in
     # Shrink and stretch amounts are at most the two-sided length bound, so
     # the formula is exact exactly when N reaches it.
     if N < bound:
-        raise ValueError(f"N must be at least the propagation bound {bound}")
+        raise InvalidParameter(f"N must be at least the propagation bound {bound}")
     pairs = [(nu, mu, i) for i in e.matrix.alphabet for nu, mu in e.raw_images[i - 1]]
     # Admissible m are those at which the formula over the pairs normalized
     # to mu-length k has only positive exponents.
@@ -376,7 +361,7 @@ def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
     the index series.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise InvalidParameter("depth must be >= 1")
     dom_count, images = _fredholm_tally(psi, depth)
     total = 0
     for j in range(1, depth + 1):

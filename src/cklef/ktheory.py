@@ -22,6 +22,7 @@ from . import linalg
 from .endo import GeometricEndomorphism, compose
 from .errors import (
     DimensionMismatch,
+    InvalidParameter,
     ReconstructionInconsistent,
     WellDefinednessFailure,
 )
@@ -377,7 +378,7 @@ def zeta_coefficients(e: GeometricEndomorphism, n_max: int) -> list[int]:
     """Lefschetz indices of the powers of ``e``; coefficient 0 is the Euler term."""
     e.require_valid()
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise InvalidParameter("n_max must be >= 0")
     kt = k_groups(e.matrix)
     coeffs = [kt.rank_k0_free - kt.rank_k1]
     current = e

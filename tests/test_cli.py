@@ -142,6 +142,23 @@ class TestRunExitCodes:
         assert code == 1
         assert out.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lefschetz", "--k1-matrix", "x"],
+            ["zeta", "--terms", "-1"],
+            ["power", "--n", "0"],
+            ["index", "--method", "fredholm", "--depth", "0"],
+            ["index", "--method", "gamma", "--m", "0"],
+            ["index", "--method", "polynomial", "--N", "0"],
+        ],
+        ids=["k1-matrix", "terms", "n", "depth", "m", "N"],
+    )
+    def test_out_of_range_option_is_one(self, main_file, argv):
+        out, code = run(argv[:1] + [main_file] + argv[1:])
+        assert code == 1
+        assert out.startswith("error:")
+
 
 class TestSubcommands:
     def test_index_all_methods_agree(self, main_file):
@@ -153,6 +170,19 @@ class TestSubcommands:
         assert data["polynomial.value"] == 1
         assert data["fredholm.value"] == 1
         assert data["index.k1"] == 1 and data["index.k2"] == 0
+
+    def test_index_depth_is_fredholm_only(self, main_file):
+        # the series sums to its proven end, 3 on E; --depth truncates
+        # only the Fredholm count, whose default is that end
+        out, _ = run(["--structured", "index", main_file])
+        data = parse_structured(out)
+        assert data["series.depth"] == data["fredholm.depth"] == 3
+        assert [k for k in data if k.startswith("index.k")] == ["index.k1", "index.k2", "index.k3"]
+        out, _ = run(["--structured", "index", main_file, "--depth", "2"])
+        data = parse_structured(out)
+        assert data["series.depth"] == 3
+        assert data["fredholm.depth"] == 2
+        assert data["series.value"] == data["fredholm.value"] == 1
 
     def test_index_on_identity_defaults_gamma_m_to_one(self, tmp_path):
         # k = 0 and propagation 0: the default m = k + propagation would be 0

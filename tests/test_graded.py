@@ -214,6 +214,24 @@ class TestPairings:
                 graded_pairing(GradedSpace(1, 0), GradedSpace(1, 0), 0, [[[0]], []])
             )
 
+    def test_degenerate_rejected_by_the_fundamental_class(self):
+        with pytest.raises(DegeneratePairing):
+            dual_fundamental_class(
+                graded_pairing(GradedSpace(1, 1), GradedSpace(1, 1), 0, [[[1]], [[0]]])
+            )
+
+    def test_each_block_inverted_once(self, monkeypatch):
+        rng = random.Random(37)
+        p = _rand_pairing(rng, 0)
+        f = _rand_map(rng, p.space_b, p.space_b, 0)
+        calls = []
+        inverse = linalg.inverse
+        monkeypatch.setattr(linalg, "inverse", lambda a: calls.append(a) or inverse(a))
+        index_pairing(p, f)
+        assert len(calls) == 2
+        fundamental_contraction(p, dual_fundamental_class(p))
+        assert len(calls) == 6
+
 
 class TestFundamentalClass:
     def test_contraction_is_identity(self):

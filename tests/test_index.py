@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from cklef.endo import path_map, power, represent_at_depth
-from cklef.errors import ExponentUnderflow, NoStabilization
+from cklef.endo import identity_endomorphism, path_map, power, represent_at_depth
+from cklef.errors import ExponentUnderflow
 from cklef.index import (
     _fredholm_tally,
     fredholm_index_truncated,
@@ -17,10 +17,12 @@ from cklef.index import (
     length_transfer_counted,
     length_transfer_enumerated,
     propagation,
+    series_end,
     stabilized_index,
 )
 from cklef.sampling import random_complete_graph_endomorphism, random_inner_automorphism
-from cklef.sft_core import enumerate_paths, validate_matrix
+from cklef.sft_core import count_paths, enumerate_paths, validate_matrix
+from tests.conftest import small_matrices
 
 
 class TestPropagation:
@@ -61,10 +63,6 @@ class TestSeriesRoute:
     def test_identity_index_zero(self, main_identity):
         assert index_series(path_map(main_identity)).stabilized_value == 0
         assert stabilized_index(main_identity) == 0
-
-    def test_no_stabilization_raises(self, main_endo):
-        with pytest.raises(NoStabilization):
-            index_series(path_map(main_endo), max_depth=2)
 
 
 class TestGamma:
@@ -272,3 +270,108 @@ class TestFredholmPruning:
             len(enumerate_paths(e2.matrix, m)) for m in range(1, depth + propagation(e2) + 1)
         )
         assert len(visited) < every / 2
+
+
+# ---------------------------------------------------------------------------
+# The series end: Index_k = 0 for every k >= K_0 = series_end + 1.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def end_corpus(main_endo):
+    """E^1 .. E^6, E re-presented at depths 3 to 5, the identity and an inner
+    automorphism on each desk matrix, and complete-graph samples."""
+    cases = [power(main_endo, n) for n in range(1, 7)]
+    cases += [represent_at_depth(main_endo, d) for d in (3, 4, 5)]
+    for seed, matrix in enumerate(small_matrices()):
+        cases.append(identity_endomorphism(matrix))
+        cases.append(random_inner_automorphism(matrix, random.Random(300 + seed)))
+    rng = random.Random(311)
+    for n in (2, 3):
+        matrix = validate_matrix([[1] * n] * n)
+        cases += [random_complete_graph_endomorphism(matrix, rng)[0] for _ in range(4)]
+    return cases
+
+
+def _words_up_to(matrix, length):
+    return sum(
+        count_paths(matrix, None, b, m) for m in range(1, length + 1) for b in matrix.alphabet
+    )
+
+
+def _reference_window_scan(e):
+    """The stopping rule the series end replaced, kept as the reference.
+
+    Sum Index_k of the counted table until Index_k = 0 for bound + 2
+    consecutive k at or above the least length at which a domain or image
+    word can exist, with k >= 3, scanning to depth k + 3 * bound + 12.
+    Returns the per-k values and the depth where the window was met.
+    """
+    bound = propagation(e)
+    max_depth = e.k + 3 * bound + 12
+    table = length_transfer_counted(e, max_depth + bound)
+    floor = max(
+        1,
+        min(
+            min(max(len(mu) + 1, 2), max(len(nu), 1))
+            for pairs in e.raw_images
+            for nu, mu in pairs
+        ),
+    )
+    per_k = {}
+    zeros = 0
+    for k in range(1, max_depth + 1):
+        per_k[k] = table.index_at(k)
+        if k >= floor:
+            zeros = zeros + 1 if per_k[k] == 0 else 0
+        if zeros >= bound + 2 and k >= 3:
+            return per_k, k
+    raise AssertionError("the reference window was not met")
+
+
+class TestSeriesEnd:
+    def test_end_of_main_example(self, main_endo, main_identity):
+        # the pair (2,3,3) <- (2,3) gives max(|mu| + 2, |nu| + 1) = 4
+        assert series_end(main_endo) == 3
+        assert series_end(main_identity) == 1
+        report = index_series_counted(main_endo)
+        assert report.params["depth"] == 3
+        assert sorted(report.per_k) == [1, 2, 3]
+        assert report.partial_sums == (1, 1, 1)
+
+    def test_counted_index_vanishes_past_the_end(self, end_corpus):
+        for e in end_corpus:
+            k0 = series_end(e) + 1
+            table = length_transfer_counted(e, k0 + 30 + propagation(e))
+            assert all(table.index_at(k) == 0 for k in range(k0, k0 + 31))
+
+    def test_enumerated_index_vanishes_past_the_end(self, end_corpus):
+        checked = 0
+        for e in end_corpus:
+            k0 = series_end(e) + 1
+            bound = propagation(e)
+            top = k0 + 30
+            while top >= k0 and _words_up_to(e.matrix, top + bound) > 20000:
+                top -= 1
+            if top < k0:
+                continue
+            table = length_transfer_enumerated(path_map(e), top + bound)
+            assert all(table.index_at(k) == 0 for k in range(k0, top + 1))
+            checked += 1
+        assert checked >= 20
+
+    def test_same_value_as_the_window_scan(self, end_corpus):
+        for e in end_corpus:
+            ref_per_k, ref_depth = _reference_window_scan(e)
+            counted = index_series_counted(e)
+            end = counted.params["depth"]
+            # the end never lies past the old scan depth, and the terms up
+            # to the end are the old ones; the old ones beyond it are zero
+            assert end <= ref_depth
+            assert counted.per_k == {k: ref_per_k[k] for k in range(1, end + 1)}
+            assert all(ref_per_k[k] == 0 for k in range(end + 1, ref_depth + 1))
+            assert counted.stabilized_value == sum(ref_per_k.values())
+            if _words_up_to(e.matrix, end + propagation(e)) <= 20000:
+                series = index_series(path_map(e))
+                assert series.per_k == counted.per_k
+                assert series.params == counted.params
