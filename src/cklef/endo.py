@@ -172,8 +172,13 @@ def _ck_checks(endo: GeometricEndomorphism) -> bool:
     (t_i* t_i = sum_j A[i, j] t_j t_j*).
     """
     matrix = endo.matrix
+    # One pair's cylinders are maximal and allowable as they stand: nu was
+    # checked on entry, each nu j extends it by a follower, and a proper
+    # subset of nu's followers never merges back into nu.
     pairs = [pair for raw in endo.raw_images for pair in raw]
-    if not is_partition([clopen_make(matrix, _cylinders(matrix, [p])) for p in pairs]):
+    if not is_partition(
+        [ClopenSet(matrix, frozenset(_cylinders(matrix, [p]))) for p in pairs]
+    ):
         return False
     ranges = [endo.range_set(j).members for j in matrix.alphabet]
     for i, raw in zip(matrix.alphabet, endo.raw_images):
@@ -193,18 +198,37 @@ def identity_endomorphism(matrix: TransitionMatrix) -> GeometricEndomorphism:
 def apply(endo: GeometricEndomorphism, x: Element) -> Element:
     """Substitute s_i -> t_i, s_i* -> t_i* in ``x`` and multiply out."""
     endo.require_valid()
+    return _apply(endo, x, {(): unit(endo.matrix)})
+
+
+def _apply(endo: GeometricEndomorphism, x: Element, memo: dict[Word, Element]) -> Element:
     out = zero(endo.matrix)
     for (nu, mu), c in x.terms.items():
-        term = _image_of_word(endo, nu)
-        term = multiply(term, adjoint(_image_of_word(endo, mu)))
+        term = multiply(_image_of_word(endo, nu, memo), adjoint(_image_of_word(endo, mu, memo)))
         out = add(out, scale(term, c))
     return out
 
 
-def _image_of_word(endo: GeometricEndomorphism, w: Word) -> Element:
-    result = unit(endo.matrix)
-    for letter in w:
-        result = multiply(result, endo.image_element(letter))
+def _image_of_word(endo: GeometricEndomorphism, w: Word, memo: dict[Word, Element]) -> Element:
+    """t_w = t_{w_1} ... t_{w_m}, extended from the longest prefix of ``w``
+    held in ``memo``, which maps words to their images.
+
+    The memo belongs to one :func:`apply` or :func:`compose` call: the call
+    seeds it with ``() -> unit`` and drops it on return, so it holds one
+    entry per distinct prefix that call multiplied out.  A letter's image
+    enters the memo the first time it is needed, and every new prefix costs
+    one ``multiply``.
+    """
+    n = len(w)
+    while w[:n] not in memo:
+        n -= 1
+    result = memo[w[:n]]
+    for m in range(n, len(w)):
+        letter = memo.get(w[m:m + 1])
+        if letter is None:
+            letter = memo[w[m:m + 1]] = endo.image_element(w[m])
+        result = letter if m == 0 else multiply(result, letter)
+        memo[w[:m + 1]] = result
     return result
 
 
@@ -214,7 +238,8 @@ def compose(e: GeometricEndomorphism, f: GeometricEndomorphism) -> GeometricEndo
     f.require_valid()
     if e.matrix != f.matrix:
         raise InvalidEndomorphism("cannot compose endomorphisms over different matrices")
-    images = [apply(e, f.image_element(i)) for i in e.matrix.alphabet]
+    memo = {(): unit(e.matrix)}
+    images = [_apply(e, f.image_element(i), memo) for i in e.matrix.alphabet]
     pair_lists = []
     for i, elt in enumerate(images, start=1):
         if any(c != 1 for c in elt.terms.values()):

@@ -17,6 +17,7 @@ composed endomorphisms (the counts are exact, not asymptotic).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping
@@ -48,16 +49,27 @@ class LengthTransfer:
     a: Mapping[tuple[int, int], int]
     max_len: int
     bound: int
+    # The table's totals by domain length i and by image length j.
+    _dom: dict[int, int] = field(init=False, repr=False, compare=False)
+    _im: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", dict(self.a))
+        a = dict(self.a)
+        dom: dict[int, int] = {}
+        im: dict[int, int] = {}
+        for (i, j), c in a.items():
+            dom[i] = dom.get(i, 0) + c
+            im[j] = im.get(j, 0) + c
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_dom", dom)
+        object.__setattr__(self, "_im", im)
 
     def dom_count(self, k: int) -> int:
-        return sum(c for (i, _), c in self.a.items() if i == k)
+        return self._dom.get(k, 0)
 
     def im_count(self, k: int) -> int:
         """Image cardinality at length k; injectivity makes this a count of words."""
-        return sum(c for (_, j), c in self.a.items() if j == k)
+        return self._im.get(k, 0)
 
     def index_at(self, k: int) -> int:
         if k > self.max_len - self.bound:
@@ -106,22 +118,46 @@ def length_transfer_enumerated(psi: PartialPathMap, max_len: int) -> LengthTrans
     return LengthTransfer(a=a, max_len=max_len, bound=bound)
 
 
-def _pair_words(
-    matrix: TransitionMatrix, nu: Word, mu: Word, i: int, lengths: Iterable[int]
-) -> list[int]:
-    """Domain words matched by the pair (nu, mu) of t_i, counted at each length.
+def _pair_classes(e: GeometricEndomorphism) -> Counter:
+    """The pairs (nu, mu) of each t_i, grouped by what their word counts and
+    their length change depend on.
 
-    Such a word is ``mu + (i,)``, or ``mu + (c,) + u`` with c a follower of
-    both termini and u a word of length ``L - |mu| - 1`` that may follow c
-    and ends in i; counting the u is a matrix-power evaluation.  Words of
-    length < 2 are outside the domain.
+    A class is ``(key, shrink)``: the key ``(first, terminus(mu), |mu|, i)``
+    that :func:`_pair_words` reads, with ``first`` the letters that may
+    follow both termini, and the shrink |mu| + 1 - |nu|.  The counter holds
+    each class's number of pairs.
     """
-    first = matrix.followers(terminus(mu)) & matrix.followers(terminus(nu))
+    matrix = e.matrix
+    return Counter(
+        (
+            (
+                matrix.followers(terminus(mu)) & matrix.followers(terminus(nu)),
+                terminus(mu),
+                len(mu),
+                i,
+            ),
+            len(mu) + 1 - len(nu),
+        )
+        for i in matrix.alphabet
+        for nu, mu in e.raw_images[i - 1]
+    )
+
+
+def _pair_words(matrix: TransitionMatrix, key: tuple, lengths: Iterable[int]) -> list[int]:
+    """Domain words matched by one pair (nu, mu) of t_i, counted at each length.
+
+    ``key`` is ``(first, terminus(mu), |mu|, i)`` as in :func:`_pair_classes`.
+    Such a word is ``mu + (i,)``, or ``mu + (c,) + u`` with c in ``first``
+    and u a word of length ``L - |mu| - 1`` that may follow c and ends in i;
+    counting the u is a matrix-power evaluation.  Words of length < 2 are
+    outside the domain.
+    """
+    first, last, mu_len, i = key
     counts = []
     for L in lengths:
-        if L >= len(mu) + 2:
-            counts.append(sum(count_paths(matrix, c, i, L - len(mu) - 1) for c in first))
-        elif L == len(mu) + 1 and mu and matrix.entry(terminus(mu), i) == 1:
+        if L >= mu_len + 2:
+            counts.append(sum(count_paths(matrix, c, i, L - mu_len - 1) for c in first))
+        elif L == mu_len + 1 and last is not None and matrix.entry(last, i) == 1:
             counts.append(1)
         else:
             counts.append(0)
@@ -133,19 +169,19 @@ def length_transfer_counted(e: GeometricEndomorphism, max_len: int) -> LengthTra
 
     A word matched by the pair (nu, mu) changes length by |nu| - |mu| - 1,
     and :func:`_pair_words` counts the words a pair matches at each length,
-    so the table is exact at any length without enumerating words.
+    so the table is exact at any length without enumerating words.  Pairs
+    of one class (:func:`_pair_classes`) fill the same cells with the same
+    counts, so each class is counted once.
     """
     e.require_valid()
     matrix = e.matrix
     bound = propagation(e)
     a: dict[tuple[int, int], int] = {}
-    for i in matrix.alphabet:
-        for nu, mu in e.raw_images[i - 1]:
-            shrink = len(mu) + 1 - len(nu)
-            lengths = range(len(mu) + 1, max_len + 1)
-            for L, c in zip(lengths, _pair_words(matrix, nu, mu, i, lengths)):
-                if c:
-                    a[(L, L - shrink)] = a.get((L, L - shrink), 0) + c
+    for (key, shrink), size in _pair_classes(e).items():
+        lengths = range(key[2] + 1, max_len + 1)
+        for L, c in zip(lengths, _pair_words(matrix, key, lengths)):
+            if c:
+                a[(L, L - shrink)] = a.get((L, L - shrink), 0) + size * c
     return LengthTransfer(a=a, max_len=max_len, bound=bound)
 
 
@@ -284,21 +320,20 @@ def index_polynomial_parts(e: GeometricEndomorphism, m: int, N: int) -> tuple[in
     # the formula is exact exactly when N reaches it.
     if N < bound:
         raise InvalidParameter(f"N must be at least the propagation bound {bound}")
-    pairs = [(nu, mu, i) for i in e.matrix.alphabet for nu, mu in e.raw_images[i - 1]]
+    classes = _pair_classes(e)
     # Admissible m are those at which the formula over the pairs normalized
     # to mu-length k has only positive exponents.
-    stretch = max(len(nu) - len(mu) - 1 for nu, mu, _ in pairs)
+    stretch = max(-d for _, d in classes)
     minimal_m = max(1 + e.k, stretch + e.k)
     if m < minimal_m:
         raise ExponentUnderflow(m, minimal_m)
     pos = 0
     neg = 0
-    for nu, mu, i in pairs:
-        d = len(mu) + 1 - len(nu)
+    for (key, d), size in classes.items():
         if d > 0:
-            pos += sum(_pair_words(e.matrix, nu, mu, i, range(m + 1, m + d + 1)))
+            pos += size * sum(_pair_words(e.matrix, key, range(m + 1, m + d + 1)))
         else:
-            neg += sum(_pair_words(e.matrix, nu, mu, i, range(m + d + 1, m + 1)))
+            neg += size * sum(_pair_words(e.matrix, key, range(m + d + 1, m + 1)))
     return pos, neg
 
 

@@ -29,8 +29,9 @@ EMPTY_WORD: Word = ()
 class TransitionMatrix:
     """A validated 0/1 transition matrix with 1-based letters.
 
-    The matrix owns two derived tables, left out of equality and hashing:
-    its follower table, built once, and the powers ``A^L`` computed so far.
+    The matrix owns derived tables, left out of equality and hashing: its
+    follower table, built once as ordered tuples and as sets, and the powers
+    ``A^L`` computed so far.
     """
 
     n: int
@@ -39,6 +40,8 @@ class TransitionMatrix:
     # _successors[a] lists the letters that may follow a, in order; index 0
     # is the empty terminus, which every letter may follow.
     _successors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # _followers[a] is the set of _successors[a].
+    _followers: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
     # _powers[L] is A^L; the list grows to the largest L asked for.
     _powers: list = field(init=False, repr=False, compare=False)
 
@@ -50,6 +53,7 @@ class TransitionMatrix:
             tuple(1 if i == j else 0 for j in range(self.n)) for i in range(self.n)
         )
         object.__setattr__(self, "_successors", successors)
+        object.__setattr__(self, "_followers", tuple(map(frozenset, successors)))
         object.__setattr__(self, "_powers", [identity])
 
     def entry(self, a: int, b: int) -> int:
@@ -61,7 +65,7 @@ class TransitionMatrix:
 
     def followers(self, a: int | None) -> frozenset[int]:
         """Letters that may follow ``a``; the empty terminus follows everything."""
-        return frozenset(self._successors[a or 0])
+        return self._followers[a or 0]
 
     def power(self, L: int) -> tuple[tuple[int, ...], ...]:
         """``A^L`` as a tuple of rows, one product per exponent not yet computed."""
@@ -131,10 +135,15 @@ def terminus(w: Word) -> int | None:
 
 
 def is_allowable(matrix: TransitionMatrix, w: Word) -> bool:
+    """Whether each letter may follow the one before it, the first letter
+    following the empty terminus; a letter outside ``1..n`` follows nothing."""
+    followers = matrix._followers
+    prev = 0
     for x in w:
-        if not 1 <= x <= matrix.n:
+        if x not in followers[prev]:
             return False
-    return all(matrix.entry(w[i], w[i + 1]) == 1 for i in range(len(w) - 1))
+        prev = x
+    return True
 
 
 def require_allowable(matrix: TransitionMatrix, w: Word) -> Word:
@@ -218,12 +227,17 @@ def clopen_make(matrix: TransitionMatrix, words: Iterable[Word]) -> ClopenSet:
 
     Words covered by a shorter one are dropped; then, deepest first, each
     sibling group that covers every follower of its parent merges into it.
+    In lexicographic order a word follows its prefixes, and every word
+    between a prefix and the word extends that prefix, so a word is covered
+    exactly when the last word kept before it is a prefix of it.
     """
     members: set[Word] = set()
-    for w in sorted(set(words), key=len):
+    last: Word | None = None
+    for w in sorted(set(words)):
         require_allowable(matrix, w)
-        if not _has_prefix_in(w, members):
+        if last is None or w[: len(last)] != last:
             members.add(w)
+            last = w
     for depth in range(max(map(len, members), default=0), 0, -1):
         by_parent: dict[Word, set[Word]] = {}
         for w in members:
@@ -276,14 +290,14 @@ def is_partition(parts: Sequence[ClopenSet]) -> bool:
     """True when the parts are pairwise disjoint and cover the symbol space.
 
     Each part is an antichain, so the parts are disjoint exactly when no
-    member of one is a prefix of a member of another.
+    member of one is a prefix of, or equal to, a member of another.  In
+    lexicographic order the word right after a member extends it whenever
+    any later word does, so neighbours suffice.
     """
     if not parts:
         return False
     matrix = _same_matrix(*parts)
-    seen: set[Word] = set()
-    for w in sorted((w for p in parts for w in p.members), key=len):
-        if _has_prefix_in(w, seen):
-            return False
-        seen.add(w)
-    return clopen_make(matrix, seen).members == {EMPTY_WORD}
+    words = sorted(w for p in parts for w in p.members)
+    if any(w[: len(v)] == v for v, w in zip(words, words[1:])):
+        return False
+    return clopen_make(matrix, words).members == {EMPTY_WORD}

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from cklef import endo as endo_module
 from cklef.endo import (
+    GeometricEndomorphism,
     apply,
     build_endomorphism,
     compose,
@@ -33,6 +35,8 @@ from cklef.word_algebra import (
     monomial,
     monomial_is_zero,
     multiply,
+    normalize,
+    scale,
     support,
     unit,
     zero,
@@ -133,6 +137,76 @@ class TestCompose:
         )
         with pytest.raises(InvalidEndomorphism):
             compose(bad, main_identity)
+
+
+def _reference_compose(e, f):
+    """The pair lists of e o f, with every inner word multiplied out from the
+    unit, one freshly built letter image at a time."""
+
+    def image_of_word(w):
+        result = unit(e.matrix)
+        for letter in w:
+            result = multiply(result, e.image_element(letter))
+        return result
+
+    pair_lists = []
+    for i in e.matrix.alphabet:
+        elt = zero(e.matrix)
+        for (nu, mu), c in f.image_element(i).terms.items():
+            term = multiply(image_of_word(nu), adjoint(image_of_word(mu)))
+            elt = add(elt, scale(term, c))
+        if any(c != 1 for c in elt.terms.values()):
+            elt = normalize(elt)
+        assert all(c == 1 for c in elt.terms.values())
+        pair_lists.append(tuple(sorted(elt.terms)))
+    return tuple(pair_lists)
+
+
+class TestComposeAgainstWordByWord:
+    def test_same_pairs_as_word_by_word(self, compose_cases):
+        assert len(compose_cases) == 7 + 14 + 8
+        for e, f, composite in compose_cases:
+            assert composite.valid
+            assert composite.raw_images == _reference_compose(e, f)
+
+    def test_each_prefix_multiplied_once(self, main_endo, monkeypatch):
+        f = power(main_endo, 7)
+        letters, products, checks = [], [], []
+        image_element = GeometricEndomorphism.image_element
+        multiply_ = endo_module.multiply
+        ck_checks = endo_module._ck_checks
+
+        def counted_image(self, i):
+            if self is main_endo:
+                letters.append(i)
+            return image_element(self, i)
+
+        def counted_multiply(x, y):
+            products.append(None)
+            return multiply_(x, y)
+
+        def counted_checks(endo):
+            checks.append(endo)
+            return ck_checks(endo)
+
+        monkeypatch.setattr(GeometricEndomorphism, "image_element", counted_image)
+        monkeypatch.setattr(endo_module, "multiply", counted_multiply)
+        monkeypatch.setattr(endo_module, "_ck_checks", counted_checks)
+        composite = compose(main_endo, f)
+        prefixes = {
+            w[:n]
+            for pairs in f.raw_images
+            for pair in pairs
+            for w in pair
+            for n in range(1, len(w) + 1)
+        }
+        terms = sum(len(pairs) for pairs in f.raw_images)
+        assert len(letters) <= main_endo.matrix.n
+        assert len(products) <= len(prefixes) + terms
+        # the composite still goes through the full validity check
+        assert checks == [composite] and composite.valid
+        # the memo belonged to the call: nothing was left on either factor
+        assert set(vars(main_endo)) == set(vars(f)) == {"matrix", "raw_images", "k", "valid"}
 
 
 class TestDotApply:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cklef.errors import EntryOutOfRange, MatrixMismatch, NonSquare, ZeroRowOrColumn
+from cklef.index import length_transfer_counted, propagation, series_end
 from cklef.sft_core import (
     clopen_equals,
     clopen_intersect,
@@ -55,6 +56,22 @@ class TestWords:
         assert is_allowable(main_matrix, (1, 1, 2, 3))
         assert not is_allowable(main_matrix, (1, 3))
         assert is_allowable(main_matrix, ())
+
+    def test_letters_outside_alphabet_rejected_anywhere(self):
+        for m in small_matrices():
+            for bad in (0, m.n + 1, -1, -m.n):
+                assert not is_allowable(m, (bad,))
+                assert not is_allowable(m, (1, bad))
+                assert not is_allowable(m, (bad, 1))
+            assert is_allowable(m, ())
+
+    def test_followers_are_row_supports(self):
+        for m in small_matrices():
+            for a in m.alphabet:
+                support = {b for b in m.alphabet if m.entry(a, b)}
+                assert m.followers(a) == support
+                assert m.followers(a) is m.followers(a)
+            assert m.followers(None) == set(m.alphabet)
 
     def test_terminus(self):
         assert terminus((2, 3, 1)) == 1
@@ -189,6 +206,35 @@ class TestIterPaths:
         assert next(words) == (1,) * 39 + (2,)
 
 
+def _per_pair_fill(e, max_len):
+    """The a(i, j) table filled pair by pair, each pair's words counted at
+    each length with count_paths."""
+    m = e.matrix
+    a = {}
+    for i in m.alphabet:
+        for nu, mu in e.raw_images[i - 1]:
+            first = m.followers(terminus(mu)) & m.followers(terminus(nu))
+            shrink = len(mu) + 1 - len(nu)
+            for L in range(len(mu) + 1, max_len + 1):
+                if L >= len(mu) + 2:
+                    c = sum(count_paths(m, x, i, L - len(mu) - 1) for x in first)
+                else:
+                    c = 1 if mu and m.entry(terminus(mu), i) else 0
+                if c:
+                    a[(L, L - shrink)] = a.get((L, L - shrink), 0) + c
+    return a
+
+
+def test_counted_table_matches_per_pair_fill(compose_cases):
+    for _, _, e in compose_cases:
+        max_len = series_end(e) + propagation(e)
+        table = length_transfer_counted(e, max_len)
+        assert table.a == _per_pair_fill(e, max_len)
+        for k in range(max_len + 2):
+            assert table.dom_count(k) == sum(c for (i, _), c in table.a.items() if i == k)
+            assert table.im_count(k) == sum(c for (_, j), c in table.a.items() if j == k)
+
+
 def _power_entry(m, a, b, p):
     rows = [list(r) for r in m.rows]
     acc = [[1 if i == j else 0 for j in range(m.n)] for i in range(m.n)]
@@ -214,6 +260,18 @@ class TestClopen:
     def test_refine_whole_space(self, main_matrix):
         s = clopen_make(main_matrix, {(1,), (2,), (3,)})
         assert s.members == frozenset({()})
+
+    def test_covered_words_dropped(self, main_matrix):
+        # words sorting between (1,) and (1, 2) are covered by (1,) as well
+        s = clopen_make(main_matrix, {(2, 3, 3), (1,), (1, 1, 2), (1, 2), (2, 3)})
+        assert s.members == frozenset({(1,), (2, 3)})
+
+    def test_partition_rejects_overlap_and_repeats(self, main_matrix):
+        rest = clopen_make(main_matrix, {(2,), (3,)})
+        one = clopen_make(main_matrix, {(1,)})
+        assert is_partition([one, rest])
+        assert not is_partition([one, clopen_make(main_matrix, {(1, 2, 3)}), rest])
+        assert not is_partition([one, one, rest])
 
     def test_partition_of_ranges(self, main_matrix):
         z1 = clopen_make(main_matrix, {(1,), (2,)})
