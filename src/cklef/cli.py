@@ -367,8 +367,8 @@ def cmd_index(doc: CkDocument, args) -> Report:
         report.add("series.depth", series.params["depth"])
     if method in ("gamma", "all"):
         psi = path_map(endo)
-        # k + bound is 0 on an identity presentation; gamma needs m >= 1.
-        m = args.m if args.m is not None else max(1, endo.k + bound)
+        # gamma_m is the partial sum to m, so from the series end on it is the index.
+        m = args.m if args.m is not None else series_end(endo)
         shrink, stretch = gamma_parts(psi, m)
         report.add("gamma.m", m)
         report.add("gamma.shrink", shrink)

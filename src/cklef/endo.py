@@ -57,7 +57,7 @@ class GeometricEndomorphism:
     """A validated presentation ``s_i -> t_i = sum s_nu s_mu*``.
 
     ``raw_images`` keeps the pairs as given; ``k`` is the common mu-length,
-    at least the longest raw mu-word.
+    the length of the longest raw mu-word.
     """
 
     matrix: TransitionMatrix
@@ -81,14 +81,12 @@ class GeometricEndomorphism:
 def build_endomorphism(
     matrix: TransitionMatrix,
     raw_pairs: "list[list[tuple[Word, Word]]]",
-    k: int | None = None,
 ) -> GeometricEndomorphism:
     """Validate and normalize a presentation given as per-generator pair lists.
 
-    The common mu-length defaults to the maximal raw mu-length; a larger
-    ``k`` may be requested.  Repeated mu-words and overlapping source
-    cylinders within one generator (which would make the path map ambiguous
-    or non-injective) are rejected.
+    The common mu-length k is the maximal raw mu-length.  Repeated mu-words
+    and overlapping source cylinders within one generator (which would make
+    the path map ambiguous or non-injective) are rejected.
     """
     if len(raw_pairs) != matrix.n:
         raise InvalidEndomorphism(
@@ -110,11 +108,7 @@ def build_endomorphism(
             cleaned.append((nu, mu))
         raws.append(tuple(cleaned))
 
-    max_mu = max(len(mu) for pairs in raws for _, mu in pairs)
-    if k is None:
-        k = max_mu
-    elif k < max_mu:
-        raise DepthTooSmall(f"requested k={k} below maximal mu-length {max_mu}")
+    k = max(len(mu) for pairs in raws for _, mu in pairs)
 
     for i, pairs in enumerate(raws, start=1):
         _check_mu_collisions(matrix, i, pairs)
@@ -284,7 +278,7 @@ def represent_at_depth(e: GeometricEndomorphism, k: int) -> GeometricEndomorphis
     for i in e.matrix.alphabet:
         norm = normalize(e.image_element(i), k)
         pair_lists.append(sorted(norm.terms))
-    return build_endomorphism(e.matrix, pair_lists, k=k)
+    return build_endomorphism(e.matrix, pair_lists)
 
 
 class PartialPathMap:

@@ -8,8 +8,9 @@ count ``gamma_m``, the closed polynomial formula in matrix powers, and a
 truncated Fredholm-style kernel/cokernel count.  All four agree on valid
 endomorphisms.
 
-Enumeration-based routes walk the word sets directly, streaming them from
-one depth-first walker without caching any word, and are meant for moderate
+Enumeration-based routes read one walk, :func:`_landing_walk`, which visits
+every word counted at a length up to a depth and streams them from one
+depth-first walker without caching any word; they are meant for moderate
 depths.  The :class:`LengthTransfer` table can also be filled from
 the presentation pairs alone using matrix powers, which scales to deeply
 composed endomorphisms (the counts are exact, not asymptotic).
@@ -71,14 +72,24 @@ class LengthTransfer:
         """Image cardinality at length k; injectivity makes this a count of words."""
         return self._im.get(k, 0)
 
-    def index_at(self, k: int) -> int:
+    def _require_covered(self, k: int):
+        # a word landing at or crossing length k is at most k + bound long
         if k > self.max_len - self.bound:
-            raise InvalidParameter(f"table only covers Index_k for k <= {self.max_len - self.bound}")
+            raise InvalidParameter(f"table only covers k <= {self.max_len - self.bound}")
+
+    def index_at(self, k: int) -> int:
+        self._require_covered(k)
         return self.im_count(k) - self.dom_count(k)
 
-    def gamma(self, m: int) -> int:
+    def gamma_parts(self, m: int) -> tuple[int, int]:
+        """Words shrinking past length m and words stretching past it, separately."""
+        self._require_covered(m)
         shrink = sum(c for (i, j), c in self.a.items() if i > m >= j)
         stretch = sum(c for (i, j), c in self.a.items() if i <= m < j)
+        return shrink, stretch
+
+    def gamma(self, m: int) -> int:
+        shrink, stretch = self.gamma_parts(m)
         return shrink - stretch
 
 
@@ -108,14 +119,55 @@ def _walk(
             yield m, psi.dot_apply(w)
 
 
+def _shrinking_cylinders(e: GeometricEndomorphism, m: int, depth: int):
+    """``(mu, i)`` such that the words ``mu + q + (i,)`` of length ``m`` hold
+    every word of that length whose image has length at most ``depth``.
+
+    A word matched by the pair (nu, mu) of t_i has image length
+    |nu| + m - 1 - |mu|, so only pairs where that is at most ``depth`` can
+    land there.  Within a generator, a mu-word with a kept prefix adds no
+    word, so the cylinders are disjoint and each word lies in at most one.
+    """
+    for i in e.matrix.alphabet:
+        landing = {mu for nu, mu in e.raw_images[i - 1] if len(nu) + m - 1 - len(mu) <= depth}
+        kept: list[Word] = []
+        for mu in sorted(landing):
+            if not any(mu[: len(p)] == p for p in kept):
+                kept.append(mu)
+                yield mu, i
+
+
+def _landing_walk(psi: PartialPathMap, depth: int) -> Iterator[tuple[int, Word | None]]:
+    """``(m, dot_apply(w))`` for every word ``w`` counted at a length <= ``depth``.
+
+    Words of length <= depth are all walked.  Longer words, up to the
+    propagation bound past ``depth``, matter only through images landing at
+    length <= depth, so only the cylinders of :func:`_shrinking_cylinders`
+    are walked there.  The enumerated series, gamma and the Fredholm count
+    all read this walk.
+    """
+    yield from _walk(psi, range(1, depth + 1))
+    for m in range(depth + 1, depth + propagation(psi.endo) + 1):
+        for mu, i in _shrinking_cylinders(psi.endo, m, depth):
+            yield from _walk(psi, (m,), start=mu, last=i)
+
+
+def _fill(walk: Iterable, max_len: int, bound: int) -> LengthTransfer:
+    """The a(i, j) table of the words a walk visits."""
+    a = Counter((m, len(r)) for m, r in walk if r is not None)
+    return LengthTransfer(a=a, max_len=max_len, bound=bound)
+
+
 def length_transfer_enumerated(psi: PartialPathMap, max_len: int) -> LengthTransfer:
     """Fill the a(i, j) table by evaluating the path map on all words."""
+    return _fill(_walk(psi, range(1, max_len + 1)), max_len, propagation(psi.endo))
+
+
+def _landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
+    """The table of :func:`_landing_walk`: past ``depth`` it holds only the
+    words landing at or below it, all that Index_k and gamma_k read for k <= depth."""
     bound = propagation(psi.endo)
-    a: dict[tuple[int, int], int] = {}
-    for m, r in _walk(psi, range(1, max_len + 1)):
-        if r is not None:
-            a[(m, len(r))] = a.get((m, len(r)), 0) + 1
-    return LengthTransfer(a=a, max_len=max_len, bound=bound)
+    return _fill(_landing_walk(psi, depth), depth + bound, bound)
 
 
 def _pair_classes(e: GeometricEndomorphism) -> Counter:
@@ -202,33 +254,14 @@ def index_at(psi: PartialPathMap, k: int) -> int:
     """Index_k = |P_k ∩ Im| - |P_k ∩ Dom| by direct enumeration."""
     if k < 1:
         raise InvalidParameter("k must be >= 1")
-    bound = propagation(psi.endo)
-    dom = 0
-    im = 0
-    for m, r in _walk(psi, range(max(1, k - bound), k + bound + 1)):
-        if r is not None:
-            if m == k:
-                dom += 1
-            if len(r) == k:
-                im += 1
-    return im - dom
+    return _landing_table(psi, k).index_at(k)
 
 
 def gamma_parts(psi: PartialPathMap, m: int) -> tuple[int, int]:
     """Words shrinking past length m and words stretching past it, separately."""
     if m < 1:
         raise InvalidParameter("m must be >= 1")
-    bound = propagation(psi.endo)
-    shrink = 0
-    stretch = 0
-    for length, r in _walk(psi, range(max(1, m - bound + 1), m + bound + 1)):
-        if r is None:
-            continue
-        if length > m and len(r) <= m:
-            shrink += 1
-        elif length <= m and len(r) > m:
-            stretch += 1
-    return shrink, stretch
+    return _landing_table(psi, m).gamma_parts(m)
 
 
 def gamma(psi: PartialPathMap, m: int) -> int:
@@ -291,8 +324,7 @@ def _report(table: LengthTransfer, end: int, method: str) -> IndexReport:
 def index_series(psi: PartialPathMap) -> IndexReport:
     """The defining route: enumerate words, sum Index_k up to the series end."""
     end = series_end(psi.endo)
-    table = length_transfer_enumerated(psi, end + propagation(psi.endo))
-    return _report(table, end, "series")
+    return _report(_landing_table(psi, end), end, "series")
 
 
 def index_series_counted(e: GeometricEndomorphism) -> IndexReport:
@@ -342,48 +374,18 @@ def index_polynomial(e: GeometricEndomorphism, m: int, N: int) -> int:
     return pos - neg
 
 
-def _shrinking_cylinders(e: GeometricEndomorphism, m: int, depth: int):
-    """``(mu, i)`` such that the words ``mu + q + (i,)`` of length ``m`` hold
-    every word of that length whose image has length at most ``depth``.
-
-    A word matched by the pair (nu, mu) of t_i has image length
-    |nu| + m - 1 - |mu|, so only pairs where that is at most ``depth`` can
-    land there.  Within a generator, a mu-word with a kept prefix adds no
-    word, so the cylinders are disjoint and each word lies in at most one.
-    """
-    for i in e.matrix.alphabet:
-        landing = {mu for nu, mu in e.raw_images[i - 1] if len(nu) + m - 1 - len(mu) <= depth}
-        kept: list[Word] = []
-        for mu in sorted(landing):
-            if not any(mu[: len(p)] == p for p in kept):
-                kept.append(mu)
-                yield mu, i
-
-
 def _fredholm_tally(psi: PartialPathMap, depth: int):
-    """Domain-word counts and distinct image sets at each length 1..depth.
-
-    Words of length <= depth are all walked.  Longer words, up to the
-    propagation bound past ``depth``, matter only through images landing at
-    length <= depth, so only the cylinders of :func:`_shrinking_cylinders`
-    are walked there; every visited word still goes through ``dot_apply``.
-    """
-    bound = propagation(psi.endo)
+    """Domain-word counts and distinct image sets at each length 1..depth,
+    over the words of :func:`_landing_walk`."""
     dom_count = {j: 0 for j in range(1, depth + 1)}
     images: dict[int, set] = {j: set() for j in range(1, depth + 1)}
-
-    def record(r):
-        if r is not None and 1 <= len(r) <= depth:
-            images[len(r)].add(r)
-
-    for m, r in _walk(psi, range(1, depth + 1)):
-        if r is not None:
+    for m, r in _landing_walk(psi, depth):
+        if r is None:
+            continue
+        if m <= depth:
             dom_count[m] += 1
-            record(r)
-    for m in range(depth + 1, depth + bound + 1):
-        for mu, i in _shrinking_cylinders(psi.endo, m, depth):
-            for _, r in _walk(psi, (m,), start=mu, last=i):
-                record(r)
+        if 1 <= len(r) <= depth:
+            images[len(r)].add(r)
     return dom_count, images
 
 

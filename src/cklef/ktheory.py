@@ -222,9 +222,7 @@ def _range_class_vector(matrix: TransitionMatrix, nu, mu) -> list[int]:
     surviving cylinder projection s_{nu j} s_{nu j}* has class e_j.  An empty
     word has every letter as a follower.
     """
-    fol_nu = matrix.followers(terminus(nu)) if nu else set(matrix.alphabet)
-    fol_mu = matrix.followers(terminus(mu)) if mu else set(matrix.alphabet)
-    shared = fol_nu & fol_mu
+    shared = matrix.followers(terminus(nu)) & matrix.followers(terminus(mu))
     return [1 if j in shared else 0 for j in matrix.alphabet]
 
 
@@ -252,11 +250,13 @@ def induced_k0(e: GeometricEndomorphism) -> InducedK0:
         columns.append(acc)
     t_rows = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
 
-    # Relations must map into relations: T * (column of I - A^T) in im(I - A^T).
+    # Relations must map into relations: T * (column of I - A^T) lies in
+    # im(I - A^T), that is, its class in K_0 is zero.
     for col in range(n):
         rel = [kt.presentation[row][col] for row in range(n)]
         image = [sum(t_rows[r][c] * rel[c] for c in range(n)) for r in range(n)]
-        if not _in_image(kt, image):
+        cls = k0_reduce(kt, image)
+        if any(cls.torsion) or any(cls.free):
             raise WellDefinednessFailure(
                 f"induced map sends relation column {col + 1} outside the relation lattice"
             )
@@ -287,17 +287,6 @@ def induced_k0_support_route(e: GeometricEndomorphism) -> IntMatrix:
             acc[terminus(w) - 1] += 1
         columns.append(acc)
     return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-
-
-def _in_image(kt: KTheoryData, v: Sequence[int]) -> bool:
-    w = [sum(kt.snf.u[i][j] * v[j] for j in range(len(v))) for i in range(len(v))]
-    for i, d in enumerate(kt.invariant_factors):
-        if d == 0:
-            if w[i] != 0:
-                return False
-        elif w[i] % d != 0:
-            return False
-    return True
 
 
 def _descend_free(kt: KTheoryData, t_rows: IntMatrix) -> IntMatrix:

@@ -229,25 +229,26 @@ def clopen_make(matrix: TransitionMatrix, words: Iterable[Word]) -> ClopenSet:
     sibling group that covers every follower of its parent merges into it.
     In lexicographic order a word follows its prefixes, and every word
     between a prefix and the word extends that prefix, so a word is covered
-    exactly when the last word kept before it is a prefix of it.
+    exactly when the last word kept before it is a prefix of it.  The kept
+    words are bucketed by length once; a merged parent joins the bucket
+    one shorter, which is grouped next.
     """
-    members: set[Word] = set()
+    by_len: dict[int, set[Word]] = {}
     last: Word | None = None
     for w in sorted(set(words)):
         require_allowable(matrix, w)
         if last is None or w[: len(last)] != last:
-            members.add(w)
+            by_len.setdefault(len(w), set()).add(w)
             last = w
-    for depth in range(max(map(len, members), default=0), 0, -1):
-        by_parent: dict[Word, set[Word]] = {}
-        for w in members:
-            if len(w) == depth:
-                by_parent.setdefault(w[:-1], set()).add(w)
+    for depth in range(max(by_len, default=0), 0, -1):
+        by_parent: dict[Word, list[Word]] = {}
+        for w in by_len.get(depth, ()):
+            by_parent.setdefault(w[:-1], []).append(w)
         for p, kids in by_parent.items():
             if len(kids) == len(matrix.followers(terminus(p))):
-                members -= kids
-                members.add(p)
-    return ClopenSet(matrix=matrix, members=frozenset(members))
+                by_len[depth].difference_update(kids)
+                by_len.setdefault(depth - 1, set()).add(p)
+    return ClopenSet(matrix=matrix, members=frozenset().union(*by_len.values()))
 
 
 def _has_prefix_in(w: Word, words) -> bool:

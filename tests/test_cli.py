@@ -185,7 +185,7 @@ class TestSubcommands:
         assert data["series.value"] == data["fredholm.value"] == 1
 
     def test_index_on_identity_defaults_gamma_m_to_one(self, tmp_path):
-        # k = 0 and propagation 0: the default m = k + propagation would be 0
+        # gamma's default m is the series end, 1 on an identity (k = 0)
         path = tmp_path / "identity.ck"
         path.write_text("n = 3\nA = 110 111 011\n[t1]\n1 <- e\n[t2]\n2 <- e\n[t3]\n3 <- e\n")
         out, code = run(["--structured", "index", str(path)])
@@ -194,6 +194,17 @@ class TestSubcommands:
         assert data["gamma.m"] == 1
         assert data["gamma.value"] == 0
         assert data["series.value"] == data["fredholm.value"] == 0
+
+    def test_index_on_cube_agrees_on_every_route(self, tmp_path, main_matrix, main_endo):
+        # gamma and Fredholm default to the series end, 9 on E^3
+        path = tmp_path / "cube.ck"
+        path.write_text(render_document(document_of(main_matrix, "t", power(main_endo, 3))))
+        out, code = run(["--structured", "index", str(path)])
+        assert code == 0
+        data = parse_structured(out)
+        assert data["gamma.m"] == data["fredholm.depth"] == data["series.depth"] == 9
+        for route in ("series", "gamma", "polynomial", "fredholm"):
+            assert data[f"{route}.value"] == 1
 
     def test_index_polynomial_parts(self, main_file):
         out, _ = run(

@@ -78,12 +78,6 @@ class TestValidation:
         with pytest.raises(DuplicateMuAfterNormalization):
             build_endomorphism(main_matrix, pairs)
 
-    def test_requested_depth_too_small(self, main_matrix):
-        with pytest.raises(DepthTooSmall):
-            build_endomorphism(
-                main_matrix, [[((i,), ())] for i in main_matrix.alphabet], k=-1
-            )
-
 
 class TestApply:
     def test_apply_generator_gives_image(self, main_endo, main_matrix):
@@ -264,9 +258,11 @@ class TestRepresentAtDepth:
         assert generator_equal(deeper, main_endo)
 
     def test_all_mu_words_at_depth(self, main_endo):
-        deeper = represent_at_depth(main_endo, 3)
-        for pairs in deeper.raw_images:
-            assert all(len(mu) == 3 for _, mu in pairs)
+        for depth in (3, 4):
+            deeper = represent_at_depth(main_endo, depth)
+            assert deeper.k == depth
+            for pairs in deeper.raw_images:
+                assert all(len(mu) == depth for _, mu in pairs)
 
     def test_below_current_depth_rejected(self, main_endo):
         with pytest.raises(DepthTooSmall):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cklef.endo import identity_endomorphism, path_map, power, represent_at_depth
-from cklef.errors import ExponentUnderflow
+from cklef.errors import ExponentUnderflow, InvalidParameter
 from cklef.index import (
     _fredholm_tally,
     fredholm_index_truncated,
@@ -208,6 +208,86 @@ class TestAgreementProperties:
             deeper = represent_at_depth(main_endo, depth)
             assert stabilized_index(deeper) == 1
             assert index_series(path_map(deeper)).stabilized_value == 1
+
+
+def _reference_window_index_at(psi, k):
+    """Index_k tallied over every word of lengths k - bound .. k + bound,
+    the window the route walked before it read the landing walk."""
+    bound = propagation(psi.endo)
+    dom = 0
+    im = 0
+    for m in range(max(1, k - bound), k + bound + 1):
+        for w in enumerate_paths(psi.matrix, m):
+            r = psi.dot_apply(w)
+            if r is not None:
+                dom += m == k
+                im += len(r) == k
+    return im - dom
+
+
+def _reference_window_gamma_parts(psi, m):
+    """gamma_m's parts tallied over every word of lengths m - bound + 1 ..
+    m + bound, the window the route walked before it read the landing walk."""
+    bound = propagation(psi.endo)
+    shrink = 0
+    stretch = 0
+    for length in range(max(1, m - bound + 1), m + bound + 1):
+        for w in enumerate_paths(psi.matrix, length):
+            r = psi.dot_apply(w)
+            if r is None:
+                continue
+            if length > m and len(r) <= m:
+                shrink += 1
+            elif length <= m and len(r) > m:
+                stretch += 1
+    return shrink, stretch
+
+
+class TestLandingWalk:
+    """index_at and gamma_parts read the landing table; the full windows
+    they walked before are the reference."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, main_endo):
+        """E, E^2, E re-presented at depth 3, the identity and an inner
+        automorphism on each desk matrix, and complete-graph samples."""
+        cases = [main_endo, power(main_endo, 2), represent_at_depth(main_endo, 3)]
+        for seed, matrix in enumerate(small_matrices()):
+            cases.append(identity_endomorphism(matrix))
+            cases.append(random_inner_automorphism(matrix, random.Random(400 + seed)))
+        rng = random.Random(411)
+        for n in (2, 3):
+            matrix = validate_matrix([[1] * n] * n)
+            cases += [random_complete_graph_endomorphism(matrix, rng)[0] for _ in range(2)]
+        return cases
+
+    def test_index_at_equals_the_window(self, corpus):
+        for e in corpus:
+            psi = path_map(e)
+            for k in range(1, series_end(e) + 3):
+                assert index_at(psi, k) == _reference_window_index_at(psi, k)
+
+    def test_gamma_parts_equal_the_window(self, corpus):
+        for e in corpus:
+            psi = path_map(e)
+            for m in range(1, e.k + propagation(e) + 2):
+                assert gamma_parts(psi, m) == _reference_window_gamma_parts(psi, m)
+
+    def test_series_is_the_counted_series(self, corpus):
+        for e in corpus:
+            assert index_series(path_map(e)).per_k == index_series_counted(e).per_k
+
+    def test_table_guards_gamma_past_its_cover(self, main_endo):
+        # lengths up to 8 reach images up to the bound away, so gamma_m and
+        # Index_k are only known for m, k <= 8 - bound
+        for e, good in ((main_endo, 7), (power(main_endo, 2), 5)):
+            table = length_transfer_counted(e, 8)
+            assert table.gamma(good) == sum(table.index_at(k) for k in range(1, good + 1))
+            for m in (good + 1, 8):
+                with pytest.raises(InvalidParameter):
+                    table.gamma(m)
+                with pytest.raises(InvalidParameter):
+                    table.index_at(m)
 
 
 def _brute_fredholm_tally(psi, depth):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cklef import linalg
+from cklef import ktheory, linalg
 from cklef.endo import compose, identity_endomorphism, power, represent_at_depth
 from cklef.errors import (
     DimensionMismatch,
@@ -166,6 +166,23 @@ class TestInducedK0:
             col = tuple(ind.on_generators[r][i - 1] for r in range(3))
             assert k0_reduce(kt, col).same_class(generator_class(kt, i))
         assert ind.free_part == ((1,),)
+
+    @pytest.mark.parametrize(
+        "rows", [((1, 1, 0), (1, 1, 1), (0, 1, 1)), ((1, 1, 1),) * 3], ids=["free", "torsion"]
+    )
+    def test_relation_outside_the_lattice_rejected(self, rows, monkeypatch):
+        # e_1 -> e_1 and every other e_i -> 0 sends the relation column
+        # e_2 - A^T e_2 to a nonzero class, in K_0 = Z and in K_0 = Z/2
+        matrix = validate_matrix([list(r) for r in rows])
+        e = identity_endomorphism(matrix)
+        induced_k0(e)
+
+        def only_e1(m, nu, mu):
+            return [int(nu == (1,) and j == 1) for j in m.alphabet]
+
+        monkeypatch.setattr(ktheory, "_range_class_vector", only_e1)
+        with pytest.raises(WellDefinednessFailure):
+            induced_k0(e)
 
     def test_support_route_agrees_in_quotient(self, main_endo, main_matrix):
         kt = k_groups(main_matrix)

@@ -18,7 +18,7 @@ from cklef.sft_core import (
     terminus,
     validate_matrix,
 )
-from tests.conftest import small_matrices
+from tests.conftest import Q_ROWS, small_matrices
 
 
 class TestValidateMatrix:
@@ -246,7 +246,32 @@ def _power_entry(m, a, b, p):
     return acc[a - 1][b - 1]
 
 
+def _reference_maximal_members(matrix, words):
+    """The merge that rescans every member once per depth, kept as the reference."""
+    members = {w for w in words if not any(w[:n] in words for n in range(len(w)))}
+    for depth in range(max(map(len, members), default=0), 0, -1):
+        by_parent = {}
+        for w in members:
+            if len(w) == depth:
+                by_parent.setdefault(w[:-1], set()).add(w)
+        for p, kids in by_parent.items():
+            if len(kids) == len(matrix.followers(terminus(p))):
+                members -= kids
+                members.add(p)
+    return frozenset(members)
+
+
 class TestClopen:
+    def test_same_members_as_the_per_depth_rescan(self):
+        # random word sets, dense enough that merges cascade up several depths
+        rng = random.Random(41)
+        for matrix in small_matrices() + [validate_matrix(Q_ROWS)]:
+            pool = [w for k in range(1, 5) for w in enumerate_paths(matrix, k)]
+            for _ in range(40):
+                words = set(rng.sample(pool, rng.randint(0, len(pool) * 3 // 4)))
+                expected = _reference_maximal_members(matrix, words)
+                assert clopen_make(matrix, words).members == expected
+
     def test_refine_depth1_to_2(self, main_matrix):
         # the cylinders 11 and 12 make up the cylinder 1
         s = clopen_make(main_matrix, {(1, 1), (1, 2)})
