@@ -40,7 +40,14 @@ from .endo import (
     path_map,
     power,
 )
-from .errors import CkError, CkSyntaxError, InvalidParameter, UnallowableWord, UnknownLetter
+from .errors import (
+    CkError,
+    CkSyntaxError,
+    ExponentUnderflow,
+    InvalidParameter,
+    UnallowableWord,
+    UnknownLetter,
+)
 from .index import (
     fredholm_index_truncated,
     gamma_parts,
@@ -381,7 +388,14 @@ def cmd_index(doc: CkDocument, args) -> Report:
         else:
             # smallest admissible exponent for this presentation
             m = 1 + n_param + endo.k
-        pos, neg = index_polynomial_parts(endo, m, n_param)
+        try:
+            pos, neg = index_polynomial_parts(endo, m, n_param)
+        except ExponentUnderflow as err:
+            # under --method all, --m is also gamma's, which may lie below the formula's least m
+            if method == "polynomial":
+                raise
+            m = err.minimal_m
+            pos, neg = index_polynomial_parts(endo, m, n_param)
         report.add("polynomial.m", m)
         report.add("polynomial.N", n_param)
         report.add("polynomial.positive", pos)

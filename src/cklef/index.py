@@ -8,12 +8,15 @@ count ``gamma_m``, the closed polynomial formula in matrix powers, and a
 truncated Fredholm-style kernel/cokernel count.  All four agree on valid
 endomorphisms.
 
-Enumeration-based routes read one walk, :func:`_landing_walk`, which visits
-every word counted at a length up to a depth and streams them from one
-depth-first walker without caching any word; they are meant for moderate
-depths.  The :class:`LengthTransfer` table can also be filled from
-the presentation pairs alone using matrix powers, which scales to deeply
-composed endomorphisms (the counts are exact, not asymptotic).
+Enumeration-based routes read one walk, :func:`_landing_walk`, which
+enumerates the domain pair by pair and builds each image from its pair, so
+it visits only the domain words counted at a length up to a depth, streams
+them from :func:`~cklef.sft_core.iter_paths` and caches none; they are meant
+for moderate depths.  :func:`length_transfer_enumerated` evaluates the path
+map on every word and stays as the reference.  The :class:`LengthTransfer`
+table can also be filled from the presentation pairs alone using matrix
+powers, which scales to deeply composed endomorphisms (the counts are exact,
+not asymptotic).
 """
 
 from __future__ import annotations
@@ -93,79 +96,49 @@ class LengthTransfer:
         return shrink - stretch
 
 
-def _walk(
-    psi: PartialPathMap,
-    lengths: Iterable[int],
-    start: Word = (),
-    last: int | None = None,
-) -> Iterator[tuple[int, Word | None]]:
-    """Yield ``(m, dot_apply(w))`` for every allowable word ``w`` of each
-    length ``m`` that extends ``start`` and, when given, ends in ``last``.
+def _landing_walk(psi: PartialPathMap, depth: int) -> Iterator[tuple[int, Word]]:
+    """``(|w|, dot_apply(w))`` for every domain word ``w`` of length <= ``depth``
+    and every longer one whose image has length <= ``depth``.
 
-    The one word enumerator of the enumerated routes.  Words are streamed,
-    so a route keeps only the words its answer needs.
+    The domain is walked pair by pair, building each image from its pair:
+    the pair (nu, mu) of t_i sends mu + (i,) to nu, and mu + y + (i,) to
+    nu + y for y a word of length L whose first letter follows both termini
+    and whose last letter precedes i.  The source cylinders of one generator
+    are disjoint, so each domain word comes from one pair, once.  The
+    enumerated series, gamma and the Fredholm count all read this walk.
     """
     matrix = psi.matrix
-    for m in lengths:
-        if last is None:
-            words = iter_paths(matrix, m, start)
-        else:
-            words = (
-                p + (last,)
-                for p in iter_paths(matrix, m - 1, start)
-                if not p or matrix.entry(p[-1], last)
-            )
-        for w in words:
-            yield m, psi.dot_apply(w)
+    for i in matrix.alphabet:
+        for nu, mu in psi.endo.raw_images[i - 1]:
+            # the longest y that leaves the word or its image at most depth long
+            top = depth - min(len(mu) + 1, len(nu))
+            if top < 0:
+                continue
+            if mu and matrix.entry(mu[-1], i):
+                yield len(mu) + 1, nu
+            first = matrix.followers(terminus(mu)) & matrix.followers(terminus(nu))
+            for L in range(1, top + 1):
+                for c in first:
+                    for y in iter_paths(matrix, L, (c,)):
+                        if matrix.entry(y[-1], i):
+                            yield len(mu) + 1 + L, nu + y
 
 
-def _shrinking_cylinders(e: GeometricEndomorphism, m: int, depth: int):
-    """``(mu, i)`` such that the words ``mu + q + (i,)`` of length ``m`` hold
-    every word of that length whose image has length at most ``depth``.
-
-    A word matched by the pair (nu, mu) of t_i has image length
-    |nu| + m - 1 - |mu|, so only pairs where that is at most ``depth`` can
-    land there.  Within a generator, a mu-word with a kept prefix adds no
-    word, so the cylinders are disjoint and each word lies in at most one.
-    """
-    for i in e.matrix.alphabet:
-        landing = {mu for nu, mu in e.raw_images[i - 1] if len(nu) + m - 1 - len(mu) <= depth}
-        kept: list[Word] = []
-        for mu in sorted(landing):
-            if not any(mu[: len(p)] == p for p in kept):
-                kept.append(mu)
-                yield mu, i
-
-
-def _landing_walk(psi: PartialPathMap, depth: int) -> Iterator[tuple[int, Word | None]]:
-    """``(m, dot_apply(w))`` for every word ``w`` counted at a length <= ``depth``.
-
-    Words of length <= depth are all walked.  Longer words, up to the
-    propagation bound past ``depth``, matter only through images landing at
-    length <= depth, so only the cylinders of :func:`_shrinking_cylinders`
-    are walked there.  The enumerated series, gamma and the Fredholm count
-    all read this walk.
-    """
-    yield from _walk(psi, range(1, depth + 1))
-    for m in range(depth + 1, depth + propagation(psi.endo) + 1):
-        for mu, i in _shrinking_cylinders(psi.endo, m, depth):
-            yield from _walk(psi, (m,), start=mu, last=i)
-
-
-def _fill(walk: Iterable, max_len: int, bound: int) -> LengthTransfer:
-    """The a(i, j) table of the words a walk visits."""
-    a = Counter((m, len(r)) for m, r in walk if r is not None)
-    return LengthTransfer(a=a, max_len=max_len, bound=bound)
+def _fill(walk: Iterable[tuple[int, Word]], max_len: int, bound: int) -> LengthTransfer:
+    """The a(i, j) table of the (domain length, image) pairs of a walk."""
+    return LengthTransfer(a=Counter((m, len(r)) for m, r in walk), max_len=max_len, bound=bound)
 
 
 def length_transfer_enumerated(psi: PartialPathMap, max_len: int) -> LengthTransfer:
-    """Fill the a(i, j) table by evaluating the path map on all words."""
-    return _fill(_walk(psi, range(1, max_len + 1)), max_len, propagation(psi.endo))
+    """Fill the a(i, j) table by evaluating the path map on every word."""
+    matrix = psi.matrix
+    images = ((m, psi.dot_apply(w)) for m in range(1, max_len + 1) for w in iter_paths(matrix, m))
+    return _fill(((m, r) for m, r in images if r is not None), max_len, propagation(psi.endo))
 
 
 def _landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
-    """The table of :func:`_landing_walk`: past ``depth`` it holds only the
-    words landing at or below it, all that Index_k and gamma_k read for k <= depth."""
+    """The table of :func:`_landing_walk`: the full table's cells a(i, j) with
+    i <= ``depth`` or j <= ``depth``, all that Index_k and gamma_k read for k <= depth."""
     bound = propagation(psi.endo)
     return _fill(_landing_walk(psi, depth), depth + bound, bound)
 
@@ -380,8 +353,6 @@ def _fredholm_tally(psi: PartialPathMap, depth: int):
     dom_count = {j: 0 for j in range(1, depth + 1)}
     images: dict[int, set] = {j: set() for j in range(1, depth + 1)}
     for m, r in _landing_walk(psi, depth):
-        if r is None:
-            continue
         if m <= depth:
             dom_count[m] += 1
         if 1 <= len(r) <= depth:

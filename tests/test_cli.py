@@ -214,6 +214,30 @@ class TestSubcommands:
         assert data["polynomial.positive"] == 8
         assert data["polynomial.negative"] == 7
 
+    def test_index_all_below_the_polynomial_minimum(self, main_file):
+        # --m 2 is gamma's m; the polynomial route runs at its least admissible m, 3 on E
+        out, code = run(["--structured", "index", main_file, "--m", "2"])
+        assert code == 0
+        data = parse_structured(out)
+        assert data["gamma.m"] == 2
+        assert data["gamma.value"] == 1
+        assert data["polynomial.m"] == 3
+        assert data["polynomial.value"] == 1
+
+    def test_index_polynomial_below_its_minimum_is_one(self, main_file):
+        out, code = run(["index", main_file, "--method", "polynomial", "--m", "2"])
+        assert code == 1
+        assert "m=2 too small for the polynomial formula; minimal admissible m is 3" in out
+
+    def test_index_fredholm_on_square_at_depth_13(self, tmp_path, main_matrix, main_endo):
+        # the depth perfbench's crosscheck runs E^2 at, k + 2 * bound + 2
+        path = tmp_path / "square.ck"
+        path.write_text(render_document(document_of(main_matrix, "t", power(main_endo, 2))))
+        argv = ["--structured", "index", str(path), "--method", "fredholm", "--depth", "13"]
+        out, code = run(argv)
+        assert code == 0
+        assert parse_structured(out)["fredholm.value"] == 1
+
     def test_index_polynomial_at_large_m(self, main_file):
         out, code = run(
             ["--structured", "index", main_file, "--method", "polynomial", "--m", "1200"]

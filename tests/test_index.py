@@ -1,11 +1,21 @@
 import random
+from collections import Counter
 
 import pytest
 
-from cklef.endo import identity_endomorphism, path_map, power, represent_at_depth
+import cklef.index as index_module
+from cklef.endo import (
+    PartialPathMap,
+    identity_endomorphism,
+    path_map,
+    power,
+    represent_at_depth,
+)
 from cklef.errors import ExponentUnderflow, InvalidParameter
 from cklef.index import (
     _fredholm_tally,
+    _landing_table,
+    _landing_walk,
     fredholm_index_truncated,
     gamma,
     gamma_parts,
@@ -277,6 +287,32 @@ class TestLandingWalk:
         for e in corpus:
             assert index_series(path_map(e)).per_k == index_series_counted(e).per_k
 
+    def test_landing_table_is_the_restricted_full_table(self, corpus):
+        # the walk yields the domain words of length <= d and the longer
+        # ones landing at or below d: the full table's cells with i <= d or j <= d
+        for e in corpus:
+            psi = path_map(e)
+            bound = propagation(e)
+            end = series_end(e)
+            for d in sorted({1, 2, e.k, end, end + 2} - {0}):
+                full = length_transfer_enumerated(psi, d + bound).a
+                want = {(i, j): c for (i, j), c in full.items() if i <= d or j <= d}
+                assert _landing_table(psi, d).a == want
+                every = Counter(
+                    (m, r)
+                    for m in range(1, d + bound + 1)
+                    for w in enumerate_paths(psi.matrix, m)
+                    if (r := psi.dot_apply(w)) is not None and (m <= d or len(r) <= d)
+                )
+                assert Counter(_landing_walk(psi, d)) == every
+
+    def test_walk_evaluates_no_word(self, main_endo, monkeypatch):
+        def refuse(self, w):
+            raise AssertionError("the landing walk called dot_apply")
+
+        monkeypatch.setattr(PartialPathMap, "dot_apply", refuse)
+        assert list(_landing_walk(path_map(power(main_endo, 2)), 7))
+
     def test_table_guards_gamma_past_its_cover(self, main_endo):
         # lengths up to 8 reach images up to the bound away, so gamma_m and
         # Index_k are only known for m, k <= 8 - bound
@@ -337,19 +373,24 @@ class TestFredholmPruning:
         e = random_inner_automorphism(main_matrix, random.Random(12))
         self._check(e, (1, e.k + 1, e.k + 4))
 
-    def test_visits_fewer_words(self, main_endo):
+    def test_visits_fewer_words(self, main_endo, monkeypatch):
         e2 = power(main_endo, 2)
         depth = 8
-        psi = path_map(e2)
         visited = []
-        apply = psi.dot_apply
-        psi.dot_apply = lambda w: visited.append(w) or apply(w)
-        _fredholm_tally(psi, depth)
+
+        def counting_walk(psi, depth):
+            for item in _landing_walk(psi, depth):
+                visited.append(item)
+                yield item
+
+        monkeypatch.setattr(index_module, "_landing_walk", counting_walk)
+        _fredholm_tally(path_map(e2), depth)
+        # the path map is injective, so a repeated (length, image) is a word walked twice
         assert len(visited) == len(set(visited))
         every = sum(
             len(enumerate_paths(e2.matrix, m)) for m in range(1, depth + propagation(e2) + 1)
         )
-        assert len(visited) < every / 2
+        assert 0 < len(visited) < every / 2
 
 
 # ---------------------------------------------------------------------------
