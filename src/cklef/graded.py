@@ -10,7 +10,7 @@ All scalars are :class:`fractions.Fraction`; every identity is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -250,12 +250,19 @@ class GradedPairing:
 
     ``blocks[e]`` is the form A_e x B_{n+e}; entry (i, j) is the pairing of
     the i-th basis vector of A_e with the j-th basis vector of B_{n+e}.
+
+    The pairing owns the inverses of its two blocks, left out of equality
+    and hashing and computed on first use, so each block is inverted at most
+    once.  A degenerate pairing is a legal object; asking for an inverse it
+    lacks raises DegeneratePairing.
     """
 
     space_a: GradedSpace
     space_b: GradedSpace
     n: int
     blocks: tuple[Matrix, Matrix]
+    # _inverses[e] is the inverse of blocks[e] once computed: at most two entries.
+    _inverses: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for e in (0, 1):
@@ -266,16 +273,20 @@ class GradedPairing:
                 raise ShapeMismatch(
                     f"parity-{e} pairing block must be {rows}x{cols}"
                 )
+        object.__setattr__(self, "_inverses", {})
 
     def _inverse_block(self, e: int) -> Matrix:
         """The inverse of the parity-``e`` block; DegeneratePairing when the
         block is not square or not invertible."""
-        if self.space_a.dim(e) == self.space_b.dim(self.n + e):
+        inverses = self._inverses
+        if e not in inverses and self.space_a.dim(e) == self.space_b.dim(self.n + e):
             try:
-                return linalg.inverse(self.blocks[e])
+                inverses[e] = linalg.inverse(self.blocks[e])
             except ValueError:
                 pass
-        raise DegeneratePairing("pairing blocks must be square and invertible")
+        if e not in inverses:
+            raise DegeneratePairing("pairing blocks must be square and invertible")
+        return inverses[e]
 
     def is_nondegenerate(self) -> bool:
         try:
@@ -342,7 +353,8 @@ class FundamentalTensor:
     """The dual fundamental tensor in B (x) A of total parity n.
 
     ``terms`` maps basis-pair labels ((beta, j), (alpha, i)) to coefficients;
-    the tensor is sum of c * e_j^{beta}(B) (x) e_i^{alpha}(A).
+    the tensor is sum of c * e_j^{beta}(B) (x) e_i^{alpha}(A).  Every label
+    must name basis vectors of B and A whose parities sum to ``parity``.
     """
 
     space_b: GradedSpace
@@ -352,16 +364,11 @@ class FundamentalTensor:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", dict(self.terms))
-
-    def as_vector(self) -> GradedVector:
-        space = tensor_space(self.space_b, self.space_a)
-        coords = [Fraction(0)] * space.dim(self.parity)
-        for ((beta, j), (alpha, i)), c in self.terms.items():
-            par, pos = tensor_position(self.space_b, self.space_a, beta, alpha, j, i)
-            if par != self.parity:
+        for (beta, j), (alpha, i) in self.terms:
+            if (beta + alpha) % 2 != self.parity % 2:
                 raise ShapeMismatch("tensor term of the wrong total parity")
-            coords[pos] += c
-        return GradedVector(space, self.parity, tuple(coords))
+            if not (0 <= j < self.space_b.dim(beta) and 0 <= i < self.space_a.dim(alpha)):
+                raise ShapeMismatch("tensor term outside the spaces' bases")
 
 
 def dual_fundamental_class(p: GradedPairing) -> FundamentalTensor:
@@ -389,24 +396,30 @@ def fundamental_contraction(p: GradedPairing, ft: FundamentalTensor) -> GradedMa
     with Delta(a (x) x) = (-1)^{da dx} (a | x); the composite sign is
     recomputed from the parities rather than asserted.  For the dual
     fundamental tensor this map is the identity on B.
+
+    The contraction runs term by term: a term c e_j^beta (x) e_i^alpha meets
+    only the basis vectors x of B_gamma, gamma = n + alpha, and adds
+    sign * c * (e_i | x) to row j of the gamma block, read straight off row i
+    of the pairing block.  That is O(d) per term, O(d^3) for the dual
+    fundamental tensor of a pairing of dimension d.
     """
     if ft.space_a != p.space_a or ft.space_b != p.space_b:
         raise ShapeMismatch("tensor and pairing live over different spaces")
     p.require_nondegenerate()
     b = p.space_b
     blocks = {e: [[Fraction(0)] * b.dim(e) for _ in range(b.dim(e))] for e in (0, 1)}
-    for gamma in (0, 1):
-        for col in range(b.dim(gamma)):
-            x = basis_vector(b, gamma, col)
-            for ((beta, j), (alpha, i)), c in ft.terms.items():
-                a_vec = basis_vector(p.space_a, alpha, i)
-                value = pair(p, a_vec, x)
-                if value == 0:
-                    continue
-                sign = _sign(p.n * gamma + alpha * gamma)
-                if beta != gamma:
-                    raise ShapeMismatch("contraction left the parity component")
-                blocks[gamma][j][col] += sign * c * value
+    for ((beta, j), (alpha, i)), c in ft.terms.items():
+        gamma = (p.n + alpha) % 2
+        pairs = p.blocks[alpha][i]  # (e_i^alpha | e_col^gamma) over col
+        if beta != gamma:
+            if any(pairs):
+                raise ShapeMismatch("contraction left the parity component")
+            continue
+        scale = _sign(p.n * gamma + alpha * gamma) * c
+        out = blocks[gamma][j]
+        for col, value in enumerate(pairs):
+            if value:
+                out[col] += scale * value
     return GradedMap(
         b,
         b,
@@ -421,27 +434,24 @@ def fundamental_contraction(p: GradedPairing, ft: FundamentalTensor) -> GradedMa
 def index_pairing(p: GradedPairing, f: GradedMap) -> Fraction:
     """Ind(Delta, f): contract Delta-hat' through f (x) 1_A against the flipped pairing.
 
-    The computation is the honest contraction — build the tensor, push it
-    through the signed tensor action of (f, identity), and pair each
-    component b (x) a with (a | b) — not the graded-trace shortcut.
+    The computation is the honest contraction, not the graded-trace
+    shortcut, carried out term by term: each term c e_j^beta (x) e_i^alpha of
+    the tensor goes through the signed tensor action of (f, identity) to
+    (-1)^{df da} c sum_k f_kj e_k^beta (x) e_i^alpha, and each component
+    e_k (x) e_i is paired as (e_i | e_k).  That is O(d) per term, O(d^3) in
+    all, and the tensor-space matrix of f (x) 1_A is never built.
     """
     if f.src != p.space_b or f.dst != p.space_b:
         raise ShapeMismatch("the endomorphism must act on the second space")
     if f.degree != 0:
         raise NotDegreeZero("the index pairing takes a degree-0 endomorphism")
-    ft = dual_fundamental_class(p)
-    moved = apply_map(
-        graded_tensor_map(f, identity_map(p.space_a)), ft.as_vector()
-    )
-    labels = tensor_basis_labels(p.space_b, p.space_a, moved.parity)
     total = Fraction(0)
-    for c, (beta, j, alpha, i) in zip(moved.coords, labels):
-        if c == 0:
-            continue
-        # (b (x) a) contracted with the flipped pairing is (a | b).
-        total += c * pair(
-            p, basis_vector(p.space_a, alpha, i), basis_vector(p.space_b, beta, j)
-        )
+    # Every term has total parity n, so e_k^beta (x) e_i^alpha pairs through
+    # the alpha block: (b (x) a) contracted with the flipped pairing is (a | b).
+    for ((beta, j), (alpha, i)), c in dual_fundamental_class(p).terms.items():
+        fb, pairs = f.blocks[beta], p.blocks[alpha][i]
+        value = sum((fb[k][j] * pairs[k] for k in range(len(pairs)) if pairs[k]), Fraction(0))
+        total += _sign(f.degree * alpha) * c * value
     return total
 
 

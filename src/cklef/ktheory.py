@@ -6,9 +6,16 @@ rank as the free part of K_0.  Traces are taken on the rationalized free
 part; torsion is still tracked so that well-definedness of induced maps can
 be verified on the full group.
 
+The Smith form U (I - A^T) V = D is computed once per matrix: the matrix
+owns its K-groups, so ``induced_k0``, ``lefschetz_number`` and
+``zeta_coefficients`` read the same decomposition.  K_0 reads only the r
+rows of U at invariant factors other than 1: a torsion row i modulo d_i,
+and a free row exactly.  A class is those r coordinates of U v, and an
+induced map T is checked well defined on the r rows of U T alone.
+
 The Smith form carries U^{-1} next to U, built by the inverse column
 operations, so an induced map descends to the free part in integers: only
-the r free rows of U T U^{-1} are formed, at r n^2 cost, and nothing at all
+the free rows of U T U^{-1} are formed, at r n^2 cost, and nothing at all
 when K_0 is torsion.
 """
 
@@ -169,6 +176,14 @@ class KZeroClass:
 
 
 def k_groups(matrix: TransitionMatrix) -> KTheoryData:
+    """The K-groups of O_A, computed on the first call and held by ``matrix``."""
+    held = matrix._k_groups
+    if not held:
+        held.append(_k_groups(matrix))
+    return held[0]
+
+
+def _k_groups(matrix: TransitionMatrix) -> KTheoryData:
     n = matrix.n
     pres = tuple(
         tuple((1 if i == j else 0) - matrix.rows[j][i] for j in range(n))
@@ -195,15 +210,19 @@ def k0_reduce(kt: KTheoryData, v: Sequence[int]) -> KZeroClass:
     """Canonical coordinates of a Z^n vector in K_0 = coker(I - A^T).
 
     In the SNF basis the quotient splits into Z/d_i summands and free Z
-    summands; coordinates at invariant factor 1 vanish.
+    summands; coordinates at invariant factor 1 vanish, so only the torsion
+    and free rows of U v are formed.
     """
     if len(v) != kt.matrix.n:
         raise DimensionMismatch(f"expected a vector of length {kt.matrix.n}")
-    w = [sum(kt.snf.u[i][j] * v[j] for j in range(len(v))) for i in range(len(v))]
+    u = kt.snf.u
     return KZeroClass(
         vector=tuple(int(x) for x in v),
-        torsion=tuple(w[i] % kt.invariant_factors[i] for i in kt.torsion_indices),
-        free=tuple(w[i] for i in kt.free_indices),
+        torsion=tuple(
+            sum(a * b for a, b in zip(u[i], v)) % kt.invariant_factors[i]
+            for i in kt.torsion_indices
+        ),
+        free=tuple(sum(a * b for a, b in zip(u[i], v)) for i in kt.free_indices),
     )
 
 
@@ -249,18 +268,7 @@ def induced_k0(e: GeometricEndomorphism) -> InducedK0:
                 acc[j] += c
         columns.append(acc)
     t_rows = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-
-    # Relations must map into relations: T * (column of I - A^T) lies in
-    # im(I - A^T), that is, its class in K_0 is zero.
-    for col in range(n):
-        rel = [kt.presentation[row][col] for row in range(n)]
-        image = [sum(t_rows[r][c] * rel[c] for c in range(n)) for r in range(n)]
-        cls = k0_reduce(kt, image)
-        if any(cls.torsion) or any(cls.free):
-            raise WellDefinednessFailure(
-                f"induced map sends relation column {col + 1} outside the relation lattice"
-            )
-
+    _require_well_defined(kt, t_rows)
     free = _descend_free(kt, t_rows)
     return InducedK0(on_generators=t_rows, free_part=free, ktheory=kt)
 
@@ -287,6 +295,30 @@ def induced_k0_support_route(e: GeometricEndomorphism) -> IntMatrix:
             acc[terminus(w) - 1] += 1
         columns.append(acc)
     return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
+
+
+def _require_well_defined(kt: KTheoryData, t_rows: IntMatrix) -> None:
+    """Raise unless T maps relations into relations.
+
+    T is well defined on K_0 when T * (each column of I - A^T) lies in
+    im(I - A^T), that is, has class zero.  A class reads only the torsion and
+    free rows of U, so R = (those r rows of U) * T is formed once, at r n^2
+    cost, and each relation column is tested as R * column, mod d_i (a free
+    row, d_i = 0, must vanish exactly).
+    """
+    u, factors = kt.snf.u, kt.invariant_factors
+    columns = tuple(zip(*t_rows))
+    r_rows = [
+        ([sum(a * b for a, b in zip(u[i], col)) for col in columns], factors[i])
+        for i in kt.torsion_indices + kt.free_indices
+    ]
+    for col, rel in enumerate(zip(*kt.presentation)):
+        for row, d in r_rows:
+            x = sum(a * b for a, b in zip(row, rel))
+            if x % d if d else x:
+                raise WellDefinednessFailure(
+                    f"induced map sends relation column {col + 1} outside the relation lattice"
+                )
 
 
 def _descend_free(kt: KTheoryData, t_rows: IntMatrix) -> IntMatrix:

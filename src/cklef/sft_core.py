@@ -30,8 +30,10 @@ class TransitionMatrix:
     """A validated 0/1 transition matrix with 1-based letters.
 
     The matrix owns derived tables, left out of equality and hashing: its
-    follower table, built once as ordered tuples and as sets, and the powers
-    ``A^L`` computed so far.
+    follower table, built once as ordered tuples and as sets, the powers
+    ``A^L`` computed so far, and its K-groups (one Smith form of I - A^T),
+    which :func:`cklef.ktheory.k_groups` fills on its first call so that
+    every later K-theory call on this matrix reads them.
     """
 
     n: int
@@ -44,6 +46,8 @@ class TransitionMatrix:
     _followers: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
     # _powers[L] is A^L; the list grows to the largest L asked for.
     _powers: list = field(init=False, repr=False, compare=False)
+    # _k_groups holds the matrix's KTheoryData once computed: at most one entry.
+    _k_groups: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         successors = (tuple(self.alphabet),) + tuple(
@@ -55,6 +59,7 @@ class TransitionMatrix:
         object.__setattr__(self, "_successors", successors)
         object.__setattr__(self, "_followers", tuple(map(frozenset, successors)))
         object.__setattr__(self, "_powers", [identity])
+        object.__setattr__(self, "_k_groups", [])
 
     def entry(self, a: int, b: int) -> int:
         return self.rows[a - 1][b - 1]

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from cklef import linalg
-from cklef.errors import DegeneratePairing, NotDegreeZero
+from cklef.errors import DegeneratePairing, NotDegreeZero, ShapeMismatch
 from cklef.graded import (
+    FundamentalTensor,
     GradedSpace,
     GradedVector,
     apply_map,
+    basis_vector,
     compose_maps,
     dual_basis,
     dual_fundamental_class,
@@ -24,6 +26,9 @@ from cklef.graded import (
     pair,
     pairing_transpose,
     scale_map,
+    tensor_basis_labels,
+    tensor_position,
+    tensor_space,
     tensor_vector,
     zero_map,
     zeta_model_check,
@@ -222,15 +227,19 @@ class TestPairings:
 
     def test_each_block_inverted_once(self, monkeypatch):
         rng = random.Random(37)
-        p = _rand_pairing(rng, 0)
-        f = _rand_map(rng, p.space_b, p.space_b, 0)
+        drawn = _rand_pairing(rng, 0)
+        f = _rand_map(rng, drawn.space_b, drawn.space_b, 0)
+        # A fresh pairing: the draw's nondegeneracy test already inverted
+        # the blocks of its own object.
+        p = graded_pairing(drawn.space_a, drawn.space_b, drawn.n, drawn.blocks)
+        assert p == drawn and hash(p) == hash(drawn)
         calls = []
         inverse = linalg.inverse
         monkeypatch.setattr(linalg, "inverse", lambda a: calls.append(a) or inverse(a))
         index_pairing(p, f)
         assert len(calls) == 2
         fundamental_contraction(p, dual_fundamental_class(p))
-        assert len(calls) == 6
+        assert len(calls) == 2
 
 
 class TestFundamentalClass:
@@ -270,6 +279,120 @@ class TestIndexPairing:
             b = p.space_b
             assert index_pairing(p, identity_map(b)) == b.d0 - b.d1
             assert index_pairing(p, zero_map(b, b)) == 0
+
+
+def _kronecker_index_pairing(p, f):
+    """The reference: the tensor as a vector of B (x) A, pushed through the
+    (2d^2) x (2d^2) matrix of f (x) 1_A, then paired coordinate by coordinate."""
+    ft = dual_fundamental_class(p)
+    space = tensor_space(p.space_b, p.space_a)
+    coords = [Fraction(0)] * space.dim(ft.parity)
+    for ((beta, j), (alpha, i)), c in ft.terms.items():
+        _, pos = tensor_position(p.space_b, p.space_a, beta, alpha, j, i)
+        coords[pos] += c
+    moved = apply_map(
+        graded_tensor_map(f, identity_map(p.space_a)),
+        GradedVector(space, ft.parity, tuple(coords)),
+    )
+    labels = tensor_basis_labels(p.space_b, p.space_a, moved.parity)
+    total = Fraction(0)
+    for c, (beta, j, alpha, i) in zip(moved.coords, labels):
+        if c:
+            total += c * pair(
+                p, basis_vector(p.space_a, alpha, i), basis_vector(p.space_b, beta, j)
+            )
+    return total
+
+
+def _basis_contraction(p, ft):
+    """The reference: every basis vector x of B against every term, through pair."""
+    p.require_nondegenerate()
+    b = p.space_b
+    blocks = [[[Fraction(0)] * b.dim(e) for _ in range(b.dim(e))] for e in (0, 1)]
+    for gamma in (0, 1):
+        for col in range(b.dim(gamma)):
+            x = basis_vector(b, gamma, col)
+            for ((beta, j), (alpha, i)), c in ft.terms.items():
+                value = pair(p, basis_vector(p.space_a, alpha, i), x)
+                if value == 0:
+                    continue
+                if beta != gamma:
+                    raise ShapeMismatch("contraction left the parity component")
+                sign = Fraction(-1 if (p.n * gamma + alpha * gamma) % 2 else 1)
+                blocks[gamma][j][col] += sign * c * value
+    return graded_map(b, b, 0, blocks)
+
+
+def _rand_tensor(rng, p):
+    """A random tensor of B (x) A of total parity n, about half its terms zero."""
+    terms = {}
+    for alpha in (0, 1):
+        beta = (p.n + alpha) % 2
+        for i in range(p.space_a.dim(alpha)):
+            for j in range(p.space_b.dim(beta)):
+                if rng.random() < 0.5:
+                    terms[(beta, j), (alpha, i)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return FundamentalTensor(p.space_b, p.space_a, p.n, terms)
+
+
+class TestTermwiseContraction:
+    def _pairings(self):
+        rng = random.Random(53)
+        out = [_rand_pairing(rng, k % 2) for k in range(200)]
+        assert {p.n for p in out} == {0, 1}
+        assert any(p.space_b.d0 != p.space_b.d1 for p in out)
+        assert any(0 in (p.space_b.d0, p.space_b.d1) for p in out)
+        return rng, out
+
+    def test_index_pairing_matches_kronecker_route(self):
+        rng, pairings = self._pairings()
+        for k, p in enumerate(pairings):
+            b = p.space_b
+            maps = [_rand_map(rng, b, b, 0)]
+            if k < 20:
+                maps += [identity_map(b), zero_map(b, b)]
+            for f in maps:
+                assert index_pairing(p, f) == _kronecker_index_pairing(p, f)
+
+    def test_contraction_matches_basis_route(self):
+        rng, pairings = self._pairings()
+        for p in pairings:
+            for ft in (dual_fundamental_class(p), _rand_tensor(rng, p)):
+                assert fundamental_contraction(p, ft) == _basis_contraction(p, ft)
+
+    def test_tensor_of_the_wrong_parity_rejected(self):
+        p = graded_pairing(GradedSpace(1, 1), GradedSpace(1, 1), 0, [[[2]], [[3]]])
+        # e_0^1 (x) e_0^0 has total parity 1, and (e_0^0 | e_0^0) = 2 is nonzero
+        ft = FundamentalTensor(p.space_b, p.space_a, 1, {((1, 0), (0, 0)): Fraction(1)})
+        for contract in (fundamental_contraction, _basis_contraction):
+            with pytest.raises(ShapeMismatch):
+                contract(p, ft)
+
+    @pytest.mark.parametrize(
+        "label",
+        [((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 1)), ((0, -1), (0, 0))],
+        ids=["parity", "b-index", "a-index", "negative"],
+    )
+    def test_malformed_term_rejected(self, label):
+        space = GradedSpace(1, 1)
+        with pytest.raises(ShapeMismatch):
+            FundamentalTensor(space, space, 0, {label: Fraction(1)})
+
+    @pytest.mark.parametrize(
+        "a, b, blocks",
+        [
+            ((1, 1), (1, 1), [[[1]], [[0]]]),  # singular odd block
+            ((2, 1), (1, 1), [[[1], [2]], [[1]]]),  # even block not square
+            ((2, 0), (2, 0), [[[1, 2], [2, 4]], []]),  # singular, empty odd part
+        ],
+    )
+    def test_degenerate_pairing_rejected(self, a, b, blocks):
+        p = graded_pairing(GradedSpace(*a), GradedSpace(*b), 0, blocks)
+        assert not p.is_nondegenerate()
+        with pytest.raises(DegeneratePairing):
+            index_pairing(p, identity_map(p.space_b))
+        with pytest.raises(DegeneratePairing):
+            fundamental_contraction(p, FundamentalTensor(p.space_b, p.space_a, 0, {}))
 
 
 class TestZetaModel:

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from cklef import ktheory, linalg
-from cklef.endo import compose, identity_endomorphism, power, represent_at_depth
+from cklef.cli import run
+from cklef.endo import (
+    build_endomorphism,
+    compose,
+    identity_endomorphism,
+    power,
+    represent_at_depth,
+)
 from cklef.errors import (
     DimensionMismatch,
     ReconstructionInconsistent,
@@ -13,6 +20,7 @@ from cklef.errors import (
 )
 from cklef.ktheory import (
     _descend_free,
+    _require_well_defined,
     generator_class,
     induced_k0,
     induced_k0_support_route,
@@ -25,6 +33,7 @@ from cklef.ktheory import (
     zeta_reconstruct,
 )
 from cklef.sft_core import validate_matrix
+from tests.conftest import MAIN_DOCUMENT, MAIN_PAIRS, MAIN_ROWS, Q_ROWS
 
 
 def _mat_mul(a, b):
@@ -265,6 +274,162 @@ class TestIntegerDescent:
         assert _descend_free(kt, t) == ((1,),)
         with pytest.raises(WellDefinednessFailure):
             _descend_free(broken, t)
+
+
+def _full_reading(kt, v):
+    """The reference reading: all n rows of U v, then the torsion and free
+    coordinates picked out of them."""
+    n = kt.matrix.n
+    w = [sum(kt.snf.u[i][j] * v[j] for j in range(n)) for i in range(n)]
+    return (
+        tuple(w[i] % kt.invariant_factors[i] for i in kt.torsion_indices),
+        tuple(w[i] for i in kt.free_indices),
+    )
+
+
+def _full_relation_failure(kt, t_rows):
+    """The first relation column (1-based) that T sends to a nonzero class,
+    read on all n rows of U; None when T is well defined."""
+    n = kt.matrix.n
+    for col in range(n):
+        rel = [kt.presentation[row][col] for row in range(n)]
+        image = [sum(t_rows[r][c] * rel[c] for c in range(n)) for r in range(n)]
+        torsion, free = _full_reading(kt, image)
+        if any(torsion) or any(free):
+            return col + 1
+    return None
+
+
+def _relation_failure(kt, t_rows):
+    try:
+        _require_well_defined(kt, t_rows)
+    except WellDefinednessFailure as exc:
+        return int(str(exc).split("relation column ")[1].split()[0])
+    return None
+
+
+def _maps_to_check(rng, kt):
+    """The identity and A^T (always well defined), p(A^T) + (I - A^T) X for
+    a random polynomial p and integer X (well defined by construction), and
+    two random integer matrices (mostly not well defined)."""
+    n = kt.matrix.n
+    at = tuple(tuple(kt.matrix.rows[j][i] for j in range(n)) for i in range(n))
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    x = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    shifted = _mat_mul(kt.presentation, x)
+    square = _mat_mul(at, at)
+    c2, c1, c0 = (rng.randint(-2, 2) for _ in range(3))
+    built = tuple(
+        tuple(c2 * square[i][j] + c1 * at[i][j] + c0 * eye[i][j] + shifted[i][j]
+              for j in range(n))
+        for i in range(n)
+    )
+    noise = [
+        tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+        for _ in range(2)
+    ]
+    return [(eye, True), (at, True), (built, True)] + [(t, None) for t in noise]
+
+
+class TestRowRestrictedReading:
+    def _corpus(self):
+        """At least 70 seeded matrices each with torsion-only, free-only and
+        mixed K_0 (Q and its relabellings among the free-only ones)."""
+        rng = random.Random(41)
+        buckets = {"torsion": [], "free": [], "mixed": []}
+        for _ in range(10):
+            perm = list(range(4))
+            rng.shuffle(perm)
+            buckets["free"].append(
+                validate_matrix([[Q_ROWS[perm[i]][perm[j]] for j in range(4)] for i in range(4)])
+            )
+        while min(len(b) for b in buckets.values()) < 70:
+            m = _random_01(rng, rng.randint(1, 8))
+            kt = k_groups(m)
+            kind = {(True, False): "torsion", (False, True): "free", (True, True): "mixed"}.get(
+                (bool(kt.torsion), kt.rank_k0_free > 0)
+            )
+            if kind is not None and len(buckets[kind]) < 70:
+                buckets[kind].append(m)
+        return rng, buckets
+
+    def test_matches_the_full_reading(self):
+        rng, buckets = self._corpus()
+        failures = passes = 0
+        for kind, matrices in buckets.items():
+            assert len(matrices) >= 70
+            for m in matrices:
+                kt = k_groups(m)
+                assert kt.torsion if kind != "free" else not kt.torsion
+                assert kt.rank_k0_free if kind != "torsion" else not kt.rank_k0_free
+                n = m.n
+                vectors = [tuple(rng.randint(-5, 5) for _ in range(n)) for _ in range(4)]
+                vectors += [tuple(int(i == j) for j in range(n)) for i in range(n)]
+                for v in vectors:
+                    cls = k0_reduce(kt, v)
+                    assert (cls.torsion, cls.free) == _full_reading(kt, v)
+                for t, defined in _maps_to_check(rng, kt):
+                    want = _full_relation_failure(kt, t)
+                    if defined:
+                        assert want is None
+                    assert _relation_failure(kt, t) == want, (m.rows, t)
+                    failures += want is not None
+                    passes += want is None
+        assert failures >= 100 and passes >= 600
+
+    def test_induced_maps_from_endomorphisms(self, main_endo):
+        # E, its square and identities on torsion-only, free-only and mixed K_0
+        for e in (
+            main_endo,
+            compose(main_endo, main_endo),
+            identity_endomorphism(validate_matrix([[1] * 3 for _ in range(3)])),
+            identity_endomorphism(validate_matrix(Q_ROWS)),
+        ):
+            ind = induced_k0(e)
+            assert _full_relation_failure(ind.ktheory, ind.on_generators) is None
+
+
+class TestOneSmithForm:
+    @pytest.fixture()
+    def smith_calls(self, monkeypatch):
+        calls = []
+        snf = ktheory.smith_normal_form
+        monkeypatch.setattr(ktheory, "smith_normal_form", lambda m: calls.append(m) or snf(m))
+        return calls
+
+    def test_library_chain(self, smith_calls):
+        e = build_endomorphism(validate_matrix(MAIN_ROWS), MAIN_PAIRS)
+        kt = k_groups(e.matrix)
+        assert induced_k0(e).ktheory is kt
+        assert lefschetz_number(e, k1_action=[[0]]).value == 1
+        assert zeta_coefficients(e, 3) == [0, 1, 1, 1]
+        assert len(smith_calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lefschetz", "--k1-matrix", "0"],
+            ["lefschetz"],
+            ["zeta", "--terms", "4"],
+            ["k0map"],
+            ["ktheory"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_cli_commands(self, smith_calls, tmp_path, argv):
+        path = tmp_path / "main.ck"
+        path.write_text(MAIN_DOCUMENT)
+        out, code = run([argv[0], str(path)] + argv[1:])
+        assert code == 0, out
+        assert len(smith_calls) == 1
+
+    def test_held_k_groups_leave_equality_alone(self):
+        filled, empty = validate_matrix(MAIN_ROWS), validate_matrix(MAIN_ROWS)
+        kt = k_groups(filled)
+        assert filled._k_groups == [kt] and empty._k_groups == []
+        assert filled == empty and hash(filled) == hash(empty)
+        assert repr(filled) == repr(empty)
+        assert k_groups(empty) == kt and k_groups(empty) is not kt
 
 
 class TestLefschetz:
