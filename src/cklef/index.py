@@ -8,22 +8,25 @@ count ``gamma_m``, the closed polynomial formula in matrix powers, and a
 truncated Fredholm-style kernel/cokernel count.  All four agree on valid
 endomorphisms.
 
-Enumeration-based routes read one walk, :func:`_landing_walk`, which
-enumerates the domain pair by pair and builds each image from its pair, so
-it visits only the domain words counted at a length up to a depth, streams
-them from :func:`~cklef.sft_core.iter_paths` and caches none; they are meant
-for moderate depths.  :func:`length_transfer_enumerated` evaluates the path
-map on every word and stays as the reference.  The :class:`LengthTransfer`
-table can also be filled from the presentation pairs alone using matrix
-powers, which scales to deeply composed endomorphisms (the counts are exact,
-not asymptotic).
+Enumeration-based routes read one word stream, :func:`_pair_images`, the
+images of the domain words one presentation pair matches at one length, in
+lexicographic order; it is the only caller of
+:func:`~cklef.sft_core.iter_paths` here.  The series and gamma read the
+streams through :func:`_landing_walk`, which visits only the domain words
+counted at a length up to a depth.  The Fredholm count merges the streams of
+pairs whose images can coincide and counts equal neighbours once, so it
+holds no set of words.  Nothing is cached; the routes are meant for moderate
+depths.  The :class:`LengthTransfer` table can also be filled from the
+presentation pairs alone using matrix powers, which scales to deeply
+composed endomorphisms (the counts are exact, not asymptotic).
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ExponentUnderflow, InvalidParameter
@@ -96,51 +99,75 @@ class LengthTransfer:
         return shrink - stretch
 
 
+def _closing_letters(matrix: TransitionMatrix) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """``closing[i][a]``: the letters that may follow ``a`` and precede ``i``,
+    in order; ``a = 0`` is the empty terminus, which every letter follows."""
+    return {
+        i: tuple(
+            tuple(sorted(b for b in matrix.followers(a) if matrix.entry(b, i)))
+            for a in range(matrix.n + 1)
+        )
+        for i in matrix.alphabet
+    }
+
+
+def _pair_images(
+    matrix: TransitionMatrix, closing: dict, i: int, nu: Word, mu: Word, L: int
+) -> Iterator[Word]:
+    """The images ``nu + y``, |y| = ``L``, of the domain words the pair
+    (nu, mu) of t_i matches, in lexicographic order.
+
+    The pair sends mu + (i,) to nu when mu is nonempty and its last letter
+    precedes i, and mu + y + (i,) to nu + y for y whose first letter follows
+    both termini and whose last letter precedes i.  The walk extends nu by
+    y's first L - 1 letters with :func:`~cklef.sft_core.iter_paths` and then
+    only by the letters of ``closing[i]`` (:func:`_closing_letters`), so it
+    visits no word that fails the test on the last letter.  Memory is O(L).
+    """
+    if L == 0:
+        if mu and matrix.entry(mu[-1], i):
+            yield nu
+        return
+    first = matrix.followers(terminus(mu)) & matrix.followers(terminus(nu))
+    ends = closing[i]
+    if L == 1:
+        for c in ends[0]:
+            if c in first:
+                yield nu + (c,)
+        return
+    for c in sorted(first):
+        for head in iter_paths(matrix, len(nu) + L - 1, nu + (c,)):
+            for b in ends[head[-1]]:
+                yield head + (b,)
+
+
 def _landing_walk(psi: PartialPathMap, depth: int) -> Iterator[tuple[int, Word]]:
     """``(|w|, dot_apply(w))`` for every domain word ``w`` of length <= ``depth``
     and every longer one whose image has length <= ``depth``.
 
-    The domain is walked pair by pair, building each image from its pair:
-    the pair (nu, mu) of t_i sends mu + (i,) to nu, and mu + y + (i,) to
-    nu + y for y a word of length L whose first letter follows both termini
-    and whose last letter precedes i.  The source cylinders of one generator
-    are disjoint, so each domain word comes from one pair, once.  The
-    enumerated series, gamma and the Fredholm count all read this walk.
+    The domain is walked pair by pair, reading each pair's images from
+    :func:`_pair_images`: the pair (nu, mu) of t_i sends the domain word of
+    length |mu| + 1 + L to an image nu + y with |y| = L.  The source
+    cylinders of one generator are disjoint, so each domain word comes from
+    one pair, once.  The enumerated series and gamma read this walk.
     """
     matrix = psi.matrix
+    closing = _closing_letters(matrix)
     for i in matrix.alphabet:
         for nu, mu in psi.endo.raw_images[i - 1]:
             # the longest y that leaves the word or its image at most depth long
-            top = depth - min(len(mu) + 1, len(nu))
-            if top < 0:
-                continue
-            if mu and matrix.entry(mu[-1], i):
-                yield len(mu) + 1, nu
-            first = matrix.followers(terminus(mu)) & matrix.followers(terminus(nu))
-            for L in range(1, top + 1):
-                for c in first:
-                    for y in iter_paths(matrix, L, (c,)):
-                        if matrix.entry(y[-1], i):
-                            yield len(mu) + 1 + L, nu + y
-
-
-def _fill(walk: Iterable[tuple[int, Word]], max_len: int, bound: int) -> LengthTransfer:
-    """The a(i, j) table of the (domain length, image) pairs of a walk."""
-    return LengthTransfer(a=Counter((m, len(r)) for m, r in walk), max_len=max_len, bound=bound)
-
-
-def length_transfer_enumerated(psi: PartialPathMap, max_len: int) -> LengthTransfer:
-    """Fill the a(i, j) table by evaluating the path map on every word."""
-    matrix = psi.matrix
-    images = ((m, psi.dot_apply(w)) for m in range(1, max_len + 1) for w in iter_paths(matrix, m))
-    return _fill(((m, r) for m, r in images if r is not None), max_len, propagation(psi.endo))
+            for L in range(depth - min(len(mu) + 1, len(nu)) + 1):
+                m = len(mu) + 1 + L
+                for r in _pair_images(matrix, closing, i, nu, mu, L):
+                    yield m, r
 
 
 def _landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
     """The table of :func:`_landing_walk`: the full table's cells a(i, j) with
     i <= ``depth`` or j <= ``depth``, all that Index_k and gamma_k read for k <= depth."""
     bound = propagation(psi.endo)
-    return _fill(_landing_walk(psi, depth), depth + bound, bound)
+    a = Counter((m, len(r)) for m, r in _landing_walk(psi, depth))
+    return LengthTransfer(a=a, max_len=depth + bound, bound=bound)
 
 
 def _pair_classes(e: GeometricEndomorphism) -> Counter:
@@ -347,17 +374,68 @@ def index_polynomial(e: GeometricEndomorphism, m: int, N: int) -> int:
     return pos - neg
 
 
-def _fredholm_tally(psi: PartialPathMap, depth: int):
-    """Domain-word counts and distinct image sets at each length 1..depth,
-    over the words of :func:`_landing_walk`."""
-    dom_count = {j: 0 for j in range(1, depth + 1)}
-    images: dict[int, set] = {j: set() for j in range(1, depth + 1)}
-    for m, r in _landing_walk(psi, depth):
-        if m <= depth:
-            dom_count[m] += 1
-        if 1 <= len(r) <= depth:
-            images[len(r)].add(r)
-    return dom_count, images
+def _prefix_runs(e: GeometricEndomorphism) -> list[list[tuple[int, Word, Word]]]:
+    """The pairs ``(i, nu, mu)`` sorted by nu and cut into maximal runs whose
+    nu all extend the run's first nu.
+
+    Images nu + y and nu' + y' of one length are equal only if one of nu and
+    nu' is a prefix of the other.  In lexicographic order every word between
+    a word and its extension extends that word too, so two pairs whose
+    images can coincide lie in one run.
+    """
+    runs: list[list[tuple[int, Word, Word]]] = []
+    pairs = ((i, nu, mu) for i in e.matrix.alphabet for nu, mu in e.raw_images[i - 1])
+    for pair in sorted(pairs, key=lambda p: p[1]):
+        if runs and pair[1][: len(runs[-1][0][1])] == runs[-1][0][1]:
+            runs[-1].append(pair)
+        else:
+            runs.append([pair])
+    return runs
+
+
+def _fredholm_tally(psi: PartialPathMap, depth: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Domain words and distinct images counted at each length 1..depth.
+
+    The pairs' streams (:func:`_pair_images`) hold the same words as
+    :func:`_landing_walk`.  A run of one pair (:func:`_prefix_runs`) yields
+    distinct images, so its streams are counted.  In a longer run, the
+    streams landing at one length are merged in lexicographic order and
+    equal neighbours counted once, so a collision of two pairs' images is
+    seen, not assumed away.  Streams whose images are longer than the depth
+    only add to the domain count.  Memory is O(pairs * depth).
+    """
+    matrix = psi.matrix
+    closing = _closing_letters(matrix)
+    dom: Counter = Counter()
+    im: Counter = Counter()
+    for run in _prefix_runs(psi.endo):
+        merged = len(run) > 1
+        for i, nu, mu in run:
+            for L in range(depth - min(len(mu) + 1, len(nu)) + 1):
+                j = len(nu) + L
+                if merged and 1 <= j <= depth:
+                    continue  # counted in the merge below
+                n = sum(1 for _ in _pair_images(matrix, closing, i, nu, mu, L))
+                dom[len(mu) + 1 + L] += n
+                if 1 <= j <= depth:
+                    im[j] += n
+        if not merged:
+            continue
+        for j in range(1, depth + 1):
+            # each image tagged with its domain word's length
+            streams = [
+                zip(_pair_images(matrix, closing, i, nu, mu, L), repeat(len(mu) + 1 + L))
+                for i, nu, mu in run
+                if (L := j - len(nu)) >= 0
+            ]
+            last = None
+            for r, m in heapq.merge(*streams):
+                dom[m] += 1
+                if r != last:
+                    im[j] += 1
+                    last = r
+    lengths = range(1, depth + 1)
+    return {j: dom[j] for j in lengths}, {j: im[j] for j in lengths}
 
 
 def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
@@ -365,16 +443,17 @@ def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
 
     At each length j <= depth, the kernel dimension is the number of words
     outside the domain and the cokernel dimension the number outside the
-    materialized image; their signed sum telescopes to the partial sum of
-    the index series.
+    image; their signed sum telescopes to the partial sum of the index
+    series.  The distinct images are counted from the sorted per-pair
+    streams of :func:`_fredholm_tally`, so no word set is held.
     """
     if depth < 1:
         raise InvalidParameter("depth must be >= 1")
-    dom_count, images = _fredholm_tally(psi, depth)
+    dom_count, im_count = _fredholm_tally(psi, depth)
     total = 0
     for j in range(1, depth + 1):
         p_j = sum(count_paths(psi.matrix, None, b, j) for b in psi.matrix.alphabet)
         not_in_dom = p_j - dom_count[j]
-        not_in_im = p_j - len(images[j])
+        not_in_im = p_j - im_count[j]
         total += not_in_dom - not_in_im
     return total

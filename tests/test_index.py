@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 import cklef.index as index_module
 from cklef.endo import (
+    GeometricEndomorphism,
     PartialPathMap,
     identity_endomorphism,
     path_map,
@@ -16,6 +18,7 @@ from cklef.index import (
     _fredholm_tally,
     _landing_table,
     _landing_walk,
+    _prefix_runs,
     fredholm_index_truncated,
     gamma,
     gamma_parts,
@@ -25,7 +28,6 @@ from cklef.index import (
     index_series,
     index_series_counted,
     length_transfer_counted,
-    length_transfer_enumerated,
     propagation,
     series_end,
     stabilized_index,
@@ -33,6 +35,7 @@ from cklef.index import (
 from cklef.sampling import random_complete_graph_endomorphism, random_inner_automorphism
 from cklef.sft_core import count_paths, enumerate_paths, validate_matrix
 from tests.conftest import small_matrices
+from tests.oracles import length_transfer_enumerated
 
 
 class TestPropagation:
@@ -344,18 +347,20 @@ def _brute_fredholm_tally(psi, depth):
 
 
 class TestFredholmPruning:
-    """The pruned walk against the brute-force walk over all words."""
+    """The streamed counts against the brute-force walk over all words."""
 
     @staticmethod
     def _check(e, depths):
         for depth in depths:
             psi = path_map(e)
             dom, images = _brute_fredholm_tally(psi, depth)
-            assert _fredholm_tally(psi, depth) == (dom, images)
+            assert _fredholm_tally(psi, depth) == (dom, {j: len(images[j]) for j in images})
             expected = sum(len(images[j]) - dom[j] for j in dom)
             assert fredholm_index_truncated(psi, depth) == expected
 
     def test_main_example(self, main_endo):
+        # (2,) heads a run with (2,3,2) and (2,3,3), so the merge is exercised
+        assert max(len(run) for run in _prefix_runs(main_endo)) == 3
         # depth 1 lies below the largest |mu| = 2
         self._check(main_endo, range(1, 7))
 
@@ -373,17 +378,30 @@ class TestFredholmPruning:
         e = random_inner_automorphism(main_matrix, random.Random(12))
         self._check(e, (1, e.k + 1, e.k + 4))
 
+    def test_colliding_images_are_counted_once(self):
+        # t_1 = t_2 = s_1 on the full 2-shift: not a valid presentation, built
+        # past the checks.  Both pairs send y + (i,) to (1,) + y, so at each
+        # length m >= 2 the domain holds 2^m words and the image 2^(m - 1).
+        matrix = validate_matrix([[1, 1], [1, 1]])
+        forged = GeometricEndomorphism(matrix, ((((1,), ()),), (((1,), ()),)), 0, valid=True)
+        depth = 7
+        dom, im = _fredholm_tally(path_map(forged), depth)
+        assert dom == {m: 2**m if m >= 2 else 0 for m in range(1, depth + 1)}
+        assert im == {m: 2 ** (m - 1) if m >= 2 else 0 for m in range(1, depth + 1)}
+        self._check(forged, (1, 3, depth))
+
     def test_visits_fewer_words(self, main_endo, monkeypatch):
         e2 = power(main_endo, 2)
         depth = 8
         visited = []
+        streamed = index_module._pair_images
 
-        def counting_walk(psi, depth):
-            for item in _landing_walk(psi, depth):
-                visited.append(item)
-                yield item
+        def counting_images(matrix, closing, i, nu, mu, L):
+            for r in streamed(matrix, closing, i, nu, mu, L):
+                visited.append((len(mu) + 1 + L, r))
+                yield r
 
-        monkeypatch.setattr(index_module, "_landing_walk", counting_walk)
+        monkeypatch.setattr(index_module, "_pair_images", counting_images)
         _fredholm_tally(path_map(e2), depth)
         # the path map is injective, so a repeated (length, image) is a word walked twice
         assert len(visited) == len(set(visited))
@@ -391,6 +409,18 @@ class TestFredholmPruning:
             len(enumerate_paths(e2.matrix, m)) for m in range(1, depth + propagation(e2) + 1)
         )
         assert 0 < len(visited) < every / 2
+
+    def test_memory_does_not_grow_with_the_words(self, main_endo):
+        # E^2 at depth 12 walks 95 631 words; a set of their
+        # images takes about 9 MiB, the streams hold O(pairs * depth) words
+        psi = path_map(power(main_endo, 2))
+        tracemalloc.start()
+        try:
+            fredholm_index_truncated(psi, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@
 Every cache needs an owner and a size bound, so no function in
 ``src/cklef`` is wrapped in a process-wide ``functools`` cache.  Every
 option is public, so no function takes a parameter whose name starts with an
-underscore: such a parameter is a hidden way round a check.
+underscore: such a parameter is a hidden way round a check.  The index
+routes share one word enumerator, so exactly one function in
+``src/cklef/index.py`` uses ``iter_paths`` or ``enumerate_paths``.
 """
 
 import ast
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "cklef").glob("*.py"))
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cklef"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 CACHE_DECORATORS = {"lru_cache", "cache"}
+ENUMERATORS = {"iter_paths", "enumerate_paths"}
 
 
 def _cached_functions(source: str) -> list[str]:
@@ -82,3 +86,43 @@ def test_no_hidden_parameters_in_package():
         if (names := _hidden_parameters(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
+
+
+def _enumerating_scopes(source: str) -> list[str]:
+    """The innermost functions (or ``<module>``) that name a word enumerator,
+    whether they call it or pass it on, in source order."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Lambda):
+            scope = "<lambda>"
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in ENUMERATORS and scope not in found:
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_enumerator_detector_sees_every_use():
+    source = (
+        "from .sft_core import enumerate_paths, iter_paths\n"
+        "from . import sft_core\n"
+        "def a(m):\n    \"\"\"iter_paths in a docstring is no use.\"\"\"\n    return m\n"
+        "def b(m):\n    return list(iter_paths(m, 2))\n"
+        "def c(m):\n    return sft_core.enumerate_paths(m, 2)\n"
+        "def d(m):\n    def inner():\n        return iter_paths(m, 1)\n    return inner\n"
+        "def e(m):\n    walk = iter_paths\n    return walk(m, 1)\n"
+        "f = lambda m: enumerate_paths(m, 1)\n"
+        "WORDS = iter_paths\n"
+    )
+    assert _enumerating_scopes(source) == ["b", "c", "inner", "e", "<lambda>", "<module>"]
+
+
+def test_index_routes_share_one_enumerator():
+    source = (PACKAGE / "index.py").read_text(encoding="utf-8")
+    assert _enumerating_scopes(source) == ["_pair_images"]
