@@ -8,14 +8,15 @@ count ``gamma_m``, the closed polynomial formula in matrix powers, and a
 truncated Fredholm-style kernel/cokernel count.  All four agree on valid
 endomorphisms.
 
-Enumeration-based routes read one word stream, :func:`_pair_images`, the
-images of the domain words one presentation pair matches at one length, in
-lexicographic order; it is the only caller of
-:func:`~cklef.sft_core.iter_paths` here.  The series and gamma read the
-streams through :func:`_landing_walk`, which visits only the domain words
-counted at a length up to a depth.  The Fredholm count merges the streams of
-pairs whose images can coincide and counts equal neighbours once, so it
-holds no set of words.  Nothing is cached; the routes are meant for moderate
+Enumeration-based routes walk words through one function, :func:`_pair_heads`:
+for one presentation pair, the heads of its images (each image but its last
+letter), depth first over every length at once.  The series and gamma count
+each pair's words from one such walk (:func:`_pair_counts`): a head ending in
+a letter adds the number of letters that may close it, so no image is
+built.  The Fredholm count reads the same counts, except where pairs' images
+can coincide; there it merges their sorted image streams
+(:func:`_pair_images`) and counts equal neighbours once, so it holds no set
+of words.  Nothing is cached; the routes are meant for moderate
 depths.  The :class:`LengthTransfer` table can also be filled from the
 presentation pairs alone using matrix powers, which scales to deeply
 composed endomorphisms (the counts are exact, not asymptotic).
@@ -26,11 +27,11 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ExponentUnderflow, InvalidParameter
-from .sft_core import TransitionMatrix, Word, count_paths, iter_paths, terminus
+from .sft_core import TransitionMatrix, Word, count_paths, terminus
 from .endo import GeometricEndomorphism, PartialPathMap
 
 
@@ -111,6 +112,48 @@ def _closing_letters(matrix: TransitionMatrix) -> dict[int, tuple[tuple[int, ...
     }
 
 
+def _pair_heads(
+    matrix: TransitionMatrix, nu: Word, first: frozenset[int], top: int
+) -> Iterator[list[int]]:
+    """The heads ``nu + y[:-1]`` of a pair's images with |y| >= 2, up to
+    length ``top``, depth first: each head before its extensions and the
+    letters in order, so the heads of one length come in lexicographic order.
+
+    ``first`` holds the letters y may start with.  This is the module's one
+    walk over words.  It yields a single list, extended and shortened in
+    place, so a caller reads it before the next step and copies it to keep
+    it.  Memory is O(``top``).
+    """
+    if len(nu) >= top:
+        return
+    successors = matrix._successors
+    word = list(nu)
+    stack = [iter(sorted(first))]
+    while stack:
+        x = next(stack[-1], None)
+        if x is None:
+            stack.pop()
+            if stack:
+                word.pop()
+            continue
+        word.append(x)
+        yield word
+        if len(word) + 1 < top:
+            stack.append(iter(successors[x]))
+            continue
+        if len(word) < top:  # the extensions are the last heads: no stack
+            for y in successors[x]:
+                word.append(y)
+                yield word
+                word.pop()
+        word.pop()
+
+
+def _first_letters(matrix: TransitionMatrix, nu: Word, mu: Word) -> frozenset[int]:
+    """The letters that may follow both termini: y's first letter."""
+    return matrix.followers(terminus(mu)) & matrix.followers(terminus(nu))
+
+
 def _pair_images(
     matrix: TransitionMatrix, closing: dict, i: int, nu: Word, mu: Word, L: int
 ) -> Iterator[Word]:
@@ -119,54 +162,82 @@ def _pair_images(
 
     The pair sends mu + (i,) to nu when mu is nonempty and its last letter
     precedes i, and mu + y + (i,) to nu + y for y whose first letter follows
-    both termini and whose last letter precedes i.  The walk extends nu by
-    y's first L - 1 letters with :func:`~cklef.sft_core.iter_paths` and then
-    only by the letters of ``closing[i]`` (:func:`_closing_letters`), so it
-    visits no word that fails the test on the last letter.  Memory is O(L).
+    both termini and whose last letter precedes i.  Each head of length
+    |nu| + L - 1 (:func:`_pair_heads`) is closed only by the letters of
+    ``closing[i]`` (:func:`_closing_letters`), so no word that fails the test
+    on the last letter is built.  Memory is O(L).
     """
     if L == 0:
         if mu and matrix.entry(mu[-1], i):
             yield nu
         return
-    first = matrix.followers(terminus(mu)) & matrix.followers(terminus(nu))
+    first = _first_letters(matrix, nu, mu)
     ends = closing[i]
     if L == 1:
         for c in ends[0]:
             if c in first:
                 yield nu + (c,)
         return
-    for c in sorted(first):
-        for head in iter_paths(matrix, len(nu) + L - 1, nu + (c,)):
+    top = len(nu) + L - 1
+    for head in _pair_heads(matrix, nu, first, top):
+        if len(head) == top:
+            prefix = tuple(head)
             for b in ends[head[-1]]:
-                yield head + (b,)
+                yield prefix + (b,)
 
 
-def _landing_walk(psi: PartialPathMap, depth: int) -> Iterator[tuple[int, Word]]:
-    """``(|w|, dot_apply(w))`` for every domain word ``w`` of length <= ``depth``
-    and every longer one whose image has length <= ``depth``.
+def _pair_counts(
+    matrix: TransitionMatrix, closing: dict, i: int, nu: Word, mu: Word, longest: int
+) -> list[int]:
+    """The sizes of the pair's streams (:func:`_pair_images`) at each
+    L = 0 .. ``longest``, from one walk of their heads.
 
-    The domain is walked pair by pair, reading each pair's images from
-    :func:`_pair_images`: the pair (nu, mu) of t_i sends the domain word of
-    length |mu| + 1 + L to an image nu + y with |y| = L.  The source
-    cylinders of one generator are disjoint, so each domain word comes from
-    one pair, once.  The enumerated series and gamma read this walk.
+    A head ending in the letter a is closed by the letters of
+    ``closing[i][a]``, so it adds their number at its length + 1; no image
+    is built.  L = 0 and L = 1 have no head to walk and are counted as the
+    stream counts them.
     """
-    matrix = psi.matrix
-    closing = _closing_letters(matrix)
-    for i in matrix.alphabet:
-        for nu, mu in psi.endo.raw_images[i - 1]:
-            # the longest y that leaves the word or its image at most depth long
-            for L in range(depth - min(len(mu) + 1, len(nu)) + 1):
-                m = len(mu) + 1 + L
-                for r in _pair_images(matrix, closing, i, nu, mu, L):
-                    yield m, r
+    counts = [0] * (longest + 1)
+    if longest < 0:
+        return counts
+    counts[0] = 1 if mu and matrix.entry(mu[-1], i) else 0
+    if longest == 0:
+        return counts
+    first = _first_letters(matrix, nu, mu)
+    sizes = [len(letters) for letters in closing[i]]
+    counts[1] = sum(c in first for c in closing[i][0])
+    shift = 1 - len(nu)  # a head of length h counts at L = h + 1 - |nu|
+    for head in _pair_heads(matrix, nu, first, len(nu) + longest - 1):
+        counts[len(head) + shift] += sizes[head[-1]]
+    return counts
+
+
+def _longest_y(nu: Word, mu: Word, depth: int) -> int:
+    """The longest y that leaves the domain word mu + y + (i,) or its image
+    nu + y at most ``depth`` long."""
+    return depth - min(len(mu) + 1, len(nu))
 
 
 def _landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
-    """The table of :func:`_landing_walk`: the full table's cells a(i, j) with
-    i <= ``depth`` or j <= ``depth``, all that Index_k and gamma_k read for k <= depth."""
+    """The full table's cells a(i, j) with i <= ``depth`` or j <= ``depth``,
+    all that Index_k and gamma_k read for k <= depth.
+
+    The pair (nu, mu) of t_i sends its domain words of length |mu| + 1 + L
+    to images of length |nu| + L, and :func:`_pair_counts` counts them.  The
+    source cylinders of one generator are disjoint, so each domain word is
+    counted by one pair, once.  The enumerated series and gamma read this
+    table.
+    """
+    matrix = psi.matrix
+    closing = _closing_letters(matrix)
+    a: Counter = Counter()
+    for i in matrix.alphabet:
+        for nu, mu in psi.endo.raw_images[i - 1]:
+            counts = _pair_counts(matrix, closing, i, nu, mu, _longest_y(nu, mu, depth))
+            for L, n in enumerate(counts):
+                if n:
+                    a[(len(mu) + 1 + L, len(nu) + L)] += n
     bound = propagation(psi.endo)
-    a = Counter((m, len(r)) for m, r in _landing_walk(psi, depth))
     return LengthTransfer(a=a, max_len=depth + bound, bound=bound)
 
 
@@ -396,13 +467,13 @@ def _prefix_runs(e: GeometricEndomorphism) -> list[list[tuple[int, Word, Word]]]
 def _fredholm_tally(psi: PartialPathMap, depth: int) -> tuple[dict[int, int], dict[int, int]]:
     """Domain words and distinct images counted at each length 1..depth.
 
-    The pairs' streams (:func:`_pair_images`) hold the same words as
-    :func:`_landing_walk`.  A run of one pair (:func:`_prefix_runs`) yields
-    distinct images, so its streams are counted.  In a longer run, the
-    streams landing at one length are merged in lexicographic order and
-    equal neighbours counted once, so a collision of two pairs' images is
-    seen, not assumed away.  Streams whose images are longer than the depth
-    only add to the domain count.  Memory is O(pairs * depth).
+    Every pair's domain words are counted from one walk of its heads
+    (:func:`_pair_counts`), as in :func:`_landing_table`.  A run of one pair
+    (:func:`_prefix_runs`) has distinct images, so its counts are its image
+    counts too.  In a longer run, the pairs' streams (:func:`_pair_images`)
+    landing at one length are merged in lexicographic order and equal
+    neighbours counted once, so a collision of two pairs' images is seen,
+    not assumed away.  Memory is O(pairs * depth).
     """
     matrix = psi.matrix
     closing = _closing_letters(matrix)
@@ -411,29 +482,20 @@ def _fredholm_tally(psi: PartialPathMap, depth: int) -> tuple[dict[int, int], di
     for run in _prefix_runs(psi.endo):
         merged = len(run) > 1
         for i, nu, mu in run:
-            for L in range(depth - min(len(mu) + 1, len(nu)) + 1):
-                j = len(nu) + L
-                if merged and 1 <= j <= depth:
-                    continue  # counted in the merge below
-                n = sum(1 for _ in _pair_images(matrix, closing, i, nu, mu, L))
+            counts = _pair_counts(matrix, closing, i, nu, mu, _longest_y(nu, mu, depth))
+            for L, n in enumerate(counts):
                 dom[len(mu) + 1 + L] += n
-                if 1 <= j <= depth:
-                    im[j] += n
+                if not merged:
+                    im[len(nu) + L] += n
         if not merged:
             continue
         for j in range(1, depth + 1):
-            # each image tagged with its domain word's length
             streams = [
-                zip(_pair_images(matrix, closing, i, nu, mu, L), repeat(len(mu) + 1 + L))
+                _pair_images(matrix, closing, i, nu, mu, j - len(nu))
                 for i, nu, mu in run
-                if (L := j - len(nu)) >= 0
+                if j >= len(nu)
             ]
-            last = None
-            for r, m in heapq.merge(*streams):
-                dom[m] += 1
-                if r != last:
-                    im[j] += 1
-                    last = r
+            im[j] += sum(1 for _ in groupby(heapq.merge(*streams)))
     lengths = range(1, depth + 1)
     return {j: dom[j] for j in lengths}, {j: im[j] for j in lengths}
 

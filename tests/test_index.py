@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from collections import Counter
+from collections import defaultdict
 
 import pytest
 
@@ -15,9 +15,12 @@ from cklef.endo import (
 )
 from cklef.errors import ExponentUnderflow, InvalidParameter
 from cklef.index import (
+    _closing_letters,
     _fredholm_tally,
     _landing_table,
-    _landing_walk,
+    _longest_y,
+    _pair_counts,
+    _pair_images,
     _prefix_runs,
     fredholm_index_truncated,
     gamma,
@@ -291,7 +294,7 @@ class TestLandingWalk:
             assert index_series(path_map(e)).per_k == index_series_counted(e).per_k
 
     def test_landing_table_is_the_restricted_full_table(self, corpus):
-        # the walk yields the domain words of length <= d and the longer
+        # the table counts the domain words of length <= d and the longer
         # ones landing at or below d: the full table's cells with i <= d or j <= d
         for e in corpus:
             psi = path_map(e)
@@ -301,20 +304,25 @@ class TestLandingWalk:
                 full = length_transfer_enumerated(psi, d + bound).a
                 want = {(i, j): c for (i, j), c in full.items() if i <= d or j <= d}
                 assert _landing_table(psi, d).a == want
-                every = Counter(
-                    (m, r)
-                    for m in range(1, d + bound + 1)
-                    for w in enumerate_paths(psi.matrix, m)
-                    if (r := psi.dot_apply(w)) is not None and (m <= d or len(r) <= d)
-                )
-                assert Counter(_landing_walk(psi, d)) == every
+            # each pair's stream at each length holds the images of the
+            # words that pair matches, for every domain length the tables read
+            top = end + 2 + bound
+            images = _images_by_pair(psi, top)
+            closing = _closing_letters(psi.matrix)
+            for i in psi.matrix.alphabet:
+                for nu, mu in e.raw_images[i - 1]:
+                    for L in range(top - len(mu)):
+                        stream = list(_pair_images(psi.matrix, closing, i, nu, mu, L))
+                        assert stream == images.get((i, nu, mu, len(mu) + 1 + L), [])
 
     def test_walk_evaluates_no_word(self, main_endo, monkeypatch):
         def refuse(self, w):
-            raise AssertionError("the landing walk called dot_apply")
+            raise AssertionError("the count walk called dot_apply")
 
         monkeypatch.setattr(PartialPathMap, "dot_apply", refuse)
-        assert list(_landing_walk(path_map(power(main_endo, 2)), 7))
+        psi = path_map(power(main_endo, 2))
+        assert sum(_landing_table(psi, 7).a.values()) > 0
+        assert sum(_fredholm_tally(psi, 7)[1].values()) > 0
 
     def test_table_guards_gamma_past_its_cover(self, main_endo):
         # lengths up to 8 reach images up to the bound away, so gamma_m and
@@ -327,6 +335,31 @@ class TestLandingWalk:
                     table.gamma(m)
                 with pytest.raises(InvalidParameter):
                     table.index_at(m)
+
+
+def _images_by_pair(psi, max_len):
+    """dot_apply's images of the words of length <= max_len, sorted and keyed
+    by (i, nu, mu, |w|) for the pair (nu, mu) of t_i that sends w there.
+
+    That pair is the first of t_i whose mu begins w[:-1] and which turns
+    the rest of w[:-1] into the image, which is the pair dot_apply picks: an
+    earlier pair giving the same image would have passed dot_apply's test
+    on nu's terminus, the image being allowable.
+    """
+    grouped = defaultdict(list)
+    for m in range(2, max_len + 1):
+        for w in enumerate_paths(psi.matrix, m):
+            r = psi.dot_apply(w)
+            if r is None:
+                continue
+            i, p = w[-1], w[:-1]
+            nu, mu = next(
+                (nu, mu)
+                for nu, mu in psi.endo.raw_images[i - 1]
+                if p[: len(mu)] == mu and r == nu + p[len(mu):]
+            )
+            grouped[(i, nu, mu, m)].append(r)
+    return {key: sorted(images) for key, images in grouped.items()}
 
 
 def _brute_fredholm_tally(psi, depth):
@@ -344,6 +377,13 @@ def _brute_fredholm_tally(psi, depth):
             if 1 <= len(r) <= depth:
                 images[len(r)].add(r)
     return dom, images
+
+
+def _forged_colliding():
+    """t_1 = t_2 = s_1 on the full 2-shift: not a valid presentation, built
+    past the checks, whose two pairs have the same images."""
+    matrix = validate_matrix([[1, 1], [1, 1]])
+    return GeometricEndomorphism(matrix, ((((1,), ()),), (((1,), ()),)), 0, valid=True)
 
 
 class TestFredholmPruning:
@@ -379,11 +419,9 @@ class TestFredholmPruning:
         self._check(e, (1, e.k + 1, e.k + 4))
 
     def test_colliding_images_are_counted_once(self):
-        # t_1 = t_2 = s_1 on the full 2-shift: not a valid presentation, built
-        # past the checks.  Both pairs send y + (i,) to (1,) + y, so at each
-        # length m >= 2 the domain holds 2^m words and the image 2^(m - 1).
-        matrix = validate_matrix([[1, 1], [1, 1]])
-        forged = GeometricEndomorphism(matrix, ((((1,), ()),), (((1,), ()),)), 0, valid=True)
+        # both pairs send y + (i,) to (1,) + y, so at each length m >= 2 the
+        # domain holds 2^m words and the image 2^(m - 1)
+        forged = _forged_colliding()
         depth = 7
         dom, im = _fredholm_tally(path_map(forged), depth)
         assert dom == {m: 2**m if m >= 2 else 0 for m in range(1, depth + 1)}
@@ -393,22 +431,28 @@ class TestFredholmPruning:
     def test_visits_fewer_words(self, main_endo, monkeypatch):
         e2 = power(main_endo, 2)
         depth = 8
-        visited = []
-        streamed = index_module._pair_images
+        # E^2 has no run of pairs to merge, so only the count walk runs
+        assert max(len(run) for run in _prefix_runs(e2)) == 1
+        walks = []
+        walk = index_module._pair_heads
 
-        def counting_images(matrix, closing, i, nu, mu, L):
-            for r in streamed(matrix, closing, i, nu, mu, L):
-                visited.append((len(mu) + 1 + L, r))
-                yield r
+        def recording_heads(matrix, nu, first, top):
+            heads = []
+            walks.append(heads)
+            for head in walk(matrix, nu, first, top):
+                heads.append(tuple(head))
+                yield head
 
-        monkeypatch.setattr(index_module, "_pair_images", counting_images)
+        monkeypatch.setattr(index_module, "_pair_heads", recording_heads)
         _fredholm_tally(path_map(e2), depth)
-        # the path map is injective, so a repeated (length, image) is a word walked twice
-        assert len(visited) == len(set(visited))
+        # one walk per pair, and no head walked twice in it
+        assert len(walks) == sum(len(pairs) for pairs in e2.raw_images)
+        assert all(len(heads) == len(set(heads)) for heads in walks)
+        visited = sum(len(heads) for heads in walks)
         every = sum(
             len(enumerate_paths(e2.matrix, m)) for m in range(1, depth + propagation(e2) + 1)
         )
-        assert 0 < len(visited) < every / 2
+        assert 0 < visited < every / 2
 
     def test_memory_does_not_grow_with_the_words(self, main_endo):
         # E^2 at depth 12 walks 95 631 words; a set of their
@@ -421,6 +465,54 @@ class TestFredholmPruning:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestPairCounts:
+    """The count walk against the lengths of the streams it replaces, at the
+    short lengths where the walk has few or no heads and at the lengths the
+    tables ask for."""
+
+    @staticmethod
+    def _check(e):
+        matrix = e.matrix
+        closing = _closing_letters(matrix)
+        end = series_end(e)
+        checked = 0
+        for i in matrix.alphabet:
+            for nu, mu in e.raw_images[i - 1]:
+                # depths where the pair's first word or image lands, where
+                # both do, and the series end and past it
+                depths = {len(nu), len(mu) + 1, len(nu) + 1, len(mu) + 2}
+                depths |= {max(len(nu), len(mu) + 1), end, end + propagation(e)}
+                longest = {_longest_y(nu, mu, d) for d in depths} | {-2, -1, 0, 1, 2}
+                for top in sorted(longest):
+                    counts = _pair_counts(matrix, closing, i, nu, mu, top)
+                    assert counts == [
+                        len(list(_pair_images(matrix, closing, i, nu, mu, L)))
+                        for L in range(top + 1)
+                    ]
+                    checked += top >= 2 and sum(counts[2:]) > 0
+        assert checked  # some walk had heads to visit
+
+    def test_main_example(self, main_endo):
+        self._check(main_endo)
+
+    def test_main_example_squared(self, main_endo):
+        self._check(power(main_endo, 2))
+
+    def test_identity(self, main_identity):
+        assert all(mu == () for pairs in main_identity.raw_images for _, mu in pairs)
+        self._check(main_identity)
+
+    def test_inner_automorphism(self, main_matrix):
+        self._check(random_inner_automorphism(main_matrix, random.Random(13)))
+
+    def test_complete_graph_sample(self):
+        matrix = validate_matrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+        self._check(random_complete_graph_endomorphism(matrix, random.Random(14))[0])
+
+    def test_colliding_presentation(self):
+        self._check(_forged_colliding())
 
 
 # ---------------------------------------------------------------------------

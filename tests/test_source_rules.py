@@ -5,7 +5,8 @@ Every cache needs an owner and a size bound, so no function in
 option is public, so no function takes a parameter whose name starts with an
 underscore: such a parameter is a hidden way round a check.  The index
 routes share one word enumerator, so exactly one function in
-``src/cklef/index.py`` uses ``iter_paths`` or ``enumerate_paths``.
+``src/cklef/index.py`` uses ``iter_paths`` or ``enumerate_paths``, or walks
+the follower table ``TransitionMatrix._successors`` by hand.
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cklef"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 CACHE_DECORATORS = {"lru_cache", "cache"}
-ENUMERATORS = {"iter_paths", "enumerate_paths"}
+ENUMERATORS = {"iter_paths", "enumerate_paths", "_successors"}
 
 
 def _cached_functions(source: str) -> list[str]:
@@ -119,10 +120,12 @@ def test_enumerator_detector_sees_every_use():
         "def e(m):\n    walk = iter_paths\n    return walk(m, 1)\n"
         "f = lambda m: enumerate_paths(m, 1)\n"
         "WORDS = iter_paths\n"
+        "def g(m, w):\n    return [w + (x,) for x in m._successors[w[-1]]]\n"
+        "def h(m):\n    return m.followers(1)\n"
     )
-    assert _enumerating_scopes(source) == ["b", "c", "inner", "e", "<lambda>", "<module>"]
+    assert _enumerating_scopes(source) == ["b", "c", "inner", "e", "<lambda>", "<module>", "g"]
 
 
 def test_index_routes_share_one_enumerator():
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
-    assert _enumerating_scopes(source) == ["_pair_images"]
+    assert _enumerating_scopes(source) == ["_pair_heads"]
