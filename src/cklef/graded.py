@@ -5,13 +5,18 @@ abstract Lefschetz identity: graded spaces, degree-homogeneous maps, the
 signed tensor action (T1 (x) T2)(a (x) b) = (-1)^{dT1 db} T1 a (x) T2 b,
 duality pairings supported on complementary parities, dual bases, the dual
 fundamental tensor, and the index pairing computed by honest contraction.
-All scalars are :class:`fractions.Fraction`; every identity is exact.
+Every identity is exact.  Integral blocks stay ``int`` (see :mod:`cklef.linalg`);
+the contractions sum integer products over one common denominator and divide
+once per result entry, and the public scalars -- graded traces, pairings and
+the index pairing -- are :class:`fractions.Fraction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -20,8 +25,8 @@ from .errors import DegeneratePairing, NotDegreeZero, ShapeMismatch
 Matrix = linalg.Matrix
 
 
-def _sign(e: int) -> Fraction:
-    return Fraction(-1 if e % 2 else 1)
+def _sign(e: int) -> int:
+    return -1 if e % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -105,18 +110,6 @@ def identity_map(space: GradedSpace) -> GradedMap:
     )
 
 
-def zero_map(src: GradedSpace, dst: GradedSpace, degree: int = 0) -> GradedMap:
-    return GradedMap(
-        src,
-        dst,
-        degree % 2,
-        (
-            linalg.zeros(dst.dim(degree), src.d0),
-            linalg.zeros(dst.dim(1 + degree), src.d1),
-        ),
-    )
-
-
 def apply_map(t: GradedMap, v: GradedVector) -> GradedVector:
     if v.space != t.src:
         raise ShapeMismatch("vector does not live in the map's source")
@@ -142,21 +135,11 @@ def compose_maps(t: GradedMap, s: GradedMap) -> GradedMap:
     return GradedMap(s.src, t.dst, degree, tuple(blocks))
 
 
-def scale_map(t: GradedMap, c) -> GradedMap:
-    c = Fraction(c)
-    return GradedMap(
-        t.src,
-        t.dst,
-        t.degree,
-        tuple(tuple(tuple(c * v for v in row) for row in b) for b in t.blocks),
-    )
-
-
 def graded_trace(t: GradedMap) -> Fraction:
     """tr_s = trace on the even part minus trace on the odd part."""
     if t.degree != 0 or t.src != t.dst:
         raise NotDegreeZero("graded trace needs a degree-0 endomorphism")
-    return linalg.trace(t.blocks[0]) - linalg.trace(t.blocks[1])
+    return Fraction(linalg.trace(t.blocks[0]) - linalg.trace(t.blocks[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +371,12 @@ def dual_fundamental_class(p: GradedPairing) -> FundamentalTensor:
     )
 
 
+def _over_common_denominator(terms: Mapping) -> tuple[dict, int]:
+    """The coefficients as numerators over their least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den
+
+
 def fundamental_contraction(p: GradedPairing, ft: FundamentalTensor) -> GradedMap:
     """The endomorphism of B obtained by contracting the tensor against the pairing.
 
@@ -401,14 +390,17 @@ def fundamental_contraction(p: GradedPairing, ft: FundamentalTensor) -> GradedMa
     only the basis vectors x of B_gamma, gamma = n + alpha, and adds
     sign * c * (e_i | x) to row j of the gamma block, read straight off row i
     of the pairing block.  That is O(d) per term, O(d^3) for the dual
-    fundamental tensor of a pairing of dimension d.
+    fundamental tensor of a pairing of dimension d.  The coefficients are
+    taken over one common denominator, so the sums run over the numerators
+    (integers, for an integral pairing) and each entry is divided once.
     """
     if ft.space_a != p.space_a or ft.space_b != p.space_b:
         raise ShapeMismatch("tensor and pairing live over different spaces")
     p.require_nondegenerate()
     b = p.space_b
-    blocks = {e: [[Fraction(0)] * b.dim(e) for _ in range(b.dim(e))] for e in (0, 1)}
-    for ((beta, j), (alpha, i)), c in ft.terms.items():
+    blocks = {e: [[0] * b.dim(e) for _ in range(b.dim(e))] for e in (0, 1)}
+    numerators, den = _over_common_denominator(ft.terms)
+    for ((beta, j), (alpha, i)), c in numerators.items():
         gamma = (p.n + alpha) % 2
         pairs = p.blocks[alpha][i]  # (e_i^alpha | e_col^gamma) over col
         if beta != gamma:
@@ -424,9 +416,9 @@ def fundamental_contraction(p: GradedPairing, ft: FundamentalTensor) -> GradedMa
         b,
         b,
         0,
-        (
-            tuple(tuple(r) for r in blocks[0]),
-            tuple(tuple(r) for r in blocks[1]),
+        tuple(
+            linalg.to_matrix([[Fraction(x, den) for x in row] for row in blocks[e]])
+            for e in (0, 1)
         ),
     )
 
@@ -439,20 +431,23 @@ def index_pairing(p: GradedPairing, f: GradedMap) -> Fraction:
     the tensor goes through the signed tensor action of (f, identity) to
     (-1)^{df da} c sum_k f_kj e_k^beta (x) e_i^alpha, and each component
     e_k (x) e_i is paired as (e_i | e_k).  That is O(d) per term, O(d^3) in
-    all, and the tensor-space matrix of f (x) 1_A is never built.
+    all, and the tensor-space matrix of f (x) 1_A is never built.  The
+    tensor's coefficients are taken over one common denominator, so the sum
+    runs over their numerators and is divided once at the end.
     """
     if f.src != p.space_b or f.dst != p.space_b:
         raise ShapeMismatch("the endomorphism must act on the second space")
     if f.degree != 0:
         raise NotDegreeZero("the index pairing takes a degree-0 endomorphism")
-    total = Fraction(0)
+    numerators, den = _over_common_denominator(dual_fundamental_class(p).terms)
+    f_cols = [list(zip(*block)) for block in f.blocks]
+    total = 0
     # Every term has total parity n, so e_k^beta (x) e_i^alpha pairs through
     # the alpha block: (b (x) a) contracted with the flipped pairing is (a | b).
-    for ((beta, j), (alpha, i)), c in dual_fundamental_class(p).terms.items():
-        fb, pairs = f.blocks[beta], p.blocks[alpha][i]
-        value = sum((fb[k][j] * pairs[k] for k in range(len(pairs)) if pairs[k]), Fraction(0))
+    for ((beta, j), (alpha, i)), c in numerators.items():
+        value = sum(map(mul, f_cols[beta][j], p.blocks[alpha][i]))
         total += _sign(f.degree * alpha) * c * value
-    return total
+    return Fraction(total, den)
 
 
 def koszul_flip_check(
@@ -464,26 +459,6 @@ def koszul_flip_check(
     rhs = tensor_vector(apply_map(f, x), apply_map(g, y))
     rhs = GradedVector(rhs.space, rhs.parity, tuple(sign * c for c in rhs.coords))
     return lhs == rhs
-
-
-def pairing_transpose(p: GradedPairing) -> GradedPairing:
-    """The pairing with the roles of the two spaces flipped.
-
-    Model-level shadow of the symmetry remark: (y | x)' = (-1)^{dx dy}(x | y).
-    Nondegeneracy is preserved; with an even shift the two sides play
-    symmetric roles.
-    """
-    blocks = []
-    for beta in (0, 1):
-        alpha = (p.n + beta) % 2
-        src = p.blocks[alpha]
-        rows = p.space_b.dim(beta)
-        cols = p.space_a.dim(alpha)
-        sign = _sign(alpha * beta)
-        blocks.append(
-            tuple(tuple(sign * src[i][j] for i in range(cols)) for j in range(rows))
-        )
-    return GradedPairing(p.space_b, p.space_a, p.n, (blocks[0], blocks[1]))
 
 
 # ---------------------------------------------------------------------------

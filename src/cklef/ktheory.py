@@ -381,7 +381,7 @@ def lefschetz_number(
             raise DimensionMismatch(
                 f"K_1 action must be {kt.rank_k1}x{kt.rank_k1}"
             )
-        tr1 = linalg.trace(m1)
+        tr1 = Fraction(linalg.trace(m1))  # a Fraction like trace_k0, for ints too
         return LefschetzResult(
             value=tr0 - tr1, mode="supplied", trace_k0=tr0, trace_k1=tr1
         )

@@ -34,6 +34,7 @@ from cklef.ktheory import (
 )
 from cklef.sft_core import validate_matrix
 from tests.conftest import MAIN_DOCUMENT, MAIN_PAIRS, MAIN_ROWS, Q_ROWS
+from tests import oracles
 
 
 def _mat_mul(a, b):
@@ -228,10 +229,10 @@ def _random_01(rng, n):
 
 
 def _fraction_descent(kt, t_rows):
-    """The reference: U T U^{-1} over Fraction, with a Gauss-Jordan inverse,
-    restricted to the free indices."""
+    """The reference: U T U^{-1} over Fraction, with the oracle's Gauss-Jordan
+    inverse, restricted to the free indices."""
     u = linalg.to_matrix(kt.snf.u)
-    conj = linalg.mat_mul(linalg.mat_mul(u, linalg.to_matrix(t_rows)), linalg.inverse(u))
+    conj = linalg.mat_mul(linalg.mat_mul(u, linalg.to_matrix(t_rows)), oracles.inverse(u))
     assert all(c.denominator == 1 for row in conj for c in row)
     return tuple(tuple(int(conj[i][j]) for j in kt.free_indices) for i in kt.free_indices)
 

@@ -6,7 +6,9 @@ option is public, so no function takes a parameter whose name starts with an
 underscore: such a parameter is a hidden way round a check.  The index
 routes share one word enumerator, so exactly one function in
 ``src/cklef/index.py`` uses ``iter_paths`` or ``enumerate_paths``, or walks
-the follower table ``TransitionMatrix._successors`` by hand.
+the follower table ``TransitionMatrix._successors`` by hand.  The exact
+linear algebra has one elimination loop, so exactly one function in
+``src/cklef/linalg.py`` replaces matrix rows inside a loop over pivots.
 """
 
 import ast
@@ -129,3 +131,47 @@ def test_enumerator_detector_sees_every_use():
 def test_index_routes_share_one_enumerator():
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
     assert _enumerating_scopes(source) == ["_pair_heads"]
+
+
+def _assigns_a_subscript(node) -> bool:
+    targets = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Assign):
+            targets += n.targets
+        elif isinstance(n, ast.AugAssign):
+            targets.append(n.target)
+    return any(isinstance(t, ast.Subscript) for target in targets for t in ast.walk(target))
+
+
+def _elimination_loops(source: str) -> list[str]:
+    """The functions with a loop nested in a loop that assigns to a row
+    (a subscript): the shape of a pivot step that updates the other rows."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for outer in ast.walk(func):
+            if not isinstance(outer, ast.For):
+                continue
+            inner = [n for n in ast.walk(outer) if isinstance(n, ast.For) and n is not outer]
+            if any(_assigns_a_subscript(loop) for loop in inner):
+                found.append(func.name)
+                break
+    return found
+
+
+def test_elimination_detector_sees_the_fraction_references():
+    oracles = Path(__file__).resolve().parent / "oracles.py"
+    assert _elimination_loops(oracles.read_text(encoding="utf-8")) == ["inverse", "solve"]
+    source = (
+        "def a(m):\n    for c in m:\n        for r in m:\n            m[r] = c\n"
+        "def b(m):\n    for c in m:\n        m[c] = 0\n"
+        "def c(m):\n    for c in m:\n        for r in m:\n            if r: raise ValueError\n"
+        "def d(m):\n    for c in m:\n        for r in m:\n            m[r], m[c] = m[c], m[r]\n"
+    )
+    assert _elimination_loops(source) == ["a", "d"]
+
+
+def test_linalg_has_one_elimination_loop():
+    source = (PACKAGE / "linalg.py").read_text(encoding="utf-8")
+    assert _elimination_loops(source) == ["_gauss_jordan"]

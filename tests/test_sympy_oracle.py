@@ -4,7 +4,10 @@ sympy is a test-only dependency; these tests skip when it is absent.  The
 Smith-form comparison stops at n = 32, where sympy still answers in
 milliseconds; at n = 64 it takes about a minute.  The K_0 descent is checked
 the same way: sympy inverts U over QQ, and its U T U^{-1} restricted to the
-free indices must be the integer block the package forms.
+free indices must be the integer block the package forms.  The fraction-free
+kernels of cklef.linalg -- inverse, solve and the integral characteristic
+polynomial -- are checked on random integer and rational matrices up to
+d = 10, singular and rectangular ones included.
 """
 
 import random
@@ -28,6 +31,18 @@ def _random_matrix(rng, n, density):
             return validate_matrix(rows)
 
 
+def _sympy_fraction(c):
+    return Fraction(int(c.p), int(c.q))
+
+
+def _random_rows(rng, rows, cols, rational):
+    """Entries in -6..6, over denominators 1, 2, 3 or 5 when rational."""
+    def entry():
+        v = rng.randint(-6, 6)
+        return Fraction(v, rng.choice((1, 2, 3, 5))) if rational else v
+    return tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+
+
 def test_reciprocal_charpoly_matches_sympy_charpoly():
     rng = random.Random(41)
     x = sympy.Symbol("x")
@@ -39,8 +54,65 @@ def test_reciprocal_charpoly_matches_sympy_charpoly():
         )
         # det(xI - F) read highest degree first is det(I - tF) lowest first
         expected = sympy.Matrix(f).charpoly(x).all_coeffs()
-        expected = linalg.poly_trim(tuple(Fraction(int(c.p), int(c.q)) for c in expected))
+        expected = linalg.poly_trim(tuple(_sympy_fraction(c) for c in expected))
         assert linalg.reciprocal_charpoly(f) == expected, f
+
+
+def test_integral_reciprocal_charpoly_matches_sympy_up_to_d10():
+    rng = random.Random(44)
+    x = sympy.Symbol("x")
+    for d in range(11):
+        for _ in range(4):
+            f = _random_rows(rng, d, d, rational=False)
+            expected = sympy.Matrix(d, d, [v for row in f for v in row]).charpoly(x).all_coeffs()
+            got = linalg.reciprocal_charpoly(f)
+            assert all(type(c) is int for c in got)
+            assert got == linalg.poly_trim(tuple(int(c) for c in expected)), f
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_inverse_matches_sympy_up_to_d10(rational):
+    rng = random.Random(45 + rational)
+    for d in range(1, 11):
+        for _ in range(5):
+            a = _random_rows(rng, d, d, rational)
+            m = sympy.Matrix(a)
+            if m.det() == 0:
+                with pytest.raises(ValueError):
+                    linalg.inverse(a)
+                continue
+            want = m.inv()
+            got = linalg.inverse(a)
+            assert got == tuple(
+                tuple(_sympy_fraction(want[i, j]) for j in range(d)) for i in range(d)
+            ), a
+    # a rank-deficient block: sympy and the kernel both call it singular
+    a = ((1, 2, 3), (2, 4, 6), (0, 1, 1))
+    assert sympy.Matrix(a).det() == 0
+    with pytest.raises(ValueError):
+        linalg.inverse(a)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_solve_matches_sympy_consistency_up_to_d10(rational):
+    rng = random.Random(47 + rational)
+    seen = {True: 0, False: 0}
+    for _ in range(120):
+        rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+        a = [list(r) for r in _random_rows(rng, rows, cols, rational)]
+        if rows > 1 and rng.random() < 0.5:
+            a[-1] = [2 * v for v in a[0]]
+        b = [rng.randint(-5, 5) for _ in range(rows)]
+        m = sympy.Matrix(a)
+        consistent = m.rank() == m.row_join(sympy.Matrix(b)).rank()
+        seen[consistent] += 1
+        got = linalg.solve(tuple(map(tuple, a)), b)
+        if not consistent:
+            assert got is None, (a, b)
+            continue
+        assert got is not None, (a, b)
+        assert list(m * sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in got])) == b
+    assert min(seen.values()) >= 10
 
 
 def test_reciprocal_charpoly_of_empty_matrix_is_one():

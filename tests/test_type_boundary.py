@@ -1,0 +1,128 @@
+"""The exact linear algebra runs in ints where the data are integral, but the
+public scalars keep their types: every structured tag the CLI prints on the
+worked example, and the Fraction results of the graded harness and the
+K-theory layer."""
+
+from fractions import Fraction
+
+import pytest
+
+from cklef.cli import run
+from cklef.graded import (
+    GradedSpace,
+    basis_vector,
+    graded_map,
+    graded_pairing,
+    graded_trace,
+    index_pairing,
+    pair,
+)
+from cklef.ktheory import lefschetz_number, zeta_reconstruct
+from tests.conftest import MAIN_DOCUMENT
+
+
+def _tags(argv):
+    out, code = run(["--structured"] + argv, stdin_text=MAIN_DOCUMENT)
+    assert code == 0
+    return [tuple(line.split("\t")[:2]) for line in out.splitlines()]
+
+
+@pytest.mark.parametrize(
+    "argv, tags",
+    [
+        (
+            ["lefschetz", "-"],
+            [
+                ("command", "str"),
+                ("endomorphism", "str"),
+                ("mode", "str"),
+                ("trace.K0", "frac"),
+                ("trace.K1.derived", "frac"),
+                ("lefschetz", "frac"),
+                ("index", "int"),
+                ("warning.0", "str"),
+            ],
+        ),
+        (
+            ["lefschetz", "-", "--k1-matrix", "0"],
+            [
+                ("command", "str"),
+                ("endomorphism", "str"),
+                ("mode", "str"),
+                ("trace.K0", "frac"),
+                ("trace.K1", "frac"),
+                ("lefschetz", "frac"),
+                ("index", "int"),
+                ("theorem.check", "str"),
+            ],
+        ),
+        (
+            ["zeta", "-", "--terms", "6"],
+            [
+                ("command", "str"),
+                ("endomorphism", "str"),
+                ("coefficients", "ints"),
+                ("numerator", "str"),
+                ("denominator", "str"),
+                ("predicted.next", "str"),
+            ],
+        ),
+        (
+            ["k0map", "-"],
+            [
+                ("command", "str"),
+                ("endomorphism", "str"),
+                ("T.row1", "ints"),
+                ("T.row2", "ints"),
+                ("T.row3", "ints"),
+                ("M0.row1", "ints"),
+                ("well.defined", "bool"),
+            ],
+        ),
+        (
+            ["ktheory", "-"],
+            [
+                ("command", "str"),
+                ("invariant.factors", "ints"),
+                ("K0", "str"),
+                ("K1", "str"),
+                ("class.e1.free", "ints"),
+                ("class.e2.free", "ints"),
+                ("class.e3.free", "ints"),
+            ],
+        ),
+    ],
+    ids=["lefschetz-derived", "lefschetz-supplied", "zeta", "k0map", "ktheory"],
+)
+def test_structured_tags_on_the_worked_example(argv, tags):
+    assert _tags(argv) == tags
+
+
+def test_lefschetz_result_fields_are_fractions(main_endo):
+    supplied = lefschetz_number(main_endo, k1_action=[[0]])
+    derived = lefschetz_number(main_endo)
+    for result in (supplied, derived):
+        assert type(result.value) is Fraction
+        assert type(result.trace_k0) is Fraction
+        assert type(result.trace_k1) is Fraction
+    assert type(derived.index) is int
+
+
+def test_graded_scalars_are_fractions():
+    space = GradedSpace(2, 1)
+    f = graded_map(space, space, 0, [[[1, 2], [3, 4]], [[5]]])
+    p = graded_pairing(space, space, 0, [[[1, 0], [0, 1]], [[1]]])
+    assert type(graded_trace(f)) is Fraction and graded_trace(f) == 0
+    assert type(index_pairing(p, f)) is Fraction and index_pairing(p, f) == 0
+    x, y = basis_vector(space, 0, 0), basis_vector(space, 0, 0)
+    assert type(pair(p, x, y)) is Fraction
+    empty = GradedSpace(0, 0)
+    zero = graded_map(empty, empty, 0, [[], []])
+    assert type(graded_trace(zero)) is Fraction
+    assert type(index_pairing(graded_pairing(empty, empty, 0, [[], []]), zero)) is Fraction
+
+
+def test_rational_function_coefficients_are_fractions():
+    rf = zeta_reconstruct([0, 1, 1, 1, 1, 1], 1, 1)
+    assert all(type(c) is Fraction for c in rf.numerator + rf.denominator)
+    assert all(type(c) is Fraction for c in rf.expand(8))
