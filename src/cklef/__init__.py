@@ -37,6 +37,7 @@ from .ktheory import (
     k0_reduce,
     induced_k0,
     lefschetz_number,
+    zeta,
     zeta_coefficients,
     zeta_reconstruct,
 )

@@ -61,8 +61,7 @@ from .ktheory import (
     induced_k0,
     k_groups,
     lefschetz_number,
-    zeta_coefficients,
-    zeta_reconstruct,
+    zeta,
 )
 from .sft_core import TransitionMatrix, Word, is_allowable, validate_matrix
 
@@ -285,7 +284,7 @@ class Report:
             tag, text = _encode(value)
             lines.append(f"{key}\t{tag}\t{text}")
         for i, w in enumerate(self.warnings):
-            lines.append(f"warning.{i}\tstr\t{w}")
+            lines.append(f"warning.{i}\tstr\t{_escape(w)}")
         return "\n".join(lines) + "\n"
 
 
@@ -306,13 +305,22 @@ def _encode(value) -> tuple[str, str]:
         return "frac", f"{value.numerator}/{value.denominator}"
     if isinstance(value, tuple):
         return "ints", ",".join(str(int(v)) for v in value)
-    return "str", str(value)
+    return "str", _escape(str(value))
+
+
+_UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n"}
+
+
+def _escape(text: str) -> str:
+    """A string payload kept on its line: backslash, tab and newline escaped."""
+    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
 def parse_structured(text: str) -> dict[str, object]:
-    """Inverse of :meth:`Report.render_structured`, bit-exact on values."""
+    """Inverse of :meth:`Report.render_structured`, bit-exact on values;
+    string payloads are unescaped."""
     out: dict[str, object] = {}
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         if not raw.strip():
             continue
         key, tag, payload = raw.split("\t", 2)
@@ -326,7 +334,7 @@ def parse_structured(text: str) -> dict[str, object]:
         elif tag == "ints":
             out[key] = tuple(int(v) for v in payload.split(",")) if payload else ()
         else:
-            out[key] = payload
+            out[key] = re.sub(r"\\(.)", lambda m: _UNESCAPE[m.group(1)], payload)
     return out
 
 
@@ -494,13 +502,11 @@ def cmd_lefschetz(doc: CkDocument, args) -> Report:
 def cmd_zeta(doc: CkDocument, args) -> Report:
     name, endo = _endo_from(doc, args.endo)
     endo.require_valid()
-    kt = k_groups(doc.matrix)
     terms = args.terms
     report = Report(command="zeta")
     report.add("endomorphism", name)
-    coeffs = zeta_coefficients(endo, terms)
+    coeffs, rf = zeta(endo, terms)
     report.add("coefficients", tuple(coeffs))
-    rf = zeta_reconstruct(coeffs, kt.rank_k1, kt.rank_k0_free)
     report.add("numerator", " ".join(str(c) for c in rf.numerator))
     report.add("denominator", " ".join(str(c) for c in rf.denominator))
     predicted = rf.expand(terms + 3)[terms + 1 :]

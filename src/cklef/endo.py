@@ -42,7 +42,6 @@ from .word_algebra import (
     add,
     adjoint,
     element,
-    equals,
     monomial_is_zero,
     multiply,
     normalize,
@@ -254,15 +253,6 @@ def power(e: GeometricEndomorphism, n: int) -> GeometricEndomorphism:
     for _ in range(n - 1):
         result = compose(e, result)
     return result
-
-
-def generator_equal(e: GeometricEndomorphism, f: GeometricEndomorphism) -> bool:
-    """Generator-wise equality of the presented images as algebra elements."""
-    if e.matrix != f.matrix:
-        return False
-    return all(
-        equals(e.image_element(i), f.image_element(i)) for i in e.matrix.alphabet
-    )
 
 
 def represent_at_depth(e: GeometricEndomorphism, k: int) -> GeometricEndomorphism:

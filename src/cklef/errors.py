@@ -25,10 +25,6 @@ class DepthTooSmall(CkError):
     pass
 
 
-class NotAProjection(CkError):
-    pass
-
-
 class UnallowableWord(CkError):
     def __init__(self, word, position=None):
         self.word = word

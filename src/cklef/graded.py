@@ -291,25 +291,6 @@ def graded_pairing(
     )
 
 
-def pair(p: GradedPairing, x: GradedVector, y: GradedVector) -> Fraction:
-    """(x | y); zero when the parities do not sum to n.
-
-    The sum runs over the nonzero coordinates of x and y only.
-    """
-    if x.space != p.space_a or y.space != p.space_b:
-        raise ShapeMismatch("pairing arguments live in the wrong spaces")
-    if (x.parity + y.parity) % 2 != p.n:
-        return Fraction(0)
-    block = p.blocks[x.parity]
-    ys = [(j, b) for j, b in enumerate(y.coords) if b]
-    return sum(
-        (a * block[i][j] * b
-         for i, a in enumerate(x.coords) if a
-         for j, b in ys),
-        Fraction(0),
-    )
-
-
 def dual_basis(p: GradedPairing) -> tuple[list[list[GradedVector]], list[list[GradedVector]]]:
     """Standard bases x_{e,i} of A and the biorthogonal duals x*_{n-e,i} in B.
 

@@ -321,13 +321,6 @@ class IndexReport:
         object.__setattr__(self, "params", dict(self.params))
 
 
-def index_at(psi: PartialPathMap, k: int) -> int:
-    """Index_k = |P_k ∩ Im| - |P_k ∩ Dom| by direct enumeration."""
-    if k < 1:
-        raise InvalidParameter("k must be >= 1")
-    return _landing_table(psi, k).index_at(k)
-
-
 def gamma_parts(psi: PartialPathMap, m: int) -> tuple[int, int]:
     """Words shrinking past length m and words stretching past it, separately."""
     if m < 1:

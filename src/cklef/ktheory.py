@@ -273,30 +273,6 @@ def induced_k0(e: GeometricEndomorphism) -> InducedK0:
     return InducedK0(on_generators=t_rows, free_part=free, ktheory=kt)
 
 
-def induced_k0_support_route(e: GeometricEndomorphism) -> IntMatrix:
-    """alpha_*(e_i) computed from the range projections' cylinder supports.
-
-    Independent of :func:`induced_k0`'s per-pair formula: the class of a sum
-    of cylinder projections s_w s_w* is the sum of the e_{t(w)}.  Returns the
-    matrix with these vectors as columns (they agree with induced_k0 only up
-    to the relation lattice, so compare classes, not raw vectors).
-    """
-    from .word_algebra import adjoint, multiply, support
-
-    e.require_valid()
-    matrix = e.matrix
-    n = matrix.n
-    columns = []
-    for i in matrix.alphabet:
-        t = e.image_element(i)
-        cyl = support(multiply(t, adjoint(t)))
-        acc = [0] * n
-        for w in cyl.members:
-            acc[terminus(w) - 1] += 1
-        columns.append(acc)
-    return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-
-
 def _require_well_defined(kt: KTheoryData, t_rows: IntMatrix) -> None:
     """Raise unless T maps relations into relations.
 
@@ -356,10 +332,6 @@ class LefschetzResult:
     trace_k0: Fraction
     trace_k1: Fraction
     index: int | None = None
-
-    @property
-    def k1_is_derived(self) -> bool:
-        return self.mode == "derived"
 
 
 def lefschetz_number(

@@ -24,10 +24,6 @@ class SampleStats:
     attempts: int
     accepted: int
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.attempts if self.attempts else 0.0
-
 
 def _random_partition(rng: random.Random, items: list, parts: int) -> list[list]:
     """A uniform-ish random partition into exactly ``parts`` nonempty lists."""

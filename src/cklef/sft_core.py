@@ -1,10 +1,11 @@
-"""Transition matrices, allowable words, and cylinder-set algebra.
+"""Transition matrices, allowable words, and clopen sets as maximal cylinders.
 
 The symbol space of a 0/1 transition matrix ``A`` is the one-sided shift of
 finite type: infinite sequences over ``{1..n}`` whose consecutive letters
 satisfy ``A[x_i, x_{i+1}] = 1``.  Finite data suffices everywhere in this
 package, so the module works with finite allowable words and with clopen
-subsets described by their maximal cylinders.
+subsets held in their unique form, the maximal cylinders they contain; the
+one operation on such sets is the check that they partition the space.
 """
 
 from __future__ import annotations
@@ -256,40 +257,11 @@ def clopen_make(matrix: TransitionMatrix, words: Iterable[Word]) -> ClopenSet:
     return ClopenSet(matrix=matrix, members=frozenset().union(*by_len.values()))
 
 
-def _has_prefix_in(w: Word, words) -> bool:
-    """Whether ``w`` or one of its prefixes is in ``words``."""
-    return any(w[:n] in words for n in range(len(w) + 1))
-
-
 def _same_matrix(first: ClopenSet, *rest: ClopenSet) -> TransitionMatrix:
     matrix = first.matrix
     if any(s.matrix != matrix for s in rest):
         raise MatrixMismatch("clopen sets over different matrices")
     return matrix
-
-
-def clopen_whole_space(matrix: TransitionMatrix) -> ClopenSet:
-    return clopen_make(matrix, [EMPTY_WORD])
-
-
-def clopen_equals(a: ClopenSet, b: ClopenSet) -> bool:
-    _same_matrix(a, b)
-    return a.members == b.members
-
-
-def clopen_union(a: ClopenSet, b: ClopenSet) -> ClopenSet:
-    return clopen_make(_same_matrix(a, b), a.members | b.members)
-
-
-def clopen_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
-    """Both are antichains, so each cylinder of the intersection is a member
-    of one set lying inside a member of the other."""
-    matrix = _same_matrix(a, b)
-    return clopen_make(
-        matrix,
-        [w for w in a.members if _has_prefix_in(w, b.members)]
-        + [w for w in b.members if _has_prefix_in(w, a.members)],
-    )
 
 
 def is_partition(parts: Sequence[ClopenSet]) -> bool:

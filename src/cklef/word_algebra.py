@@ -14,19 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import (
-    DepthTooSmall,
-    MatrixMismatch,
-    NotAProjection,
-)
-from .sft_core import (
-    ClopenSet,
-    TransitionMatrix,
-    Word,
-    clopen_make,
-    require_allowable,
-    terminus,
-)
+from .errors import DepthTooSmall, MatrixMismatch
+from .sft_core import TransitionMatrix, Word, require_allowable, terminus
 
 Pair = tuple[Word, Word]
 
@@ -58,9 +47,6 @@ class Element:
     def __hash__(self):
         return hash((self.matrix, frozenset(self.terms.items())))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def max_mu_length(self) -> int:
         return max((len(mu) for _, mu in self.terms), default=0)
 
@@ -91,10 +77,6 @@ def unit(matrix: TransitionMatrix) -> Element:
 
 def zero(matrix: TransitionMatrix) -> Element:
     return Element(matrix=matrix, terms={})
-
-
-def generator(matrix: TransitionMatrix, i: int) -> Element:
-    return monomial(matrix, (i,), ())
 
 
 def add(x: Element, y: Element) -> Element:
@@ -216,31 +198,3 @@ def equals(x: Element, y: Element) -> bool:
     _check(x, y)
     d = max(x.max_mu_length(), y.max_mu_length())
     return normalize(x, d).terms == normalize(y, d).terms
-
-
-def is_partial_isometry(x: Element) -> bool:
-    return equals(multiply(multiply(x, adjoint(x)), x), x)
-
-
-def is_projection(x: Element) -> bool:
-    return equals(x, adjoint(x)) and equals(multiply(x, x), x)
-
-
-def support(p: Element) -> ClopenSet:
-    """The clopen support of a projection that is a sum of cylinder projections.
-
-    After normalizing to a common depth, such a projection is a sum of
-    ``s_w s_w*`` with coefficient 1; the result collects those ``w``.
-    """
-    if not is_projection(p):
-        raise NotAProjection("support requires a projection")
-    d = max((max(len(nu), len(mu)) for nu, mu in p.terms), default=0)
-    q = normalize(p, d)
-    words = set()
-    for (nu, mu), c in q.terms.items():
-        if nu != mu or c != 1:
-            raise NotAProjection(
-                "projection is not a sum of cylinder projections with coefficient 1"
-            )
-        words.add(nu)
-    return clopen_make(p.matrix, words)

@@ -1,7 +1,16 @@
 """Independent references the package's fast routes are tested against.
 
 They evaluate the definitions directly, word by word or entry by entry, and
-are kept out of the package because nothing but the tests calls them.
+are kept out of the package because nothing but the tests calls them:
+
+- the length-transfer table filled from the path map on every word;
+- the relations and cylinder supports of elements of O_A, read through the
+  monomial calculus (``generator_equal``, ``is_partial_isometry``,
+  ``is_projection``, ``support``), against which the cylinder-set validity
+  check is tested, and the K_0 map computed from those supports
+  (``induced_k0_support_route``);
+- Gauss-Jordan inverse and solve over ``Fraction``;
+- graded maps and pairings that only the tests build.
 """
 
 from collections import Counter
@@ -10,7 +19,8 @@ from fractions import Fraction
 from cklef import linalg
 from cklef.graded import GradedMap, GradedPairing, GradedSpace
 from cklef.index import LengthTransfer, propagation
-from cklef.sft_core import iter_paths
+from cklef.sft_core import clopen_make, iter_paths, terminus
+from cklef.word_algebra import adjoint, equals, multiply, normalize
 
 
 def length_transfer_enumerated(psi, max_len):
@@ -22,6 +32,66 @@ def length_transfer_enumerated(psi, max_len):
         if (r := psi.dot_apply(w)) is not None
     )
     return LengthTransfer(a=a, max_len=max_len, bound=propagation(psi.endo))
+
+
+# ---------------------------------------------------------------------------
+# Elements of O_A through the monomial calculus.
+# ---------------------------------------------------------------------------
+
+
+def generator_equal(e, f):
+    """Generator-wise equality of the presented images as algebra elements."""
+    if e.matrix != f.matrix:
+        return False
+    return all(
+        equals(e.image_element(i), f.image_element(i)) for i in e.matrix.alphabet
+    )
+
+
+def is_partial_isometry(x):
+    return equals(multiply(multiply(x, adjoint(x)), x), x)
+
+
+def is_projection(x):
+    return equals(x, adjoint(x)) and equals(multiply(x, x), x)
+
+
+def support(p):
+    """The clopen support of a projection that is a sum of cylinder projections.
+
+    After normalizing to a common depth, such a projection is a sum of
+    ``s_w s_w*`` with coefficient 1; the result collects those ``w``.  Raises
+    ValueError for anything else.
+    """
+    if not is_projection(p):
+        raise ValueError("support requires a projection")
+    d = max((max(len(nu), len(mu)) for nu, mu in p.terms), default=0)
+    words = set()
+    for (nu, mu), c in normalize(p, d).terms.items():
+        if nu != mu or c != 1:
+            raise ValueError(
+                "projection is not a sum of cylinder projections with coefficient 1"
+            )
+        words.add(nu)
+    return clopen_make(p.matrix, words)
+
+
+def induced_k0_support_route(e):
+    """alpha_*(e_i) computed from the range projections' cylinder supports.
+
+    Independent of ``induced_k0``'s per-pair formula: the class of a sum of
+    cylinder projections s_w s_w* is the sum of the e_{t(w)}.  Returns the
+    matrix with these vectors as columns (they agree with induced_k0 only up
+    to the relation lattice, so compare classes, not raw vectors).
+    """
+    e.require_valid()
+    letters = e.matrix.alphabet
+    columns = []
+    for i in letters:
+        t = e.image_element(i)
+        termini = Counter(terminus(w) for w in support(multiply(t, adjoint(t))).members)
+        columns.append([termini[j] for j in letters])
+    return tuple(zip(*columns))
 
 
 # ---------------------------------------------------------------------------

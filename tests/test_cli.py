@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +13,12 @@ from cklef.cli import (
     render_document,
     run,
 )
-from cklef.endo import compose, generator_equal, power
+from cklef.endo import compose, power
 from cklef.errors import CkSyntaxError, UnallowableWord, UnknownLetter
 from cklef.sampling import random_inner_automorphism
 from cklef.sft_core import validate_matrix
 from tests.conftest import MAIN_DOCUMENT
+from tests.oracles import generator_equal
 
 
 @pytest.fixture()
@@ -351,16 +354,65 @@ class TestStructuredFormat:
         report.add("c", Fraction(-7, 3))
         report.add("d", (1, -2, 3))
         report.add("e", "text with spaces")
+        report.add("f", "tab\tbackslash\\n newline\n return\r")
         report.warn("be careful")
-        data = parse_structured(report.render_structured())
+        report.warn("two\nlines")
+        rendered = report.render_structured()
+        assert rendered.count("\n") == 9
+        data = parse_structured(rendered)
         assert data["a"] == 3
         assert data["b"] is True
         assert data["c"] == Fraction(-7, 3)
         assert data["d"] == (1, -2, 3)
         assert data["e"] == "text with spaces"
+        assert data["f"] == "tab\tbackslash\\n newline\n return\r"
         assert data["warning.0"] == "be careful"
+        assert data["warning.1"] == "two\nlines"
 
     def test_deterministic_output(self, main_file):
         a, _ = run(["--structured", "index", main_file])
         b, _ = run(["--structured", "index", main_file])
         assert a == b
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["index"],
+            ["ktheory"],
+            ["k0map"],
+            ["lefschetz"],
+            ["lefschetz", "--k1-matrix", "0"],
+            ["zeta", "--terms", "4"],
+            ["compose", "--with", "t"],
+            ["power", "--n", "2"],
+        ],
+    )
+    def test_every_subcommand_parses_back(self, main_file, argv):
+        out, code = run(["--structured", argv[0], main_file] + argv[1:])
+        assert code == 0
+        data = parse_structured(out)
+        assert data["command"] == argv[0]
+        assert len(data) == len(out.splitlines())
+
+    def test_power_document_value_is_the_written_document(self, main_file, tmp_path):
+        out_path = tmp_path / "p2.ck"
+        _, code = run(["power", main_file, "--n", "2", "--out", str(out_path)])
+        assert code == 0
+        out, code = run(["--structured", "power", main_file, "--n", "2"])
+        assert code == 0
+        # the value starts on a line of its own, as in the plain report
+        assert parse_structured(out)["document"] == "\n" + out_path.read_text()
+
+
+def test_readme_library_example(tmp_path, monkeypatch, capsys):
+    """The README's python block runs on the worked example and prints the
+    values its comments give."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    (tmp_path / "doc.ck").write_text(MAIN_DOCUMENT)
+    monkeypatch.chdir(tmp_path)
+    exec(block, {})
+    expected = re.findall(r"^print\(.*\)\s*#\s*(.*?)\s*$", block, re.M)
+    assert expected == ["1", "(1, 1, 0)", "((1,),)", "1"]
+    assert capsys.readouterr().out.splitlines() == expected

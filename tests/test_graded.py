@@ -23,7 +23,6 @@ from cklef.graded import (
     identity_map,
     index_pairing,
     koszul_flip_check,
-    pair,
     tensor_basis_labels,
     tensor_position,
     tensor_space,
@@ -186,7 +185,7 @@ class TestPairings:
             for e in (0, 1):
                 for i, x in enumerate(xs[e]):
                     for j, y in enumerate(duals[e]):
-                        assert pair(p, x, y) == (1 if i == j else 0)
+                        assert _pair(p, x, y) == (1 if i == j else 0)
 
     def test_trivial_dual_cases(self):
         p1 = graded_pairing(GradedSpace(1, 0), GradedSpace(1, 0), 0, [[[1]], []])
@@ -210,7 +209,7 @@ class TestPairings:
                 x = _rand_vector(rng, p.space_a, alpha)
                 y = _rand_vector(rng, p.space_b, beta)
                 sign = Fraction(-1 if (alpha * beta) % 2 else 1)
-                assert pair(pt, y, x) == sign * pair(p, x, y)
+                assert _pair(pt, y, x) == sign * _pair(p, x, y)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegeneratePairing):
@@ -297,14 +296,14 @@ def _kronecker_index_pairing(p, f):
     total = Fraction(0)
     for c, (beta, j, alpha, i) in zip(moved.coords, labels):
         if c:
-            total += c * pair(
+            total += c * _pair(
                 p, basis_vector(p.space_a, alpha, i), basis_vector(p.space_b, beta, j)
             )
     return total
 
 
 def _basis_contraction(p, ft):
-    """The reference: every basis vector x of B against every term, through pair."""
+    """The reference: every basis vector x of B against every term, through _pair."""
     p.require_nondegenerate()
     b = p.space_b
     blocks = [[[Fraction(0)] * b.dim(e) for _ in range(b.dim(e))] for e in (0, 1)]
@@ -312,7 +311,7 @@ def _basis_contraction(p, ft):
         for col in range(b.dim(gamma)):
             x = basis_vector(b, gamma, col)
             for ((beta, j), (alpha, i)), c in ft.terms.items():
-                value = pair(p, basis_vector(p.space_a, alpha, i), x)
+                value = _pair(p, basis_vector(p.space_a, alpha, i), x)
                 if value == 0:
                     continue
                 if beta != gamma:
@@ -423,8 +422,22 @@ def _dense_pair(block, x, y):
     )
 
 
+def _pair(p, x, y):
+    """(x | y) by the dense sum; zero when the parities do not sum to n."""
+    if (x.parity + y.parity) % 2 != p.n:
+        return Fraction(0)
+    return _dense_pair(p.blocks[x.parity], x.coords, y.coords)
+
+
+def _dense_supertrace(f):
+    return sum(
+        (sign * block[i][i] for sign, block in zip((1, -1), f.blocks) for i in range(len(block))),
+        Fraction(0),
+    )
+
+
 class TestZeroSkipping:
-    """mat_vec and pair sum only nonzero terms; the sums must not change."""
+    """mat_vec and the index pairing sum only nonzero terms; the sums must not change."""
 
     @pytest.mark.parametrize("zero_share", [0.0, 0.5, 1.0])
     def test_mat_vec_equals_dense_sum(self, zero_share):
@@ -453,46 +466,34 @@ class TestZeroSkipping:
 
     @pytest.mark.parametrize("zero_share", [0.0, 0.5, 1.0])
     def test_pair_equals_dense_sum(self, zero_share):
+        # the index pairing of a sparse rational map against the dense supertrace
         rng = random.Random(53)
         for _ in range(60):
-            n = rng.randint(0, 1)
-            a = _rand_space(rng, 5)
-            b = _rand_space(rng, 5)
-            blocks = [
+            p = _rand_pairing(rng, rng.randint(0, 1), 5)
+            b = p.space_b
+            f = graded_map(
+                b,
+                b,
+                0,
                 [
-                    [_sparse_fraction(rng, zero_share) for _ in range(b.dim(n + e))]
-                    for _ in range(a.dim(e))
-                ]
-                for e in (0, 1)
-            ]
-            p = graded_pairing(a, b, n, blocks)
-            for px in (0, 1):
-                for py in (0, 1):
-                    x = graded_vector(
-                        a, px, [_sparse_fraction(rng, zero_share) for _ in range(a.dim(px))]
-                    )
-                    y = graded_vector(
-                        b, py, [_sparse_fraction(rng, zero_share) for _ in range(b.dim(py))]
-                    )
-                    want = (
-                        _dense_pair(p.blocks[px], x.coords, y.coords)
-                        if (px + py) % 2 == n
-                        else 0
-                    )
-                    assert pair(p, x, y) == want
+                    [[_sparse_fraction(rng, zero_share) for _ in range(b.dim(e))]
+                     for _ in range(b.dim(e))]
+                    for e in (0, 1)
+                ],
+            )
+            assert index_pairing(p, f) == _dense_supertrace(f)
 
     def test_pair_with_zero_row_and_empty_parts(self):
         a = GradedSpace(2, 0)
-        p = graded_pairing(a, a, 0, [[[0, 0], [3, 4]], []])
-        x = graded_vector(a, 0, [5, 7])
-        y = graded_vector(a, 0, [1, 1])
-        assert pair(p, x, y) == _dense_pair(p.blocks[0], x.coords, y.coords) == 49
+        p = graded_pairing(a, a, 0, [[[1, 2], [3, 4]], []])
+        f = graded_map(a, a, 0, [[[0, 0], [3, 4]], []])
+        assert index_pairing(p, f) == _dense_supertrace(f) == 4
 
     def test_empty_dimensions(self):
         # the d = 0 parts that compose_maps special-cases
         empty = GradedSpace(0, 0)
         q = graded_pairing(empty, empty, 0, [[], []])
-        assert pair(q, graded_vector(empty, 0, []), graded_vector(empty, 0, [])) == 0
+        assert index_pairing(q, graded_map(empty, empty, 0, [[], []])) == 0
         v, w = GradedSpace(2, 1), GradedSpace(0, 1)
         f = graded_map(v, w, 0, [[], [[Fraction(2, 3)]]])
         x = graded_vector(v, 0, [1, 2])

@@ -25,7 +25,6 @@ from cklef.index import (
     fredholm_index_truncated,
     gamma,
     gamma_parts,
-    index_at,
     index_polynomial,
     index_polynomial_parts,
     index_series,
@@ -55,10 +54,10 @@ class TestPropagation:
 
 class TestSeriesRoute:
     def test_per_k_values(self, main_endo):
-        psi = path_map(main_endo)
-        assert index_at(psi, 1) == 1
+        table = length_transfer_enumerated(path_map(main_endo), 6 + propagation(main_endo))
+        assert table.index_at(1) == 1
         for k in range(2, 7):
-            assert index_at(psi, k) == 0
+            assert table.index_at(k) == 0
 
     def test_counted_table_matches_enumeration(self, main_endo):
         enum = length_transfer_enumerated(path_map(main_endo), 8)
@@ -98,9 +97,10 @@ class TestGamma:
     def test_telescoping_to_partial_sums(self, main_endo):
         # gamma_m equals the partial sum of Index_k over k <= m
         psi = path_map(main_endo)
+        table = length_transfer_enumerated(psi, 8 + propagation(main_endo))
         running = 0
         for m in range(1, 9):
-            running += index_at(psi, m)
+            running += table.index_at(m)
             assert gamma(psi, m) == running
 
 
@@ -183,9 +183,10 @@ class TestFredholmRoute:
 
     def test_telescopes_to_partial_sums(self, main_endo):
         psi = path_map(main_endo)
+        table = length_transfer_enumerated(psi, 5 + propagation(main_endo))
         running = 0
         for d in range(1, 6):
-            running += index_at(psi, d)
+            running += table.index_at(d)
             assert fredholm_index_truncated(psi, d) == running
 
     def test_depth_must_be_positive(self, main_endo):
@@ -260,7 +261,7 @@ def _reference_window_gamma_parts(psi, m):
 
 
 class TestLandingWalk:
-    """index_at and gamma_parts read the landing table; the full windows
+    """Index_k and gamma_parts read the landing table; the full windows
     they walked before are the reference."""
 
     @pytest.fixture(scope="class")
@@ -281,7 +282,8 @@ class TestLandingWalk:
         for e in corpus:
             psi = path_map(e)
             for k in range(1, series_end(e) + 3):
-                assert index_at(psi, k) == _reference_window_index_at(psi, k)
+                want = _reference_window_index_at(psi, k)
+                assert _landing_table(psi, k).index_at(k) == want
 
     def test_gamma_parts_equal_the_window(self, corpus):
         for e in corpus:

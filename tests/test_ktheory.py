@@ -23,7 +23,6 @@ from cklef.ktheory import (
     _require_well_defined,
     generator_class,
     induced_k0,
-    induced_k0_support_route,
     k0_reduce,
     k_groups,
     lefschetz_number,
@@ -197,7 +196,7 @@ class TestInducedK0:
     def test_support_route_agrees_in_quotient(self, main_endo, main_matrix):
         kt = k_groups(main_matrix)
         a = induced_k0(main_endo).on_generators
-        b = induced_k0_support_route(main_endo)
+        b = oracles.induced_k0_support_route(main_endo)
         for c in range(3):
             ca = k0_reduce(kt, tuple(a[r][c] for r in range(3)))
             cb = k0_reduce(kt, tuple(b[r][c] for r in range(3)))
@@ -451,7 +450,7 @@ class TestLefschetz:
 
     def test_derived_mode_flagged(self, main_endo):
         res = lefschetz_number(main_endo)
-        assert res.k1_is_derived
+        assert res.mode == "derived"
         assert res.value == 1
         assert res.trace_k1 == res.trace_k0 - res.index
 

@@ -5,11 +5,7 @@ import pytest
 from cklef.errors import EntryOutOfRange, MatrixMismatch, NonSquare, ZeroRowOrColumn
 from cklef.index import length_transfer_counted, propagation, series_end
 from cklef.sft_core import (
-    clopen_equals,
-    clopen_intersect,
     clopen_make,
-    clopen_union,
-    clopen_whole_space,
     count_paths,
     enumerate_paths,
     is_allowable,
@@ -307,36 +303,16 @@ class TestClopen:
     def test_equality_survives_refinement(self, main_matrix):
         s = clopen_make(main_matrix, {(1,), (3,)})
         deep = [w for w in enumerate_paths(main_matrix, 4) if w[0] in (1, 3)]
-        assert clopen_equals(s, clopen_make(main_matrix, deep))
-
-    def test_union_idempotent(self, main_matrix):
-        s = clopen_make(main_matrix, {(1,)})
-        assert clopen_equals(clopen_union(s, s), s)
-
-    def test_union_canonicalizes_depth(self, main_matrix):
-        # {11,12} at depth 2 is the depth-1 cylinder {1}
-        a = clopen_make(main_matrix, {(1, 1)})
-        b = clopen_make(main_matrix, {(1, 2)})
-        u = clopen_union(a, b)
-        assert clopen_equals(u, clopen_make(main_matrix, {(1,)}))
-
-    def test_intersect(self, main_matrix):
-        a = clopen_make(main_matrix, {(1,), (2,)})
-        b = clopen_make(main_matrix, {(1, 1), (2, 3)})
-        i = clopen_intersect(a, b)
-        assert clopen_equals(i, b)
+        assert s == clopen_make(main_matrix, deep)
 
     def test_whole_space_partition_by_letters(self, main_matrix):
         parts = [clopen_make(main_matrix, {(i,)}) for i in main_matrix.alphabet]
         assert is_partition(parts)
-        assert clopen_equals(
-            clopen_union(clopen_union(parts[0], parts[1]), parts[2]),
-            clopen_whole_space(main_matrix),
-        )
+        assert not is_partition(parts[1:])
 
     def test_matrix_mismatch(self, main_matrix):
         other = validate_matrix([[1]])
         with pytest.raises(MatrixMismatch):
-            clopen_union(
-                clopen_make(main_matrix, {(1,)}), clopen_make(other, {(1,)})
+            is_partition(
+                [clopen_make(main_matrix, {(1,)}), clopen_make(other, {(1,)})]
             )

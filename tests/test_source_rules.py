@@ -9,9 +9,14 @@ routes share one word enumerator, so exactly one function in
 the follower table ``TransitionMatrix._successors`` by hand.  The exact
 linear algebra has one elimination loop, so exactly one function in
 ``src/cklef/linalg.py`` replaces matrix rows inside a loop over pivots.
+The package holds no code that only the tests need, so every function,
+class and method of ``src/cklef`` is read by the package itself, by
+``perfbench``, or by ``tests/test_acceptance.py``, outside a commented
+allow-list; independent references belong in ``tests/oracles.py``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cklef"
@@ -175,3 +180,143 @@ def test_elimination_detector_sees_the_fraction_references():
 def test_linalg_has_one_elimination_loop():
     source = (PACKAGE / "linalg.py").read_text(encoding="utf-8")
     assert _elimination_loops(source) == ["_gauss_jordan"]
+
+
+
+FUNCTION_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+SCOPES = FUNCTION_SCOPES + (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# The package functions that only tests call, each kept for a stated reason.
+TEST_ONLY_ALLOWED = {
+    # the documented inverse of --structured (README, "Subcommands")
+    "cli.parse_structured",
+    # the substitution homomorphism endo defines; compose runs its body,
+    # _apply, with one memo shared across the generators
+    "endo.apply",
+}
+
+
+def _bindings(scope) -> set[str]:
+    """The names a function, lambda or comprehension binds for itself: its
+    parameters, and the names it stores, imports or defines, leaving out
+    those of the scopes nested in it."""
+    bound = set()
+    if isinstance(scope, FUNCTION_SCOPES):
+        a = scope.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        bound |= {p.arg for p in params}
+        stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    else:
+        stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, DEFINITIONS):
+            bound.add(node.name)
+        if not isinstance(node, SCOPES + DEFINITIONS):
+            stack += ast.iter_child_nodes(node)
+    return bound
+
+
+def _reads(node, skip=frozenset(), local=frozenset()) -> set[str]:
+    """The names ``node`` reads outside the subtrees in ``skip``: a loaded
+    name that no enclosing function scope binds, an attribute, or a name
+    imported."""
+    if node in skip:
+        return set()
+    if isinstance(node, SCOPES):
+        local = local | _bindings(node)
+    found = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        found.add(node.attr)
+    elif isinstance(node, ast.ImportFrom):
+        found |= {a.name for a in node.names}
+    for child in ast.iter_child_nodes(node):
+        found |= _reads(child, skip, local)
+    return found
+
+
+def _test_only_definitions(package: dict[str, str], readers: list[str]) -> set[str]:
+    """The definitions of ``package`` (module name to source) that nothing
+    but the tests reads.
+
+    A definition is a top-level function or class, or a method of a
+    top-level class, named ``module.name`` or ``module.Class.method``.  It
+    is live when a live definition, the module-level code of a package
+    module, or one of the ``readers`` reads its name; dunder methods, which
+    Python calls itself, are live.  Liveness goes by name alone, so a read
+    of ``x.negate`` keeps every definition named ``negate`` live.
+    """
+    live_names = set().union(*(_reads(ast.parse(src)) for src in readers))
+    definitions = []  # (key, name, the names it reads)
+    for module, source in package.items():
+        tree = ast.parse(source)
+        nodes = []
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                nodes.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                nodes += [
+                    (f"{module}.{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, DEFINITIONS)
+                ]
+        skip = frozenset(n for _, n in nodes)
+        live_names |= _reads(tree, skip)
+        definitions += [(key, n.name, _reads(n, skip - {n})) for key, n in nodes]
+    live = set()
+    grown = True
+    while grown:
+        grown = False
+        for key, name, reads in definitions:
+            if key not in live and (name in live_names or name.startswith("__")):
+                live.add(key)
+                live_names |= reads
+                grown = True
+    return {key for key, _, _ in definitions} - live
+
+
+def test_test_only_detector():
+    package = {
+        "__init__": "from .m import exported\n",
+        "m": (
+            "def exported():\n    return 1\n"
+            "def tested():\n    return helper()\n"
+            "def helper():\n    return 2\n"
+            "def support():\n    return 3\n"
+            "def gamma():\n    return 4\n"
+            "def scale():\n    return 5\n"
+            "def uses_locals(support, m):\n"
+            "    gamma = m\n"
+            "    return [scale for scale in support] + [gamma]\n"
+            "class K:\n"
+            "    def __post_init__(self):\n        pass\n"
+            "    def negate(self, kt):\n        return self\n"
+            "    def unread(self):\n        return support()\n"
+        ),
+    }
+    reader = "from cklef.m import K, uses_locals\ndef use(x, kt):\n    return x.negate(kt)\n"
+    # read only by tests: tested, and through it helper; the parameter
+    # support, the local gamma and the comprehension's scale are no reads
+    assert _test_only_definitions(package, [reader]) == {
+        "m.tested", "m.helper", "m.support", "m.gamma", "m.scale", "m.K.unread",
+    }
+
+
+def test_no_package_function_has_only_test_callers():
+    root = PACKAGE.parents[1]
+    readers = sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    # the console scripts call their entry points: "cklef.cli:main" reads main
+    scripts = (root / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]")[1]
+    entry_points = re.findall(r'"[\w.]+:(\w+)"', scripts.split("\n[")[0])
+    assert entry_points == ["main"]
+    offenders = _test_only_definitions(
+        {path.stem: path.read_text(encoding="utf-8") for path in SOURCES},
+        [path.read_text(encoding="utf-8") for path in readers] + entry_points,
+    )
+    assert offenders == TEST_ONLY_ALLOWED

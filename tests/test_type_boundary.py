@@ -10,12 +10,10 @@ import pytest
 from cklef.cli import run
 from cklef.graded import (
     GradedSpace,
-    basis_vector,
     graded_map,
     graded_pairing,
     graded_trace,
     index_pairing,
-    pair,
 )
 from cklef.ktheory import lefschetz_number, zeta_reconstruct
 from tests.conftest import MAIN_DOCUMENT
@@ -114,8 +112,6 @@ def test_graded_scalars_are_fractions():
     p = graded_pairing(space, space, 0, [[[1, 0], [0, 1]], [[1]]])
     assert type(graded_trace(f)) is Fraction and graded_trace(f) == 0
     assert type(index_pairing(p, f)) is Fraction and index_pairing(p, f) == 0
-    x, y = basis_vector(space, 0, 0), basis_vector(space, 0, 0)
-    assert type(pair(p, x, y)) is Fraction
     empty = GradedSpace(0, 0)
     zero = graded_map(empty, empty, 0, [[], []])
     assert type(graded_trace(zero)) is Fraction
