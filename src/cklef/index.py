@@ -17,9 +17,19 @@ built.  The Fredholm count reads the same counts, except where pairs' images
 can coincide; there it merges their sorted image streams
 (:func:`_pair_images`) and counts equal neighbours once, so it holds no set
 of words.  Nothing is cached; the routes are meant for moderate
-depths.  The :class:`LengthTransfer` table can also be filled from the
-presentation pairs alone using matrix powers, which scales to deeply
-composed endomorphisms (the counts are exact, not asymptotic).
+depths.
+
+The :class:`LengthTransfer` table can also be filled from the presentation
+pairs alone using matrix powers, which scales to deeply composed
+endomorphisms (the counts are exact, not asymptotic).  The counted table
+and the closed polynomial formula share one counting kernel,
+:func:`_column_series`: for each distinct ``(first, i)`` of a presentation,
+``first`` the letters that may follow both termini of a pair of t_i, it
+sums the column i of A^m over ``first`` once per m, and every pair class
+(:func:`_pair_classes`) reads its counts as a slice of that series
+(:func:`_class_words`).  The Fredholm count's number of all words of a
+length is such a series too.  The powers themselves are the ones the
+:class:`TransitionMatrix` caches.
 """
 
 from __future__ import annotations
@@ -28,10 +38,10 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import ExponentUnderflow, InvalidParameter
-from .sft_core import TransitionMatrix, Word, count_paths, terminus
+from .sft_core import TransitionMatrix, Word, terminus
 from .endo import GeometricEndomorphism, PartialPathMap
 
 
@@ -246,19 +256,23 @@ def _pair_classes(e: GeometricEndomorphism) -> Counter:
     their length change depend on.
 
     A class is ``(key, shrink)``: the key ``(first, terminus(mu), |mu|, i)``
-    that :func:`_pair_words` reads, with ``first`` the letters that may
+    that :func:`_class_words` reads, with ``first`` the letters that may
     follow both termini, and the shrink |mu| + 1 - |nu|.  The counter holds
-    each class's number of pairs.
+    each class's number of pairs.  ``first`` is formed once per pair of
+    termini, so the classes sharing it share one set.
     """
     matrix = e.matrix
+    firsts: dict[tuple[int | None, int | None], frozenset[int]] = {}
+
+    def first(a: int | None, b: int | None) -> frozenset[int]:
+        letters = firsts.get((a, b))
+        if letters is None:
+            letters = firsts[a, b] = matrix.followers(a) & matrix.followers(b)
+        return letters
+
     return Counter(
         (
-            (
-                matrix.followers(terminus(mu)) & matrix.followers(terminus(nu)),
-                terminus(mu),
-                len(mu),
-                i,
-            ),
+            (first(terminus(mu), terminus(nu)), terminus(mu), len(mu), i),
             len(mu) + 1 - len(nu),
         )
         for i in matrix.alphabet
@@ -266,45 +280,100 @@ def _pair_classes(e: GeometricEndomorphism) -> Counter:
     )
 
 
-def _pair_words(matrix: TransitionMatrix, key: tuple, lengths: Iterable[int]) -> list[int]:
-    """Domain words matched by one pair (nu, mu) of t_i, counted at each length.
+def _column_series(
+    matrix: TransitionMatrix, spans: Mapping[tuple[frozenset[int], int], range]
+) -> dict[tuple[frozenset[int], int], list[int]]:
+    """For each ``(first, i)`` in ``spans``, the series
+    s[m] = sum over c in ``first`` of (A^m)[c, i] at the exponents m of its
+    span, as a list that starts at the span's start.
 
-    ``key`` is ``(first, terminus(mu), |mu|, i)`` as in :func:`_pair_classes`.
-    Such a word is ``mu + (i,)``, or ``mu + (c,) + u`` with c in ``first``
-    and u a word of length ``L - |mu| - 1`` that may follow c and ends in i;
-    counting the u is a matrix-power evaluation.  Words of length < 2 are
-    outside the domain.
+    This is the module's one reader of matrix powers.  It reads A^m from the
+    powers the matrix caches (:meth:`TransitionMatrix.power`), so the cost is
+    one sum per entry of each series, and it keeps nothing once it returns.
     """
-    first, last, mu_len, i = key
-    counts = []
-    for L in lengths:
-        if L >= mu_len + 2:
-            counts.append(sum(count_paths(matrix, c, i, L - mu_len - 1) for c in first))
-        elif L == mu_len + 1 and last is not None and matrix.entry(last, i) == 1:
-            counts.append(1)
-        else:
-            counts.append(0)
-    return counts
+    series = {}
+    for (first, i), span in spans.items():
+        col = i - 1
+        rows = [c - 1 for c in first]
+        series[first, i] = [sum(power[r][col] for r in rows) for power in map(matrix.power, span)]
+    return series
+
+
+def _class_words(
+    e: GeometricEndomorphism, window: Callable[[int], range]
+) -> Iterator[tuple[int, int, range, list[int]]]:
+    """Domain words matched by one pair of each class (:func:`_pair_classes`),
+    counted at the lengths ``window(shrink)``: ``(shrink, pairs in the class,
+    lengths, counts)``, one tuple per class with a length to count.
+
+    A domain word of the pair (nu, mu) of t_i is ``mu + (i,)``, of length
+    |mu| + 1, when mu is nonempty and its last letter precedes i, or
+    ``mu + (c,) + u`` with c in ``first`` and u one of the (A^m)[c, i] words
+    of length m >= 1 that may follow c and end in i.  So at length
+    |mu| + 1 + m there are s[m] of them, s the series of ``(first, i)``
+    (:func:`_column_series`) for m >= 1: each class reads a slice of that
+    series at offset |mu| + 1, and adds its own word ``mu + (i,)`` at m = 0.
+    Classes sharing ``(first, i)`` share one series, which runs to the
+    longest length one of them reads and starts at the least exponent m >= 1
+    any class reads (1 for the counted table, about m for the closed formula
+    at m).  A class that reads only its own word reads no series.  Words
+    shorter than |mu| + 1 are not the pair's.
+    """
+    matrix = e.matrix
+    classes = _pair_classes(e)
+    # the lengths a class reads depend only on its |mu| and its shrink
+    spans: dict[tuple[int, int], range] = {}
+    # ends[first, i]: one past the greatest exponent a class of it reads
+    ends: dict[tuple[frozenset[int], int], int] = {}
+    least = None
+    for (first, _, mu_len, i), shrink in classes:
+        lengths = spans.get((mu_len, shrink))
+        if lengths is None:
+            wanted = window(shrink)
+            lengths = spans[mu_len, shrink] = range(max(wanted.start, mu_len + 1), wanted.stop)
+            start = max(lengths.start - mu_len - 1, 1)
+            if lengths.stop - mu_len - 1 > start and (least is None or start < least):
+                least = start
+        if lengths and lengths.stop - mu_len - 1 > ends.get((first, i), 1):
+            ends[first, i] = lengths.stop - mu_len - 1
+    series = _column_series(matrix, {key: range(least, end) for key, end in ends.items()})
+    for ((first, last, mu_len, i), shrink), size in classes.items():
+        lengths = spans[mu_len, shrink]
+        if not lengths:
+            continue
+        start, end = lengths.start - mu_len - 1, lengths.stop - mu_len - 1
+        counts = series[first, i][max(start, 1) - least : end - least] if end > 1 else []
+        if start == 0:
+            counts.insert(0, 1 if last is not None and matrix.entry(last, i) else 0)
+        yield shrink, size, lengths, counts
 
 
 def length_transfer_counted(e: GeometricEndomorphism, max_len: int) -> LengthTransfer:
     """Fill the a(i, j) table from the presentation pairs with matrix powers.
 
     A word matched by the pair (nu, mu) changes length by |nu| - |mu| - 1,
-    and :func:`_pair_words` counts the words a pair matches at each length,
-    so the table is exact at any length without enumerating words.  Pairs
-    of one class (:func:`_pair_classes`) fill the same cells with the same
-    counts, so each class is counted once.
+    and :func:`_class_words` counts the words a pair matches at each length
+    up to ``max_len``, so the table is exact at any length without
+    enumerating words.  Pairs of one class fill the same cells with the same
+    counts, so each class is read once, and the classes sharing the letters
+    ``first`` and the generator i read one series of matrix-power entries.
     """
     e.require_valid()
-    matrix = e.matrix
     bound = propagation(e)
-    a: dict[tuple[int, int], int] = {}
-    for (key, shrink), size in _pair_classes(e).items():
-        lengths = range(key[2] + 1, max_len + 1)
-        for L, c in zip(lengths, _pair_words(matrix, key, lengths)):
-            if c:
-                a[(L, L - shrink)] = a.get((L, L - shrink), 0) + size * c
+    # by_shrink[d][L]: the domain words of length L that shrink by d
+    by_shrink: dict[int, list[int]] = {}
+    for shrink, size, lengths, counts in _class_words(e, lambda shrink: range(1, max_len + 1)):
+        row = by_shrink.get(shrink)
+        if row is None:
+            row = by_shrink[shrink] = [0] * (max_len + 1)
+        for L, c in zip(lengths, counts):
+            row[L] += size * c
+    a = {
+        (L, L - shrink): c
+        for shrink, row in by_shrink.items()
+        for L, c in enumerate(row)
+        if c
+    }
     return LengthTransfer(a=a, max_len=max_len, bound=bound)
 
 
@@ -407,8 +476,10 @@ def index_polynomial_parts(e: GeometricEndomorphism, m: int, N: int) -> tuple[in
     A pair (nu, mu) shrinks the words it matches by d = |mu| + 1 - |nu|.
     The positive part counts its words of lengths m+1 .. m+d when d > 0,
     which shrink past length m; the negative part counts its words of
-    lengths m+d+1 .. m when d < 0, which stretch past it.  Each count is a
-    sum of entries of A^(L - |mu| - 1) (:func:`_pair_words`).
+    lengths m+d+1 .. m when d < 0, which stretch past it.  Each class reads
+    those counts from its series of matrix-power entries
+    (:func:`_class_words`), so the cost grows with the distinct
+    ``(first, i)`` and with m, not with the pairs.
     """
     e.require_valid()
     bound = propagation(e)
@@ -416,20 +487,21 @@ def index_polynomial_parts(e: GeometricEndomorphism, m: int, N: int) -> tuple[in
     # the formula is exact exactly when N reaches it.
     if N < bound:
         raise InvalidParameter(f"N must be at least the propagation bound {bound}")
-    classes = _pair_classes(e)
     # Admissible m are those at which the formula over the pairs normalized
     # to mu-length k has only positive exponents.
-    stretch = max(-d for _, d in classes)
+    stretch = max(-d for _, d in _pair_classes(e))
     minimal_m = max(1 + e.k, stretch + e.k)
     if m < minimal_m:
         raise ExponentUnderflow(m, minimal_m)
     pos = 0
     neg = 0
-    for (key, d), size in classes.items():
+    for d, size, _, counts in _class_words(
+        e, lambda d: range(m + min(d, 0) + 1, m + max(d, 0) + 1)
+    ):
         if d > 0:
-            pos += size * sum(_pair_words(e.matrix, key, range(m + 1, m + d + 1)))
+            pos += size * sum(counts)
         else:
-            neg += size * sum(_pair_words(e.matrix, key, range(m + d + 1, m + 1)))
+            neg += size * sum(counts)
     return pos, neg
 
 
@@ -505,9 +577,14 @@ def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
     if depth < 1:
         raise InvalidParameter("depth must be >= 1")
     dom_count, im_count = _fredholm_tally(psi, depth)
+    # p_j, the number of all words of length j, sums the series of
+    # (alphabet, b) at j - 1 over the last letters b
+    matrix = psi.matrix
+    everything = matrix.followers(None)
+    series = _column_series(matrix, {(everything, b): range(depth) for b in matrix.alphabet})
     total = 0
     for j in range(1, depth + 1):
-        p_j = sum(count_paths(psi.matrix, None, b, j) for b in psi.matrix.alphabet)
+        p_j = sum(s[j - 1] for s in series.values())
         not_in_dom = p_j - dom_count[j]
         not_in_im = p_j - im_count[j]
         total += not_in_dom - not_in_im

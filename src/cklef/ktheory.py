@@ -436,12 +436,11 @@ def zeta_reconstruct(
     return rf
 
 
-def zeta(e: GeometricEndomorphism, n_max: int | None = None):
-    """Coefficients plus reconstruction with the K-theory degree bounds."""
+def zeta(e: GeometricEndomorphism, n_max: int):
+    """Coefficients 0 .. ``n_max`` plus reconstruction with the K-theory
+    degree bounds."""
     kt = k_groups(e.matrix)
     deg_num, deg_den = kt.rank_k1, kt.rank_k0_free
-    if n_max is None:
-        n_max = max(2 * (kt.rank_k0_free + kt.rank_k1) + 1, deg_num + deg_den + 3)
     coeffs = zeta_coefficients(e, n_max)
     rf = zeta_reconstruct(coeffs, deg_num, deg_den)
     return coeffs, rf

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .endo import GeometricEndomorphism, build_endomorphism
+from .errors import InvalidParameter
 from .sft_core import TransitionMatrix, Word, enumerate_paths, terminus
 from .word_algebra import Element, adjoint, element, multiply
 
@@ -52,7 +53,7 @@ def random_complete_graph_endomorphism(
     """
     n = matrix.n
     if any(matrix.entry(i, j) != 1 for i in matrix.alphabet for j in matrix.alphabet):
-        raise ValueError("this generator requires an all-ones matrix")
+        raise InvalidParameter("this generator requires an all-ones matrix")
     words = list(enumerate_paths(matrix, depth))
     attempts = 0
     while True:

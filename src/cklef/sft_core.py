@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EntryOutOfRange,
+    InvalidParameter,
     MatrixMismatch,
     NonSquare,
     UnallowableWord,
@@ -34,7 +35,12 @@ class TransitionMatrix:
     follower table, built once as ordered tuples and as sets, the powers
     ``A^L`` computed so far, and its K-groups (one Smith form of I - A^T),
     which :func:`cklef.ktheory.k_groups` fills on its first call so that
-    every later K-theory call on this matrix reads them.
+    every later K-theory call on this matrix reads them.  The powers are
+    read through :meth:`power` by :func:`count_paths` and by the counting
+    kernel of :mod:`cklef.index`, whose per-``(first, i)`` series the
+    counted table, the closed polynomial formula and the Fredholm count's
+    word totals read; the list grows to the largest exponent any of them
+    asks for and lives as long as the matrix.
     """
 
     n: int
@@ -166,7 +172,7 @@ def count_paths(matrix: TransitionMatrix, a: int | None, b: int, L: int) -> int:
     letter.  Arbitrary-precision integers throughout.
     """
     if L < 1:
-        raise ValueError("L must be >= 1")
+        raise InvalidParameter("L must be >= 1")
     if a is None:
         # The empty word's followers are the full alphabet: any first letter.
         if L == 1:
@@ -184,7 +190,7 @@ def iter_paths(matrix: TransitionMatrix, k: int, start: Word = EMPTY_WORD) -> It
     ``k`` has no extension and yields nothing.
     """
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise InvalidParameter("k must be >= 0")
     start = tuple(start)
     if len(start) >= k:
         if len(start) == k:

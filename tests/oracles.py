@@ -3,7 +3,10 @@
 They evaluate the definitions directly, word by word or entry by entry, and
 are kept out of the package because nothing but the tests calls them:
 
-- the length-transfer table filled from the path map on every word;
+- the length-transfer table filled from the path map on every word, and
+  filled pair by pair with ``count_paths`` (``per_pair_fill``), and the
+  closed polynomial formula summed pair by pair
+  (``polynomial_parts_pair_by_pair``);
 - the relations and cylinder supports of elements of O_A, read through the
   monomial calculus (``generator_equal``, ``is_partial_isometry``,
   ``is_projection``, ``support``), against which the cylinder-set validity
@@ -19,7 +22,7 @@ from fractions import Fraction
 from cklef import linalg
 from cklef.graded import GradedMap, GradedPairing, GradedSpace
 from cklef.index import LengthTransfer, propagation
-from cklef.sft_core import clopen_make, iter_paths, terminus
+from cklef.sft_core import clopen_make, count_paths, iter_paths, terminus
 from cklef.word_algebra import adjoint, equals, multiply, normalize
 
 
@@ -32,6 +35,58 @@ def length_transfer_enumerated(psi, max_len):
         if (r := psi.dot_apply(w)) is not None
     )
     return LengthTransfer(a=a, max_len=max_len, bound=propagation(psi.endo))
+
+
+def _pairs(e):
+    """Every pair (nu, mu) of every t_i, with the letters ``first`` that may
+    follow both termini: ``(i, nu, mu, first)``."""
+    m = e.matrix
+    return [
+        (i, nu, mu, m.followers(terminus(mu)) & m.followers(terminus(nu)))
+        for i in m.alphabet
+        for nu, mu in e.raw_images[i - 1]
+    ]
+
+
+def _pair_words_at(m, i, mu, first, L):
+    """Domain words of length L matched by one pair (nu, mu) of t_i:
+    ``mu + (i,)``, or ``mu + (c,) + u`` with c in ``first``, each c counted
+    with its own ``count_paths`` call."""
+    if L >= len(mu) + 2:
+        return sum(count_paths(m, c, i, L - len(mu) - 1) for c in first)
+    return 1 if L == len(mu) + 1 and mu and m.entry(mu[-1], i) else 0
+
+
+def per_pair_fill(e, max_len):
+    """The a(i, j) table filled pair by pair, each pair's words counted at
+    each length with count_paths."""
+    cells = [
+        ((L, L - (len(mu) + 1 - len(nu))), _pair_words_at(e.matrix, i, mu, first, L))
+        for i, nu, mu, first in _pairs(e)
+        for L in range(len(mu) + 1, max_len + 1)
+    ]
+    a = {}
+    for cell, c in cells:
+        if c:
+            a[cell] = a.get(cell, 0) + c
+    return a
+
+
+def polynomial_parts_pair_by_pair(e, m):
+    """The closed formula's (positive, negative) sums at m, pair by pair: a
+    pair shrinking by d > 0 adds its words of lengths m+1 .. m+d to the
+    positive sum, one with d < 0 its words of lengths m+d+1 .. m to the
+    negative sum."""
+    pos = neg = 0
+    for i, nu, mu, first in _pairs(e):
+        d = len(mu) + 1 - len(nu)
+        lengths = range(m + 1, m + d + 1) if d > 0 else range(m + d + 1, m + 1)
+        words = sum(_pair_words_at(e.matrix, i, mu, first, L) for L in lengths)
+        if d > 0:
+            pos += words
+        else:
+            neg += words
+    return pos, neg
 
 
 # ---------------------------------------------------------------------------

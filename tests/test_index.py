@@ -37,7 +37,7 @@ from cklef.index import (
 from cklef.sampling import random_complete_graph_endomorphism, random_inner_automorphism
 from cklef.sft_core import count_paths, enumerate_paths, validate_matrix
 from tests.conftest import small_matrices
-from tests.oracles import length_transfer_enumerated
+from tests.oracles import length_transfer_enumerated, polynomial_parts_pair_by_pair
 
 
 class TestPropagation:
@@ -167,6 +167,85 @@ class TestPolynomialRoute:
         e8 = power(main_endo, 8)
         n_param = propagation(e8)
         assert index_polynomial(e8, 1 + n_param + e8.k, n_param) == 1
+
+    def test_parts_equal_pair_by_pair_on_compose_cases(self, compose_cases):
+        for _, _, e in compose_cases:
+            bound = propagation(e)
+            with pytest.raises(ExponentUnderflow) as below:
+                index_polynomial_parts(e, 0, bound)
+            least = below.value.minimal_m
+            for m in (least, least + 1, least + 5):
+                assert index_polynomial_parts(e, m, bound) == polynomial_parts_pair_by_pair(e, m)
+
+
+class TestCountingKernel:
+    """The counted table and the closed formula read one series of
+    matrix-power entries per distinct (first, i), not one per pair class."""
+
+    @staticmethod
+    def _record_series(monkeypatch) -> list[dict]:
+        built = []
+        real = index_module._column_series
+
+        def record(matrix, tops):
+            built.append(dict(tops))
+            return real(matrix, tops)
+
+        monkeypatch.setattr(index_module, "_column_series", record)
+        return built
+
+    def test_series_are_column_sums_of_powers(self, main_matrix):
+        spans = {
+            (frozenset({1, 2}), 1): range(7),
+            (frozenset({3}), 2): range(2, 5),
+            (frozenset({1, 2, 3}), 3): range(1),
+            (frozenset({2, 3}), 1): range(0),
+        }
+        series = index_module._column_series(main_matrix, spans)
+        assert set(series) == set(spans)
+        for (first, i), span in spans.items():
+            assert len(series[first, i]) == len(span)
+            for m, s in zip(span, series[first, i]):
+                if m == 0:
+                    assert s == (i in first)
+                else:
+                    assert s == sum(count_paths(main_matrix, c, i, m) for c in first)
+
+    def test_one_series_per_first_and_letter_on_e8(self, main_endo, monkeypatch):
+        e8 = power(main_endo, 8)
+        classes = index_module._pair_classes(e8)
+        max_len = series_end(e8) + propagation(e8)
+        built = self._record_series(monkeypatch)
+        length_transfer_counted(e8, max_len)
+        assert len(classes) == 333
+        assert len(built) == 1
+        assert len(built[0]) == len({(first, i) for (first, _, _, i), _ in classes}) == 5
+        # each series spans the exponents from 1 to the longest length one of
+        # its classes reads; exponent 0 is each class's own word
+        for (first, i), span in built[0].items():
+            assert span == range(
+                1, max(max_len - mu_len for (f, _, mu_len, j), _ in classes if (f, j) == (first, i))
+            )
+
+    def test_polynomial_series_span_only_its_window(self, main_endo, monkeypatch):
+        # at a large m the series start near m, not at exponent 0
+        bound = propagation(main_endo)
+        m = 200
+        built = self._record_series(monkeypatch)
+        assert index_polynomial(main_endo, m, bound) == 1
+        [spans] = built
+        # a class reads the lengths m - bound + 1 .. m + bound at exponents
+        # one more than its |mu| below them
+        for span in spans.values():
+            assert m - bound - main_endo.k <= span.start < span.stop <= m + bound
+
+    def test_polynomial_reads_one_series_per_first_and_letter(self, main_endo, monkeypatch):
+        e8 = power(main_endo, 8)
+        n_param = propagation(e8)
+        built = self._record_series(monkeypatch)
+        assert index_polynomial(e8, 1 + n_param + e8.k, n_param) == 1
+        assert len(built) == 1
+        assert len(built[0]) <= 5
 
 
 class TestFredholmRoute:

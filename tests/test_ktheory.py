@@ -464,7 +464,7 @@ class TestZeta:
         assert zeta_coefficients(main_endo, 5) == [0, 1, 1, 1, 1, 1]
 
     def test_main_reconstruction(self, main_endo):
-        coeffs, rf = zeta(main_endo)
+        coeffs, rf = zeta(main_endo, 5)
         # t / (1 - t)
         assert rf.numerator == (Fraction(0), Fraction(1))
         assert rf.denominator == (Fraction(1), Fraction(-1))
@@ -473,7 +473,7 @@ class TestZeta:
 
     def test_predictions_match_powers(self, main_endo):
         # coefficient n is the index of the n-th power
-        _, rf = zeta(main_endo)
+        _, rf = zeta(main_endo, 5)
         expanded = rf.expand(8)
         from cklef.index import stabilized_index
 

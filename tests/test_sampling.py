@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cklef.errors import InvalidParameter
 from cklef.index import stabilized_index
 from cklef.sampling import (
     random_complete_graph_endomorphism,
@@ -23,6 +24,10 @@ class TestCompleteGraphSampling:
 
     def test_rejects_non_complete_matrix(self, main_matrix):
         with pytest.raises(ValueError):
+            random_complete_graph_endomorphism(main_matrix, random.Random(1))
+
+    def test_non_complete_matrix_is_invalid_parameter(self, main_matrix):
+        with pytest.raises(InvalidParameter):
             random_complete_graph_endomorphism(main_matrix, random.Random(1))
 
     def test_deterministic_given_seed(self):

@@ -2,8 +2,16 @@ import random
 
 import pytest
 
-from cklef.errors import EntryOutOfRange, MatrixMismatch, NonSquare, ZeroRowOrColumn
+from cklef.endo import represent_at_depth
+from cklef.errors import (
+    EntryOutOfRange,
+    InvalidParameter,
+    MatrixMismatch,
+    NonSquare,
+    ZeroRowOrColumn,
+)
 from cklef.index import length_transfer_counted, propagation, series_end
+from cklef.sampling import random_inner_automorphism
 from cklef.sft_core import (
     clopen_make,
     count_paths,
@@ -15,6 +23,7 @@ from cklef.sft_core import (
     validate_matrix,
 )
 from tests.conftest import Q_ROWS, small_matrices
+from tests.oracles import per_pair_fill
 
 
 class TestValidateMatrix:
@@ -106,6 +115,10 @@ class TestCountPaths:
                         )
                         assert count_paths(m, a, b, length) == brute
 
+    def test_length_below_one_is_invalid_parameter(self, main_matrix):
+        with pytest.raises(InvalidParameter):
+            count_paths(main_matrix, 1, 1, 0)
+
     def test_empty_terminus_start(self, main_matrix):
         # paths from the empty word's terminus: every word counts
         for length in range(1, 5):
@@ -196,39 +209,46 @@ class TestIterPaths:
         with pytest.raises(ValueError):
             list(iter_paths(main_matrix, -1))
 
+    def test_negative_length_is_invalid_parameter(self, main_matrix):
+        with pytest.raises(InvalidParameter):
+            list(iter_paths(main_matrix, -1))
+
     def test_streams_lazily(self, main_matrix):
         words = iter_paths(main_matrix, 40)
         assert next(words) == (1,) * 40
         assert next(words) == (1,) * 39 + (2,)
 
 
-def _per_pair_fill(e, max_len):
-    """The a(i, j) table filled pair by pair, each pair's words counted at
-    each length with count_paths."""
-    m = e.matrix
-    a = {}
-    for i in m.alphabet:
-        for nu, mu in e.raw_images[i - 1]:
-            first = m.followers(terminus(mu)) & m.followers(terminus(nu))
-            shrink = len(mu) + 1 - len(nu)
-            for L in range(len(mu) + 1, max_len + 1):
-                if L >= len(mu) + 2:
-                    c = sum(count_paths(m, x, i, L - len(mu) - 1) for x in first)
-                else:
-                    c = 1 if mu and m.entry(terminus(mu), i) else 0
-                if c:
-                    a[(L, L - shrink)] = a.get((L, L - shrink), 0) + c
-    return a
+def _assert_counted_table_is_per_pair_fill(e):
+    max_len = series_end(e) + propagation(e)
+    table = length_transfer_counted(e, max_len)
+    assert table.a == per_pair_fill(e, max_len)
+    for k in range(max_len + 2):
+        assert table.dom_count(k) == sum(c for (i, _), c in table.a.items() if i == k)
+        assert table.im_count(k) == sum(c for (_, j), c in table.a.items() if j == k)
 
 
 def test_counted_table_matches_per_pair_fill(compose_cases):
     for _, _, e in compose_cases:
-        max_len = series_end(e) + propagation(e)
-        table = length_transfer_counted(e, max_len)
-        assert table.a == _per_pair_fill(e, max_len)
-        for k in range(max_len + 2):
-            assert table.dom_count(k) == sum(c for (i, _), c in table.a.items() if i == k)
-            assert table.im_count(k) == sum(c for (_, j), c in table.a.items() if j == k)
+        _assert_counted_table_is_per_pair_fill(e)
+
+
+def _seeded_matrix(n, rng):
+    """A seeded 0/1 matrix of size n with about n^2/2 ones and no zero row
+    or column."""
+    while True:
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        if all(any(r) for r in rows) and all(any(r[j] for r in rows) for j in range(n)):
+            return validate_matrix(rows)
+
+
+def test_counted_table_matches_per_pair_fill_on_deeper_and_wider_inputs(main_endo):
+    # re-presentations share (first, i) across mu-lengths; at n = 16 most
+    # classes have a (first, i) of their own
+    rng = random.Random(16)
+    inner = random_inner_automorphism(_seeded_matrix(16, rng), rng, depth=1)
+    for e in (represent_at_depth(main_endo, 3), represent_at_depth(main_endo, 4), inner):
+        _assert_counted_table_is_per_pair_fill(e)
 
 
 def _power_entry(m, a, b, p):

@@ -6,7 +6,9 @@ option is public, so no function takes a parameter whose name starts with an
 underscore: such a parameter is a hidden way round a check.  The index
 routes share one word enumerator, so exactly one function in
 ``src/cklef/index.py`` uses ``iter_paths`` or ``enumerate_paths``, or walks
-the follower table ``TransitionMatrix._successors`` by hand.  The exact
+the follower table ``TransitionMatrix._successors`` by hand.  They share
+one counting kernel too, so exactly one function there reads matrix
+powers: names ``count_paths``, ``.power`` or ``_powers``.  The exact
 linear algebra has one elimination loop, so exactly one function in
 ``src/cklef/linalg.py`` replaces matrix rows inside a loop over pivots.
 The package holds no code that only the tests need, so every function,
@@ -23,6 +25,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cklef"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 CACHE_DECORATORS = {"lru_cache", "cache"}
 ENUMERATORS = {"iter_paths", "enumerate_paths", "_successors"}
+# ".power" is matched only as an attribute, so a local named power is no read
+POWER_READERS = {"count_paths", ".power", "_powers"}
 
 
 def _cached_functions(source: str) -> list[str]:
@@ -96,9 +100,10 @@ def test_no_hidden_parameters_in_package():
     assert offenders == {}
 
 
-def _enumerating_scopes(source: str) -> list[str]:
-    """The innermost functions (or ``<module>``) that name a word enumerator,
-    whether they call it or pass it on, in source order."""
+def _naming_scopes(source: str, names: set[str]) -> list[str]:
+    """The innermost functions (or ``<module>``) that name one of ``names``,
+    whether they call it or pass it on, in source order.  A name written
+    ``.x`` matches only the attribute ``x``."""
     found = []
 
     def visit(node, scope):
@@ -106,8 +111,13 @@ def _enumerating_scopes(source: str) -> list[str]:
             scope = node.name
         elif isinstance(node, ast.Lambda):
             scope = "<lambda>"
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if name in ENUMERATORS and scope not in found:
+        if isinstance(node, ast.Name):
+            hit = node.id in names
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in names or "." + node.attr in names
+        else:
+            hit = False
+        if hit and scope not in found:
             found.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -130,12 +140,39 @@ def test_enumerator_detector_sees_every_use():
         "def g(m, w):\n    return [w + (x,) for x in m._successors[w[-1]]]\n"
         "def h(m):\n    return m.followers(1)\n"
     )
-    assert _enumerating_scopes(source) == ["b", "c", "inner", "e", "<lambda>", "<module>", "g"]
+    assert _naming_scopes(source, ENUMERATORS) == [
+        "b", "c", "inner", "e", "<lambda>", "<module>", "g",
+    ]
 
 
 def test_index_routes_share_one_enumerator():
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
-    assert _enumerating_scopes(source) == ["_pair_heads"]
+    assert _naming_scopes(source, ENUMERATORS) == ["_pair_heads"]
+
+
+def test_power_reader_detector_sees_every_use():
+    source = (
+        "from .sft_core import count_paths\n"
+        "from . import sft_core\n"
+        "def a(m):\n    \"\"\"m.power(2) in a docstring is no read.\"\"\"\n    return m\n"
+        "def b(m):\n    return count_paths(m, 1, 1, 2)\n"
+        "def c(m):\n    return m.power(3)\n"
+        "def d(m):\n    return m._powers[-1]\n"
+        "def e(m):\n    power = powers = 2\n    return power + powers\n"
+        "def f(m):\n    return sft_core.count_paths\n"
+        "g = lambda m: [m.power(k) for k in range(3)]\n"
+        "def h(m):\n    def inner():\n        return m.power(1)\n    return inner\n"
+        "def k(m):\n    read = m.power\n    return read(2)\n"
+        "READ = count_paths\n"
+    )
+    assert _naming_scopes(source, POWER_READERS) == [
+        "b", "c", "d", "f", "<lambda>", "inner", "k", "<module>",
+    ]
+
+
+def test_index_routes_share_one_power_reader():
+    source = (PACKAGE / "index.py").read_text(encoding="utf-8")
+    assert _naming_scopes(source, POWER_READERS) == ["_column_series"]
 
 
 def _assigns_a_subscript(node) -> bool:
