@@ -43,7 +43,6 @@ from .endo import (
 from .errors import (
     CkError,
     CkSyntaxError,
-    ExponentUnderflow,
     InvalidParameter,
     UnallowableWord,
     UnknownLetter,
@@ -383,27 +382,18 @@ def cmd_index(doc: CkDocument, args) -> Report:
     if method in ("gamma", "all"):
         psi = path_map(endo)
         # gamma_m is the partial sum to m, so from the series end on it is the index.
-        m = args.m if args.m is not None else series_end(endo)
+        m = series_end(endo)
         shrink, stretch = gamma_parts(psi, m)
         report.add("gamma.m", m)
         report.add("gamma.shrink", shrink)
         report.add("gamma.stretch", stretch)
         report.add("gamma.value", shrink - stretch)
     if method in ("polynomial", "all"):
-        n_param = args.N if args.N is not None else max(bound, 1)
-        if args.m is not None:
-            m = args.m
-        else:
-            # smallest admissible exponent for this presentation
-            m = 1 + n_param + endo.k
-        try:
-            pos, neg = index_polynomial_parts(endo, m, n_param)
-        except ExponentUnderflow as err:
-            # under --method all, --m is also gamma's, which may lie below the formula's least m
-            if method == "polynomial":
-                raise
-            m = err.minimal_m
-            pos, neg = index_polynomial_parts(endo, m, n_param)
+        # the formula is exact from N = bound on, and m = 1 + N + k is
+        # admissible there, since no pair stretches by more than the bound
+        n_param = max(bound, 1)
+        m = 1 + n_param + endo.k
+        pos, neg = index_polynomial_parts(endo, m, n_param)
         report.add("polynomial.m", m)
         report.add("polynomial.N", n_param)
         report.add("polynomial.positive", pos)
@@ -412,7 +402,7 @@ def cmd_index(doc: CkDocument, args) -> Report:
     if method in ("fredholm", "all"):
         psi = path_map(endo)
         # Truncated at the series end, the count is the whole index.
-        depth = args.depth if args.depth is not None else series_end(endo)
+        depth = series_end(endo)
         report.add("fredholm.depth", depth)
         report.add("fredholm.value", fredholm_index_truncated(psi, depth))
     return report
@@ -451,29 +441,25 @@ def cmd_k0map(doc: CkDocument, args) -> Report:
     return report
 
 
-def _parse_k1_matrix(text: str, size: int):
-    if text.strip() == "" and size == 0:
-        return []
+def _parse_k1_matrix(text: str):
+    """The rows of ``--k1-matrix`` as integers; :func:`lefschetz_number`
+    checks their size."""
     rows = [r for r in text.split(";") if r.strip() != ""]
     try:
-        out = [[int(v) for v in row.split(",")] for row in rows]
+        return [[int(v) for v in row.split(",")] for row in rows]
     except ValueError:
-        out = None
-    if out is None or len(out) != size or any(len(r) != size for r in out):
         raise InvalidParameter(
-            f"--k1-matrix must be {size}x{size} integers (rows ';'-separated)"
-        )
-    return out
+            "--k1-matrix must be integers (rows ';'-separated, entries ','-separated)"
+        ) from None
 
 
 def cmd_lefschetz(doc: CkDocument, args) -> Report:
     name, endo = _endo_from(doc, args.endo)
     endo.require_valid()
-    kt = k_groups(doc.matrix)
     report = Report(command="lefschetz")
     report.add("endomorphism", name)
     if args.k1_matrix is not None:
-        m1 = _parse_k1_matrix(args.k1_matrix, kt.rank_k1)
+        m1 = _parse_k1_matrix(args.k1_matrix)
         result = lefschetz_number(endo, k1_action=m1)
         series = index_series_counted(endo)
         report.add("mode", "supplied")
@@ -571,10 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", choices=["series", "gamma", "polynomial", "fredholm", "all"],
                    default="all")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None,
-                   help="Fredholm truncation depth (default: the series end)")
     p = sub.add_parser("ktheory", help="K-groups of the algebra")
     p.add_argument("file")
     p = sub.add_parser("k0map", help="induced map on K0")

@@ -236,9 +236,6 @@ def compose(e: GeometricEndomorphism, f: GeometricEndomorphism) -> GeometricEndo
     pair_lists = []
     for i, elt in enumerate(images, start=1):
         if any(c != 1 for c in elt.terms.values()):
-            # Merge overlapping monomials before giving up.
-            elt = normalize(elt)
-        if any(c != 1 for c in elt.terms.values()):
             raise InvalidEndomorphism(
                 f"composite image of generator {i} is not a sum of distinct monomials"
             )

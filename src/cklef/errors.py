@@ -70,8 +70,12 @@ class WellDefinednessFailure(CkError):
     pass
 
 
-class DimensionMismatch(CkError):
-    pass
+class DimensionMismatch(CkError, ValueError):
+    """Operands whose shapes do not fit together."""
+
+
+class SingularMatrix(CkError, ValueError):
+    """A matrix or power series that has no inverse."""
 
 
 class ReconstructionInconsistent(CkError):

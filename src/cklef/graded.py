@@ -20,7 +20,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import DegeneratePairing, NotDegreeZero, ShapeMismatch
+from .errors import DegeneratePairing, NotDegreeZero, ShapeMismatch, SingularMatrix
 
 Matrix = linalg.Matrix
 
@@ -265,7 +265,7 @@ class GradedPairing:
         if e not in inverses and self.space_a.dim(e) == self.space_b.dim(self.n + e):
             try:
                 inverses[e] = linalg.inverse(self.blocks[e])
-            except ValueError:
+            except SingularMatrix:
                 pass
         if e not in inverses:
             raise DegeneratePairing("pairing blocks must be square and invertible")

@@ -20,15 +20,15 @@ of words.  Nothing is cached; the routes are meant for moderate
 depths.
 
 The :class:`LengthTransfer` table can also be filled from the presentation
-pairs alone using matrix powers, which scales to deeply composed
-endomorphisms (the counts are exact, not asymptotic).  The counted table
-and the closed polynomial formula share one counting kernel,
-:func:`_column_series`: for each distinct ``(first, i)`` of a presentation,
-``first`` the letters that may follow both termini of a pair of t_i, it
-sums the column i of A^m over ``first`` once per m, and every pair class
-(:func:`_pair_classes`) reads its counts as a slice of that series
-(:func:`_class_words`).  The Fredholm count's number of all words of a
-length is such a series too.  The powers themselves are the ones the
+pairs alone using matrix powers (:func:`length_transfer_counted`), which
+scales to deeply composed endomorphisms (the counts are exact, not
+asymptotic).  Its one counting kernel is :func:`_column_series`: for each
+distinct ``(first, i)`` of a presentation, ``first`` the letters that may
+follow both termini of a pair of t_i, it sums the column i of A^m over
+``first`` once per m, and every pair class (:func:`_pair_classes`) reads its
+counts as a slice of that series.  The closed polynomial formula is gamma_m
+of this table.  The Fredholm count's number of all words of a length is such
+a series too.  The powers themselves are the ones the
 :class:`TransitionMatrix` caches.
 """
 
@@ -38,7 +38,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import ExponentUnderflow, InvalidParameter
 from .sft_core import TransitionMatrix, Word, terminus
@@ -256,10 +256,10 @@ def _pair_classes(e: GeometricEndomorphism) -> Counter:
     their length change depend on.
 
     A class is ``(key, shrink)``: the key ``(first, terminus(mu), |mu|, i)``
-    that :func:`_class_words` reads, with ``first`` the letters that may
-    follow both termini, and the shrink |mu| + 1 - |nu|.  The counter holds
-    each class's number of pairs.  ``first`` is formed once per pair of
-    termini, so the classes sharing it share one set.
+    that :func:`length_transfer_counted` reads, with ``first`` the letters
+    that may follow both termini, and the shrink |mu| + 1 - |nu|.  The
+    counter holds each class's number of pairs.  ``first`` is formed once
+    per pair of termini, so the classes sharing it share one set.
     """
     matrix = e.matrix
     firsts: dict[tuple[int | None, int | None], frozenset[int]] = {}
@@ -299,74 +299,44 @@ def _column_series(
     return series
 
 
-def _class_words(
-    e: GeometricEndomorphism, window: Callable[[int], range]
-) -> Iterator[tuple[int, int, range, list[int]]]:
-    """Domain words matched by one pair of each class (:func:`_pair_classes`),
-    counted at the lengths ``window(shrink)``: ``(shrink, pairs in the class,
-    lengths, counts)``, one tuple per class with a length to count.
-
-    A domain word of the pair (nu, mu) of t_i is ``mu + (i,)``, of length
-    |mu| + 1, when mu is nonempty and its last letter precedes i, or
-    ``mu + (c,) + u`` with c in ``first`` and u one of the (A^m)[c, i] words
-    of length m >= 1 that may follow c and end in i.  So at length
-    |mu| + 1 + m there are s[m] of them, s the series of ``(first, i)``
-    (:func:`_column_series`) for m >= 1: each class reads a slice of that
-    series at offset |mu| + 1, and adds its own word ``mu + (i,)`` at m = 0.
-    Classes sharing ``(first, i)`` share one series, which runs to the
-    longest length one of them reads and starts at the least exponent m >= 1
-    any class reads (1 for the counted table, about m for the closed formula
-    at m).  A class that reads only its own word reads no series.  Words
-    shorter than |mu| + 1 are not the pair's.
-    """
-    matrix = e.matrix
-    classes = _pair_classes(e)
-    # the lengths a class reads depend only on its |mu| and its shrink
-    spans: dict[tuple[int, int], range] = {}
-    # ends[first, i]: one past the greatest exponent a class of it reads
-    ends: dict[tuple[frozenset[int], int], int] = {}
-    least = None
-    for (first, _, mu_len, i), shrink in classes:
-        lengths = spans.get((mu_len, shrink))
-        if lengths is None:
-            wanted = window(shrink)
-            lengths = spans[mu_len, shrink] = range(max(wanted.start, mu_len + 1), wanted.stop)
-            start = max(lengths.start - mu_len - 1, 1)
-            if lengths.stop - mu_len - 1 > start and (least is None or start < least):
-                least = start
-        if lengths and lengths.stop - mu_len - 1 > ends.get((first, i), 1):
-            ends[first, i] = lengths.stop - mu_len - 1
-    series = _column_series(matrix, {key: range(least, end) for key, end in ends.items()})
-    for ((first, last, mu_len, i), shrink), size in classes.items():
-        lengths = spans[mu_len, shrink]
-        if not lengths:
-            continue
-        start, end = lengths.start - mu_len - 1, lengths.stop - mu_len - 1
-        counts = series[first, i][max(start, 1) - least : end - least] if end > 1 else []
-        if start == 0:
-            counts.insert(0, 1 if last is not None and matrix.entry(last, i) else 0)
-        yield shrink, size, lengths, counts
-
-
 def length_transfer_counted(e: GeometricEndomorphism, max_len: int) -> LengthTransfer:
     """Fill the a(i, j) table from the presentation pairs with matrix powers.
 
-    A word matched by the pair (nu, mu) changes length by |nu| - |mu| - 1,
-    and :func:`_class_words` counts the words a pair matches at each length
-    up to ``max_len``, so the table is exact at any length without
-    enumerating words.  Pairs of one class fill the same cells with the same
-    counts, so each class is read once, and the classes sharing the letters
-    ``first`` and the generator i read one series of matrix-power entries.
+    A word matched by the pair (nu, mu) of t_i changes length by
+    |nu| - |mu| - 1.  Its domain words are ``mu + (i,)``, of length |mu| + 1,
+    when mu is nonempty and its last letter precedes i, and ``mu + (c,) + u``
+    with c in ``first`` and u one of the (A^m)[c, i] words of length m >= 1
+    that may follow c and end in i.  So at length |mu| + 1 + m there are s[m]
+    of them, s the series of ``(first, i)`` (:func:`_column_series`), and the
+    table is exact at any length without enumerating words.  Pairs of one
+    class (:func:`_pair_classes`) fill the same cells with the same counts,
+    so each class is read once, as a slice of its series at offset |mu| + 1;
+    classes sharing ``(first, i)`` share one series, which runs to the longest
+    length one of them reads.  A class that reads only its own word reads no
+    series.  The closed polynomial formula reads this table too
+    (:func:`index_polynomial_parts`).
     """
     e.require_valid()
     bound = propagation(e)
+    matrix = e.matrix
+    classes = _pair_classes(e)
+    # ends[first, i]: one past the greatest exponent a class of it reads
+    ends: dict[tuple[frozenset[int], int], int] = {}
+    for (first, _, mu_len, i), _ in classes:
+        if max_len - mu_len > ends.get((first, i), 1):
+            ends[first, i] = max_len - mu_len
+    series = _column_series(matrix, {key: range(1, end) for key, end in ends.items()})
     # by_shrink[d][L]: the domain words of length L that shrink by d
     by_shrink: dict[int, list[int]] = {}
-    for shrink, size, lengths, counts in _class_words(e, lambda shrink: range(1, max_len + 1)):
+    for ((first, last, mu_len, i), shrink), size in classes.items():
+        if mu_len >= max_len:
+            continue
         row = by_shrink.get(shrink)
         if row is None:
             row = by_shrink[shrink] = [0] * (max_len + 1)
-        for L, c in zip(lengths, counts):
+        if last is not None and matrix.entry(last, i):
+            row[mu_len + 1] += size
+        for L, c in enumerate(series.get((first, i), ())[: max_len - mu_len - 1], mu_len + 2):
             row[L] += size * c
     a = {
         (L, L - shrink): c
@@ -476,10 +446,9 @@ def index_polynomial_parts(e: GeometricEndomorphism, m: int, N: int) -> tuple[in
     A pair (nu, mu) shrinks the words it matches by d = |mu| + 1 - |nu|.
     The positive part counts its words of lengths m+1 .. m+d when d > 0,
     which shrink past length m; the negative part counts its words of
-    lengths m+d+1 .. m when d < 0, which stretch past it.  Each class reads
-    those counts from its series of matrix-power entries
-    (:func:`_class_words`), so the cost grows with the distinct
-    ``(first, i)`` and with m, not with the pairs.
+    lengths m+d+1 .. m when d < 0, which stretch past it.  That is gamma_m,
+    so both parts are read off the counted table to length m + bound
+    (:func:`length_transfer_counted`).
     """
     e.require_valid()
     bound = propagation(e)
@@ -489,20 +458,11 @@ def index_polynomial_parts(e: GeometricEndomorphism, m: int, N: int) -> tuple[in
         raise InvalidParameter(f"N must be at least the propagation bound {bound}")
     # Admissible m are those at which the formula over the pairs normalized
     # to mu-length k has only positive exponents.
-    stretch = max(-d for _, d in _pair_classes(e))
+    stretch = max(len(nu) - len(mu) - 1 for pairs in e.raw_images for nu, mu in pairs)
     minimal_m = max(1 + e.k, stretch + e.k)
     if m < minimal_m:
         raise ExponentUnderflow(m, minimal_m)
-    pos = 0
-    neg = 0
-    for d, size, _, counts in _class_words(
-        e, lambda d: range(m + min(d, 0) + 1, m + max(d, 0) + 1)
-    ):
-        if d > 0:
-            pos += size * sum(counts)
-        else:
-            neg += size * sum(counts)
-    return pos, neg
+    return length_transfer_counted(e, m + bound).gamma_parts(m)
 
 
 def index_polynomial(e: GeometricEndomorphism, m: int, N: int) -> int:

@@ -17,6 +17,8 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
+from .errors import DimensionMismatch, SingularMatrix
+
 Matrix = tuple[tuple, ...]  # rows of int or Fraction entries
 Poly = tuple  # coefficients, lowest degree first
 
@@ -44,7 +46,7 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions differ")
+        raise DimensionMismatch("inner dimensions differ")
     cols = list(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
@@ -118,7 +120,7 @@ def _gauss_jordan(rows: list[list[int]], cols: int) -> tuple[list[tuple[int, int
 
 
 def inverse(a: Matrix) -> Matrix:
-    """The inverse of a square matrix; raises ValueError when it is singular.
+    """The inverse of a square matrix; raises SingularMatrix when it is singular.
 
     One fraction-free elimination of [s A | I], with s the lcm of A's
     denominators, leaves [p I | R]; R = p (sA)^{-1} is checked by sA R = p I
@@ -129,7 +131,7 @@ def inverse(a: Matrix) -> Matrix:
     aug = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(scaled)]
     pivots, p = _gauss_jordan(aug, n)
     if len(pivots) < n:
-        raise ValueError("matrix is singular")
+        raise SingularMatrix("matrix is singular")
     r = [row[n:] for row in aug]
     r_cols = list(zip(*r))
     for i, row in enumerate(scaled):
@@ -181,7 +183,7 @@ def series_div(p: Poly, q: Poly, order: int) -> Poly:
     Fractions.
     """
     if not q or q[0] == 0:
-        raise ValueError("denominator must be a unit power series")
+        raise SingularMatrix("denominator must be a unit power series")
     if q[0] in (1, -1) and all(type(c) is int for c in (*p, *q)):
         zero, inv0 = 0, q[0]
     else:

@@ -38,9 +38,9 @@ class TransitionMatrix:
     every later K-theory call on this matrix reads them.  The powers are
     read through :meth:`power` by :func:`count_paths` and by the counting
     kernel of :mod:`cklef.index`, whose per-``(first, i)`` series the
-    counted table, the closed polynomial formula and the Fredholm count's
-    word totals read; the list grows to the largest exponent any of them
-    asks for and lives as long as the matrix.
+    counted table (and through it the closed polynomial formula) and the
+    Fredholm count's word totals read; the list grows to the largest
+    exponent any of them asks for and lives as long as the matrix.
     """
 
     n: int

@@ -169,21 +169,17 @@ def _expand_once(matrix: TransitionMatrix, nu: Word, mu: Word) -> list[Pair]:
     return [(nu + (j,), mu + (j,)) for j in sorted(shared)]
 
 
-def normalize(x: Element, depth: int | None = None) -> Element:
-    """Expand all terms until every mu-word has the same length.
-
-    The target length is ``depth`` when given (must be at least the current
-    maximum mu-length) and the current maximum otherwise.  nu-lengths float.
+def normalize(x: Element, depth: int) -> Element:
+    """Expand all terms until every mu-word has length ``depth``, which must
+    be at least the current maximum mu-length.  nu-lengths float.
     """
     d = x.max_mu_length()
-    if depth is not None:
-        if depth < d:
-            raise DepthTooSmall(f"depth {depth} below maximal mu-length {d}")
-        d = depth
+    if depth < d:
+        raise DepthTooSmall(f"depth {depth} below maximal mu-length {d}")
     acc: dict[Pair, int] = {}
     for (nu, mu), c in x.terms.items():
         frontier = [(nu, mu)]
-        while frontier and len(frontier[0][1]) < d:
+        while frontier and len(frontier[0][1]) < depth:
             frontier = [
                 ext for pair in frontier for ext in _expand_once(x.matrix, *pair)
             ]

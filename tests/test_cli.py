@@ -151,11 +151,10 @@ class TestRunExitCodes:
             ["lefschetz", "--k1-matrix", "x"],
             ["zeta", "--terms", "-1"],
             ["power", "--n", "0"],
-            ["index", "--method", "fredholm", "--depth", "0"],
-            ["index", "--method", "gamma", "--m", "0"],
-            ["index", "--method", "polynomial", "--N", "0"],
+            # K_1 of E's algebra has rank 1; lefschetz_number checks the size
+            ["lefschetz", "--k1-matrix", "0,0;0,0"],
         ],
-        ids=["k1-matrix", "terms", "n", "depth", "m", "N"],
+        ids=["k1-matrix", "terms", "n", "k1-matrix-size"],
     )
     def test_out_of_range_option_is_one(self, main_file, argv):
         out, code = run(argv[:1] + [main_file] + argv[1:])
@@ -175,16 +174,12 @@ class TestSubcommands:
         assert data["index.k1"] == 1 and data["index.k2"] == 0
 
     def test_index_depth_is_fredholm_only(self, main_file):
-        # the series sums to its proven end, 3 on E; --depth truncates
-        # only the Fredholm count, whose default is that end
+        # the series, gamma and the Fredholm count all run to the proven
+        # series end, 3 on E
         out, _ = run(["--structured", "index", main_file])
         data = parse_structured(out)
-        assert data["series.depth"] == data["fredholm.depth"] == 3
+        assert data["series.depth"] == data["fredholm.depth"] == data["gamma.m"] == 3
         assert [k for k in data if k.startswith("index.k")] == ["index.k1", "index.k2", "index.k3"]
-        out, _ = run(["--structured", "index", main_file, "--depth", "2"])
-        data = parse_structured(out)
-        assert data["series.depth"] == 3
-        assert data["fredholm.depth"] == 2
         assert data["series.value"] == data["fredholm.value"] == 1
 
     def test_index_on_identity_defaults_gamma_m_to_one(self, tmp_path):
@@ -210,43 +205,13 @@ class TestSubcommands:
             assert data[f"{route}.value"] == 1
 
     def test_index_polynomial_parts(self, main_file):
-        out, _ = run(
-            ["--structured", "index", main_file, "--method", "polynomial", "--m", "3", "--N", "1"]
-        )
+        # the formula runs at N = max(bound, 1) = 1 and m = 1 + N + k = 4 on E
+        out, _ = run(["--structured", "index", main_file, "--method", "polynomial"])
         data = parse_structured(out)
-        assert data["polynomial.positive"] == 8
-        assert data["polynomial.negative"] == 7
-
-    def test_index_all_below_the_polynomial_minimum(self, main_file):
-        # --m 2 is gamma's m; the polynomial route runs at its least admissible m, 3 on E
-        out, code = run(["--structured", "index", main_file, "--m", "2"])
-        assert code == 0
-        data = parse_structured(out)
-        assert data["gamma.m"] == 2
-        assert data["gamma.value"] == 1
-        assert data["polynomial.m"] == 3
-        assert data["polynomial.value"] == 1
-
-    def test_index_polynomial_below_its_minimum_is_one(self, main_file):
-        out, code = run(["index", main_file, "--method", "polynomial", "--m", "2"])
-        assert code == 1
-        assert "m=2 too small for the polynomial formula; minimal admissible m is 3" in out
-
-    def test_index_fredholm_on_square_at_depth_13(self, tmp_path, main_matrix, main_endo):
-        # the depth perfbench's crosscheck runs E^2 at, k + 2 * bound + 2
-        path = tmp_path / "square.ck"
-        path.write_text(render_document(document_of(main_matrix, "t", power(main_endo, 2))))
-        argv = ["--structured", "index", str(path), "--method", "fredholm", "--depth", "13"]
-        out, code = run(argv)
-        assert code == 0
-        assert parse_structured(out)["fredholm.value"] == 1
-
-    def test_index_polynomial_at_large_m(self, main_file):
-        out, code = run(
-            ["--structured", "index", main_file, "--method", "polynomial", "--m", "1200"]
-        )
-        assert code == 0
-        assert parse_structured(out)["polynomial.value"] == 1
+        assert data["polynomial.m"] == 4
+        assert data["polynomial.N"] == 1
+        assert data["polynomial.positive"] == 18
+        assert data["polynomial.negative"] == 17
 
     def test_ktheory(self, main_file):
         out, code = run(["--structured", "ktheory", main_file])

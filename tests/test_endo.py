@@ -32,7 +32,6 @@ from cklef.word_algebra import (
     monomial,
     monomial_is_zero,
     multiply,
-    normalize,
     scale,
     unit,
     zero,
@@ -129,6 +128,18 @@ class TestCompose:
         with pytest.raises(InvalidEndomorphism):
             compose(bad, main_identity)
 
+    def test_repeated_monomial_in_a_composite_rejected(self, main_endo, main_matrix):
+        # a forged presentation that repeats one pair gives t_1 = 2 s_1, so
+        # the composite's image of generator 1 has coefficient 2
+        forged = GeometricEndomorphism(
+            matrix=main_matrix,
+            raw_images=((((1,), ()), ((1,), ())), (((2,), ()),), (((3,), ()),)),
+            k=0,
+            valid=True,
+        )
+        with pytest.raises(InvalidEndomorphism, match="generator 1 is not a sum of distinct"):
+            compose(main_endo, forged)
+
 
 def _reference_compose(e, f):
     """The pair lists of e o f, with every inner word multiplied out from the
@@ -146,8 +157,6 @@ def _reference_compose(e, f):
         for (nu, mu), c in f.image_element(i).terms.items():
             term = multiply(image_of_word(nu), adjoint(image_of_word(mu)))
             elt = add(elt, scale(term, c))
-        if any(c != 1 for c in elt.terms.values()):
-            elt = normalize(elt)
         assert all(c == 1 for c in elt.terms.values())
         pair_lists.append(tuple(sorted(elt.terms)))
     return tuple(pair_lists)

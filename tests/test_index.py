@@ -94,6 +94,10 @@ class TestGamma:
         for m in range(1, 8):
             assert gamma(psi, m) == 0
 
+    def test_m_must_be_positive(self, main_endo):
+        with pytest.raises(InvalidParameter):
+            gamma_parts(path_map(main_endo), 0)
+
     def test_telescoping_to_partial_sums(self, main_endo):
         # gamma_m equals the partial sum of Index_k over k <= m
         psi = path_map(main_endo)
@@ -177,6 +181,14 @@ class TestPolynomialRoute:
             for m in (least, least + 1, least + 5):
                 assert index_polynomial_parts(e, m, bound) == polynomial_parts_pair_by_pair(e, m)
 
+    def test_parts_equal_pair_by_pair_at_m_200(self, main_endo):
+        assert index_polynomial_parts(main_endo, 200, 1) == polynomial_parts_pair_by_pair(
+            main_endo, 200
+        )
+
+    def test_at_large_m(self, main_endo):
+        assert index_polynomial(main_endo, 1200, 1) == 1
+
 
 class TestCountingKernel:
     """The counted table and the closed formula read one series of
@@ -227,18 +239,6 @@ class TestCountingKernel:
                 1, max(max_len - mu_len for (f, _, mu_len, j), _ in classes if (f, j) == (first, i))
             )
 
-    def test_polynomial_series_span_only_its_window(self, main_endo, monkeypatch):
-        # at a large m the series start near m, not at exponent 0
-        bound = propagation(main_endo)
-        m = 200
-        built = self._record_series(monkeypatch)
-        assert index_polynomial(main_endo, m, bound) == 1
-        [spans] = built
-        # a class reads the lengths m - bound + 1 .. m + bound at exponents
-        # one more than its |mu| below them
-        for span in spans.values():
-            assert m - bound - main_endo.k <= span.start < span.stop <= m + bound
-
     def test_polynomial_reads_one_series_per_first_and_letter(self, main_endo, monkeypatch):
         e8 = power(main_endo, 8)
         n_param = propagation(e8)
@@ -267,6 +267,10 @@ class TestFredholmRoute:
         for d in range(1, 6):
             running += table.index_at(d)
             assert fredholm_index_truncated(psi, d) == running
+
+    def test_square_at_depth_13(self, main_endo):
+        # k + 2 * bound + 2 on E^2, past its series end 6
+        assert fredholm_index_truncated(path_map(power(main_endo, 2)), 13) == 1
 
     def test_depth_must_be_positive(self, main_endo):
         with pytest.raises(ValueError):

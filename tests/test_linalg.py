@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cklef import linalg
-from cklef.errors import DegeneratePairing
+from cklef.errors import CkError, DegeneratePairing, DimensionMismatch, SingularMatrix
 from cklef.graded import GradedSpace, graded_map, graded_pairing, index_pairing
 from tests import oracles
 
@@ -74,6 +74,25 @@ class TestTypes:
             assert s == linalg.series_div((Fraction(1), 2), (Fraction(q0), 3, -1), 8)
         halves = linalg.series_div((1,), (2, 1), 3)
         assert halves == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16))
+
+
+class TestTypedErrors:
+    """Each raise is a CkError and, for callers that catch it, a ValueError."""
+
+    def test_mismatched_product_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch) as err:
+            linalg.mat_mul(((1, 2, 3),), ((1, 2), (3, 4)))
+        assert isinstance(err.value, CkError) and isinstance(err.value, ValueError)
+
+    def test_singular_inverse_is_a_singular_matrix(self):
+        with pytest.raises(SingularMatrix) as err:
+            linalg.inverse(((1, 2), (2, 4)))
+        assert isinstance(err.value, CkError) and isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("q", [(0, 1), (Fraction(0), 2, 1), ()])
+    def test_series_over_a_non_unit_is_a_singular_matrix(self, q):
+        with pytest.raises(SingularMatrix):
+            linalg.series_div((1, 1), q, 4)
 
 
 class TestAgainstTheFractionOracle:

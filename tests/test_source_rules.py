@@ -27,6 +27,8 @@ CACHE_DECORATORS = {"lru_cache", "cache"}
 ENUMERATORS = {"iter_paths", "enumerate_paths", "_successors"}
 # ".power" is matched only as an attribute, so a local named power is no read
 POWER_READERS = {"count_paths", ".power", "_powers"}
+# the one function that groups the pairs into classes and sums their counts
+CLASS_READERS = {"_pair_classes"}
 
 
 def _cached_functions(source: str) -> list[str]:
@@ -173,6 +175,26 @@ def test_power_reader_detector_sees_every_use():
 def test_index_routes_share_one_power_reader():
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
     assert _naming_scopes(source, POWER_READERS) == ["_column_series"]
+
+
+def test_class_reader_detector_sees_every_use():
+    source = (
+        "def _pair_classes(e):\n    return e\n"
+        "def a(e):\n    \"\"\"_pair_classes(e) in a docstring is no read.\"\"\"\n    return e\n"
+        "def b(e):\n    return len(_pair_classes(e))\n"
+        "def c(e):\n    classes = index._pair_classes\n    return classes(e)\n"
+        "d = lambda e: sorted(_pair_classes(e))\n"
+        "def f(e):\n    def inner():\n        return _pair_classes(e)\n    return inner\n"
+        "def g(e, _pair_classes=None):\n    return e\n"
+    )
+    assert _naming_scopes(source, CLASS_READERS) == ["b", "c", "<lambda>", "inner"]
+
+
+def test_closed_formula_reads_the_counted_table():
+    # the pair classes are summed in one place, so the closed formula cannot
+    # grow a second summation of the counted table's counts
+    source = (PACKAGE / "index.py").read_text(encoding="utf-8")
+    assert _naming_scopes(source, CLASS_READERS) == ["length_transfer_counted"]
 
 
 def _assigns_a_subscript(node) -> bool:
