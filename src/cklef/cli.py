@@ -518,6 +518,7 @@ def cmd_compose(doc: CkDocument, args) -> Report:
     out_name = args.name or f"{name_e}{name_f}"
     report.add("endomorphism", f"{name_e} after {name_f}")
     report.add("k", composite.k)
+    report.add("pairs", sum(map(len, composite.raw_images)))
     _write_out(document_of(doc.matrix, out_name, composite), args, report)
     return report
 
@@ -529,6 +530,7 @@ def cmd_power(doc: CkDocument, args) -> Report:
     out_name = args.name or f"{name}p{args.n}"
     report.add("endomorphism", f"{name}^{args.n}")
     report.add("k", result.k)
+    report.add("pairs", sum(map(len, result.raw_images)))
     _write_out(document_of(doc.matrix, out_name, result), args, report)
     return report
 

@@ -226,7 +226,12 @@ def _image_of_word(endo: GeometricEndomorphism, w: Word, memo: dict[Word, Elemen
 
 
 def compose(e: GeometricEndomorphism, f: GeometricEndomorphism) -> GeometricEndomorphism:
-    """The endomorphism ``s_i -> apply(e, t_i^f)`` re-expressed in pairs."""
+    """The endomorphism ``s_i -> apply(e, t_i^f)`` in its reduced presentation.
+
+    Each image is multiplied out into distinct monomials, its sibling pairs
+    are merged by :func:`_reduce`, and the result goes through the full
+    validity check of :func:`build_endomorphism`.
+    """
     e.require_valid()
     f.require_valid()
     if e.matrix != f.matrix:
@@ -239,17 +244,65 @@ def compose(e: GeometricEndomorphism, f: GeometricEndomorphism) -> GeometricEndo
             raise InvalidEndomorphism(
                 f"composite image of generator {i} is not a sum of distinct monomials"
             )
-        pair_lists.append(sorted(elt.terms))
+        pair_lists.append(_reduce(e.matrix, elt.terms))
     return build_endomorphism(e.matrix, pair_lists)
 
 
+def _reduce(matrix: TransitionMatrix, pairs) -> list[Pair]:
+    """Merge sibling pairs to a fixpoint, and sort.
+
+    The pairs ``(nu + (c,), mu + (c,))``, for exactly the letters c that may
+    follow both termini of a nonempty ``nu`` and of ``mu`` (possibly empty),
+    become the one pair (nu, mu): ``s_nu s_mu* = sum_c s_nuc s_muc*`` over
+    those c.  This undoes one step of :func:`represent_at_depth` and leaves
+    every t_i unchanged.  A merge whose pair is already present would hide
+    an overlap from the validity check, so it is not made.
+
+    The result is canonical.  Different sibling groups share no pair, so the
+    order of merges does not matter.  Two presentations of the same t_i
+    expand to one normal form at a common depth (as ``equals`` decides),
+    and each expansion step is undone by one merge; so when their nu-words
+    are nonempty, both reduce to the same pairs.
+    """
+    pairs = set(pairs)
+    while True:
+        siblings: dict[Pair, set[int]] = {}
+        for nu, mu in pairs:
+            if len(nu) > 1 and mu and nu[-1] == mu[-1]:
+                siblings.setdefault((nu[:-1], mu[:-1]), set()).add(nu[-1])
+        merges = [
+            (nu, mu, letters)
+            for (nu, mu), letters in siblings.items()
+            if (nu, mu) not in pairs
+            and letters == matrix.followers(terminus(nu)) & matrix.followers(terminus(mu))
+        ]
+        if not merges:
+            return sorted(pairs)
+        for nu, mu, letters in merges:
+            pairs -= {(nu + (c,), mu + (c,)) for c in letters}
+            pairs.add((nu, mu))
+
+
 def power(e: GeometricEndomorphism, n: int) -> GeometricEndomorphism:
+    """``e`` composed with itself ``n`` times, by repeated squaring.
+
+    It makes floor(log2 n) + popcount(n) - 1 calls to :func:`compose`.
+    Since the reduced form is canonical (see :func:`_reduce`), the result
+    has the same ``raw_images`` as the chain ``compose(e, compose(e, ...))``
+    when no nu-word is empty.  ``power(e, 1)`` is ``e`` as given, not
+    reduced.
+    """
     if n < 1:
         raise InvalidParameter("power requires n >= 1")
-    result = e
-    for _ in range(n - 1):
-        result = compose(e, result)
-    return result
+    result = None
+    square = e
+    while True:
+        if n & 1:
+            result = square if result is None else compose(square, result)
+        n >>= 1
+        if not n:
+            return result
+        square = compose(square, square)
 
 
 def represent_at_depth(e: GeometricEndomorphism, k: int) -> GeometricEndomorphism:

@@ -12,6 +12,8 @@ are kept out of the package because nothing but the tests calls them:
   ``is_projection``, ``support``), against which the cylinder-set validity
   check is tested, and the K_0 map computed from those supports
   (``induced_k0_support_route``);
+- composites multiplied out word by word (``compose_word_by_word``), and
+  sibling pairs merged one at a time (``reduce_pairs``);
 - Gauss-Jordan inverse and solve over ``Fraction``;
 - graded maps and pairings that only the tests build.
 """
@@ -23,7 +25,17 @@ from cklef import linalg
 from cklef.graded import GradedMap, GradedPairing, GradedSpace
 from cklef.index import LengthTransfer, propagation
 from cklef.sft_core import clopen_make, count_paths, iter_paths, terminus
-from cklef.word_algebra import adjoint, equals, multiply, normalize
+from cklef.word_algebra import (
+    add,
+    adjoint,
+    element,
+    equals,
+    multiply,
+    normalize,
+    scale,
+    unit,
+    zero,
+)
 
 
 def length_transfer_enumerated(psi, max_len):
@@ -147,6 +159,51 @@ def induced_k0_support_route(e):
         termini = Counter(terminus(w) for w in support(multiply(t, adjoint(t))).members)
         columns.append([termini[j] for j in letters])
     return tuple(zip(*columns))
+
+
+def compose_word_by_word(e, f):
+    """The unreduced pair lists of e o f: every inner word multiplied out
+    from the unit, one freshly built letter image at a time, and each
+    image's distinct monomials sorted."""
+
+    def image_of_word(w):
+        result = unit(e.matrix)
+        for letter in w:
+            result = multiply(result, e.image_element(letter))
+        return result
+
+    pair_lists = []
+    for i in e.matrix.alphabet:
+        elt = zero(e.matrix)
+        for (nu, mu), c in f.image_element(i).terms.items():
+            term = multiply(image_of_word(nu), adjoint(image_of_word(mu)))
+            elt = add(elt, scale(term, c))
+        assert all(c == 1 for c in elt.terms.values())
+        pair_lists.append(tuple(sorted(elt.terms)))
+    return tuple(pair_lists)
+
+
+def reduce_pairs(matrix, pairs, rng=None):
+    """One generator's pairs with sibling pairs merged one at a time.
+
+    A candidate (nu, mu), with nu nonempty, is cut from the last letters of
+    a pair; it is merged when every term of its expansion
+    ``normalize(s_nu s_mu*, |mu| + 1)`` is a pair and (nu, mu) is not.  The
+    candidates are tried in sorted order, or in the order ``rng`` shuffles
+    them to, and the search restarts after every merge.
+    """
+    pairs = set(pairs)
+    while True:
+        candidates = sorted({(nu[:-1], mu[:-1]) for nu, mu in pairs if len(nu) > 1 and mu})
+        if rng is not None:
+            rng.shuffle(candidates)
+        for nu, mu in candidates:
+            children = set(normalize(element(matrix, [(nu, mu, 1)]), len(mu) + 1).terms)
+            if children and children <= pairs and (nu, mu) not in pairs:
+                pairs = pairs - children | {(nu, mu)}
+                break
+        else:
+            return tuple(sorted(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -194,13 +194,13 @@ class TestSubcommands:
         assert data["series.value"] == data["fredholm.value"] == 0
 
     def test_index_on_cube_agrees_on_every_route(self, tmp_path, main_matrix, main_endo):
-        # gamma and Fredholm default to the series end, 9 on E^3
+        # gamma and Fredholm default to the series end, 8 on E^3
         path = tmp_path / "cube.ck"
         path.write_text(render_document(document_of(main_matrix, "t", power(main_endo, 3))))
         out, code = run(["--structured", "index", str(path)])
         assert code == 0
         data = parse_structured(out)
-        assert data["gamma.m"] == data["fredholm.depth"] == data["series.depth"] == 9
+        assert data["gamma.m"] == data["fredholm.depth"] == data["series.depth"] == 8
         for route in ("series", "gamma", "polynomial", "fredholm"):
             assert data[f"{route}.value"] == 1
 
@@ -276,7 +276,7 @@ class TestSubcommands:
         assert code == 0
         data = parse_structured(out)
         assert data["series.value"] == 1
-        assert data["index.k3"] == -1 and data["index.k4"] == 2
+        assert data["index.k3"] == 0 and data["index.k4"] == 0
 
 
     def test_validate_lists_maximal_range_cylinders(self, main_file):
@@ -368,6 +368,23 @@ class TestStructuredFormat:
         assert code == 0
         # the value starts on a line of its own, as in the plain report
         assert parse_structured(out)["document"] == "\n" + out_path.read_text()
+
+    @pytest.mark.parametrize(
+        "argv, pairs, k",
+        [
+            (["power", "--n", "1"], 7, 2),
+            (["power", "--n", "8"], 768, 37),
+            (["compose", "--with", "t"], 12, 4),
+        ],
+    )
+    def test_pair_count_round_trips(self, main_file, argv, pairs, k):
+        out, code = run(["--structured", argv[0], main_file] + argv[1:])
+        assert code == 0
+        data = parse_structured(out)
+        assert (data["pairs"], data["k"]) == (pairs, k)
+        written = parse_document(data["document"])
+        built = written.build(written.default_name())
+        assert sum(map(len, built.raw_images)) == pairs
 
 
 def test_readme_library_example(tmp_path, monkeypatch, capsys):

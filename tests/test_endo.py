@@ -14,6 +14,8 @@ from cklef.endo import (
     power,
     represent_at_depth,
 )
+from cklef.index import index_series_counted
+from cklef.ktheory import induced_k0, k0_reduce
 from cklef.errors import (
     CkError,
     DepthTooSmall,
@@ -32,12 +34,17 @@ from cklef.word_algebra import (
     monomial,
     monomial_is_zero,
     multiply,
-    scale,
     unit,
     zero,
 )
 from tests.conftest import small_matrices
-from tests.oracles import generator_equal, is_partial_isometry, support
+from tests.oracles import (
+    compose_word_by_word,
+    generator_equal,
+    is_partial_isometry,
+    reduce_pairs,
+    support,
+)
 
 
 class TestValidation:
@@ -115,7 +122,7 @@ class TestCompose:
         )
 
     def test_power_depth_grows(self, main_endo):
-        assert power(main_endo, 2).k == 5
+        assert power(main_endo, 2).k == 4
 
     def test_power_requires_positive(self, main_endo):
         with pytest.raises(ValueError):
@@ -140,34 +147,32 @@ class TestCompose:
         with pytest.raises(InvalidEndomorphism, match="generator 1 is not a sum of distinct"):
             compose(main_endo, forged)
 
-
-def _reference_compose(e, f):
-    """The pair lists of e o f, with every inner word multiplied out from the
-    unit, one freshly built letter image at a time."""
-
-    def image_of_word(w):
-        result = unit(e.matrix)
-        for letter in w:
-            result = multiply(result, e.image_element(letter))
-        return result
-
-    pair_lists = []
-    for i in e.matrix.alphabet:
-        elt = zero(e.matrix)
-        for (nu, mu), c in f.image_element(i).terms.items():
-            term = multiply(image_of_word(nu), adjoint(image_of_word(mu)))
-            elt = add(elt, scale(term, c))
-        assert all(c == 1 for c in elt.terms.values())
-        pair_lists.append(tuple(sorted(elt.terms)))
-    return tuple(pair_lists)
+    def test_overlap_in_a_composite_is_not_merged_away(self, main_matrix, main_identity):
+        # a forged t_1 = s_1 + s_11 s_1* + s_12 s_2* = 2 s_1 holds (1,) <- e
+        # and both its siblings; merging them would hide the overlap and
+        # leave the valid-looking t_1 = s_1
+        forged = GeometricEndomorphism(
+            matrix=main_matrix,
+            raw_images=(
+                (((1,), ()), ((1, 1), (1,)), ((1, 2), (2,))),
+                (((2,), ()),),
+                (((3,), ()),),
+            ),
+            k=1,
+            valid=True,
+        )
+        with pytest.raises(DuplicateMuAfterNormalization):
+            compose(main_identity, forged)
 
 
 class TestComposeAgainstWordByWord:
-    def test_same_pairs_as_word_by_word(self, compose_cases):
+    def test_same_pairs_as_word_by_word(self, compose_cases, unreduced_composites):
         assert len(compose_cases) == 7 + 14 + 8
-        for e, f, composite in compose_cases:
+        for (e, _, composite), unreduced in zip(compose_cases, unreduced_composites):
             assert composite.valid
-            assert composite.raw_images == _reference_compose(e, f)
+            assert composite.raw_images == tuple(
+                reduce_pairs(e.matrix, pairs) for pairs in unreduced.raw_images
+            )
 
     def test_each_prefix_multiplied_once(self, main_endo, monkeypatch):
         f = power(main_endo, 7)
@@ -207,6 +212,139 @@ class TestComposeAgainstWordByWord:
         assert checks == [composite] and composite.valid
         # the memo belonged to the call: nothing was left on either factor
         assert set(vars(main_endo)) == set(vars(f)) == {"matrix", "raw_images", "k", "valid"}
+
+
+def _reduced(a):
+    """``a`` with every generator's pairs reduced by the package."""
+    return build_endomorphism(
+        a.matrix, [endo_module._reduce(a.matrix, pairs) for pairs in a.raw_images]
+    )
+
+
+@pytest.fixture(scope="module")
+def unreduced_composites(compose_cases):
+    """The composites of ``compose_cases`` as the word-by-word pair lists,
+    before any merge."""
+    return [
+        build_endomorphism(e.matrix, compose_word_by_word(e, f)) for e, f, _ in compose_cases
+    ]
+
+
+@pytest.fixture(scope="module")
+def given_presentations(main_endo, compose_cases):
+    """E .. E^8 from ``power``, the composites of ``compose_cases``, and seeded
+    inner automorphisms and complete-graph samples as the sampler gives them."""
+    corpus = [power(main_endo, n) for n in range(1, 9)]
+    corpus += [composite for _, _, composite in compose_cases]
+    rng = random.Random(31)
+    for matrix in small_matrices():
+        corpus.append(random_inner_automorphism(matrix, rng))
+    for n in (2, 3):
+        matrix = validate_matrix([[1] * n for _ in range(n)])
+        corpus += [random_complete_graph_endomorphism(matrix, rng)[0] for _ in range(3)]
+    return corpus
+
+
+def _k0_map(a):
+    """The descended K_0 map, and the K_0 class of each alpha_*(e_i); the
+    Z^n vectors themselves depend on the presentation."""
+    ind = induced_k0(a)
+    columns = zip(*ind.on_generators)
+    classes = [k0_reduce(ind.ktheory, v) for v in columns]
+    return ind.free_part, [(c.torsion, c.free) for c in classes]
+
+
+def _shallow(a):
+    """Whether ``a`` is cheap to normalize, as generator_equal and
+    represent_at_depth do: that multiplies the pairs by about
+    2.4^(depth - |mu|) on E's matrix, so at depth k + 2 E^3 (k = 7) has
+    6 825 pairs and E^4 (k = 11) 229 879."""
+    return a.k <= 7
+
+
+class TestReducedForm:
+    def test_merge_order_does_not_matter(self, given_presentations, unreduced_composites):
+        rng = random.Random(5)
+        deeper = [represent_at_depth(a, a.k + 1) for a in given_presentations if a.k <= 4]
+        # unreduced E^8 (896 pairs) takes the oracle about a second per order
+        corpus = [
+            a
+            for a in given_presentations + unreduced_composites + deeper
+            if sum(map(len, a.raw_images)) <= 500
+        ]
+        assert len(corpus) > 60
+        for a in corpus:
+            for pairs in a.raw_images:
+                reduced = tuple(endo_module._reduce(a.matrix, pairs))
+                assert reduce_pairs(a.matrix, pairs) == reduced
+                for _ in range(2):
+                    assert reduce_pairs(a.matrix, pairs, rng) == reduced
+
+    def test_undoes_represent_at_depth(self, given_presentations):
+        shallow = [a for a in given_presentations if _shallow(a)]
+        assert len(shallow) > len(given_presentations) / 2
+        for a in shallow:
+            deeper = represent_at_depth(a, a.k + 2)
+            assert _reduced(deeper).raw_images == _reduced(a).raw_images
+
+    def test_reduced_composite_is_the_unreduced_one(self, compose_cases, unreduced_composites):
+        for (_, _, composite), unreduced in zip(compose_cases, unreduced_composites):
+            assert unreduced.valid
+            if _shallow(unreduced):
+                assert generator_equal(composite, unreduced)
+
+    def test_index_and_k0_unchanged(self, given_presentations, unreduced_composites):
+        corpus = given_presentations + unreduced_composites
+        for a in corpus:
+            r = _reduced(a)
+            assert r.valid
+            assert sum(map(len, r.raw_images)) <= sum(map(len, a.raw_images))
+            assert (
+                index_series_counted(r).stabilized_value
+                == index_series_counted(a).stabilized_value
+            )
+            assert _k0_map(r) == _k0_map(a)
+        assert all(generator_equal(_reduced(a), a) for a in corpus if _shallow(a))
+
+    def test_pair_counts_of_the_powers(self, main_endo):
+        counts = [sum(map(len, power(main_endo, n).raw_images)) for n in range(1, 9)]
+        assert counts == [7, 12, 24, 48, 96, 192, 384, 768]
+        # E as given is not reduced: (1,1) <- (2,1) and (1,2) <- (2,2) merge
+        assert sum(map(len, _reduced(main_endo).raw_images)) == 6
+
+
+class TestPowerBySquaring:
+    @pytest.fixture(scope="class")
+    def bases(self, main_endo, compose_cases):
+        # E, a seeded inner automorphism on E's matrix, and a complete-graph
+        # sample at n = 2
+        inner = compose_cases[7][0]
+        sample = compose_cases[21][0]
+        assert inner.matrix == main_endo.matrix and sample.matrix.n == 2
+        return [main_endo, inner, sample]
+
+    def test_same_presentation_as_the_chain(self, bases):
+        for e in bases:
+            chain = e
+            for n in range(1, 9):
+                assert power(e, n).raw_images == chain.raw_images
+                chain = compose(e, chain)
+
+    def test_power_one_is_the_input(self, main_endo):
+        assert power(main_endo, 1) is main_endo
+
+    @pytest.mark.parametrize("n, calls", [(1, 0), (2, 1), (6, 3), (7, 4), (8, 3)])
+    def test_compose_calls(self, main_endo, monkeypatch, n, calls):
+        made = []
+        compose_ = endo_module.compose
+
+        def counted(e, f):
+            made.append(None)
+            return compose_(e, f)
+
+        monkeypatch.setattr(endo_module, "compose", counted)
+        power(main_endo, n)
+        assert len(made) == calls == n.bit_length() - 1 + bin(n).count("1") - 1
 
 
 class TestDotApply:
