@@ -46,6 +46,7 @@ from .errors import (
     InvalidParameter,
     UnallowableWord,
     UnknownLetter,
+    ZeroRowOrColumn,
 )
 from .index import (
     fredholm_index_truncated,
@@ -178,7 +179,11 @@ def parse_document(text: str) -> CkDocument:
                 f"row {r!r} must be {n} characters of 0/1", line_no, 1
             )
         rows.append(tuple(int(c) for c in r))
-    matrix = validate_matrix(rows)
+    # the rows are n digits 0/1 each, so only a zero row or column is left
+    try:
+        matrix = validate_matrix(rows)
+    except ZeroRowOrColumn as exc:
+        raise CkSyntaxError(str(exc), line_no, 1) from exc
 
     blocks: dict[str, dict[int, list[tuple[Word, Word]]]] = {}
     current: list[tuple[Word, Word]] | None = None

@@ -8,16 +8,17 @@ count ``gamma_m``, the closed polynomial formula in matrix powers, and a
 truncated Fredholm-style kernel/cokernel count.  All four agree on valid
 endomorphisms.
 
-Enumeration-based routes walk words through one function, :func:`_pair_heads`:
-for one presentation pair, the heads of its images (each image but its last
-letter), depth first over every length at once.  The series and gamma count
-each pair's words from one such walk (:func:`_pair_counts`): a head ending in
-a letter adds the number of letters that may close it, so no image is
-built.  The Fredholm count reads the same counts, except where pairs' images
-can coincide; there it merges their sorted image streams
-(:func:`_pair_images`) and counts equal neighbours once, so it holds no set
-of words.  Nothing is cached; the routes are meant for moderate
-depths.
+The enumerated routes walk words through the package's one word walk,
+:func:`~cklef.sft_core.walk`: for one presentation pair, the heads of its
+images (each image but its last letter), depth first over every length at
+once.  One table holds their counts (:func:`_landing_table`), filled from
+one such walk per pair (:func:`_pair_counts`): a head ending in a letter
+adds the number of letters that may close it, so no image is built.  The
+series and gamma read that table.  The Fredholm count reads it too, less
+the collisions of images (:func:`_collisions`): where pairs' images can
+coincide it merges their sorted image streams (:func:`_pair_images`) and
+counts equal neighbours, so it holds no set of words.  Nothing is cached;
+the routes are meant for moderate depths.
 
 The :class:`LengthTransfer` table can also be filled from the presentation
 pairs alone using matrix powers (:func:`length_transfer_counted`), which
@@ -27,21 +28,21 @@ distinct ``(first, i)`` of a presentation, ``first`` the letters that may
 follow both termini of a pair of t_i, it sums the column i of A^m over
 ``first`` once per m, and every pair class (:func:`_pair_classes`) reads its
 counts as a slice of that series.  The closed polynomial formula is gamma_m
-of this table.  The Fredholm count's number of all words of a length is such
-a series too.  The powers themselves are the ones the
-:class:`TransitionMatrix` caches.
+of this table, and this table is the kernel's one reader.  The powers
+themselves are the ones the :class:`TransitionMatrix` caches.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
+from itertools import accumulate, tee
 from typing import Iterator, Mapping
 
 from .errors import ExponentUnderflow, InvalidParameter
-from .sft_core import TransitionMatrix, Word, terminus
+from .sft_core import TransitionMatrix, Word, terminus, walk
 from .endo import GeometricEndomorphism, PartialPathMap
 
 
@@ -122,43 +123,6 @@ def _closing_letters(matrix: TransitionMatrix) -> dict[int, tuple[tuple[int, ...
     }
 
 
-def _pair_heads(
-    matrix: TransitionMatrix, nu: Word, first: frozenset[int], top: int
-) -> Iterator[list[int]]:
-    """The heads ``nu + y[:-1]`` of a pair's images with |y| >= 2, up to
-    length ``top``, depth first: each head before its extensions and the
-    letters in order, so the heads of one length come in lexicographic order.
-
-    ``first`` holds the letters y may start with.  This is the module's one
-    walk over words.  It yields a single list, extended and shortened in
-    place, so a caller reads it before the next step and copies it to keep
-    it.  Memory is O(``top``).
-    """
-    if len(nu) >= top:
-        return
-    successors = matrix._successors
-    word = list(nu)
-    stack = [iter(sorted(first))]
-    while stack:
-        x = next(stack[-1], None)
-        if x is None:
-            stack.pop()
-            if stack:
-                word.pop()
-            continue
-        word.append(x)
-        yield word
-        if len(word) + 1 < top:
-            stack.append(iter(successors[x]))
-            continue
-        if len(word) < top:  # the extensions are the last heads: no stack
-            for y in successors[x]:
-                word.append(y)
-                yield word
-                word.pop()
-        word.pop()
-
-
 def _first_letters(matrix: TransitionMatrix, nu: Word, mu: Word) -> frozenset[int]:
     """The letters that may follow both termini: y's first letter."""
     return matrix.followers(terminus(mu)) & matrix.followers(terminus(nu))
@@ -172,10 +136,10 @@ def _pair_images(
 
     The pair sends mu + (i,) to nu when mu is nonempty and its last letter
     precedes i, and mu + y + (i,) to nu + y for y whose first letter follows
-    both termini and whose last letter precedes i.  Each head of length
-    |nu| + L - 1 (:func:`_pair_heads`) is closed only by the letters of
-    ``closing[i]`` (:func:`_closing_letters`), so no word that fails the test
-    on the last letter is built.  Memory is O(L).
+    both termini and whose last letter precedes i.  Each head nu + y[:-1] of
+    length |nu| + L - 1 (:func:`~cklef.sft_core.walk`) is closed only by the
+    letters of ``closing[i]`` (:func:`_closing_letters`), so no word that
+    fails the test on the last letter is built.  Memory is O(L).
     """
     if L == 0:
         if mu and matrix.entry(mu[-1], i):
@@ -189,7 +153,7 @@ def _pair_images(
                 yield nu + (c,)
         return
     top = len(nu) + L - 1
-    for head in _pair_heads(matrix, nu, first, top):
+    for head in walk(matrix, nu, first, top):
         if len(head) == top:
             prefix = tuple(head)
             for b in ends[head[-1]]:
@@ -217,7 +181,7 @@ def _pair_counts(
     sizes = [len(letters) for letters in closing[i]]
     counts[1] = sum(c in first for c in closing[i][0])
     shift = 1 - len(nu)  # a head of length h counts at L = h + 1 - |nu|
-    for head in _pair_heads(matrix, nu, first, len(nu) + longest - 1):
+    for head in walk(matrix, nu, first, len(nu) + longest - 1):
         counts[len(head) + shift] += sizes[head[-1]]
     return counts
 
@@ -235,8 +199,8 @@ def _landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
     The pair (nu, mu) of t_i sends its domain words of length |mu| + 1 + L
     to images of length |nu| + L, and :func:`_pair_counts` counts them.  The
     source cylinders of one generator are disjoint, so each domain word is
-    counted by one pair, once.  The enumerated series and gamma read this
-    table.
+    counted by one pair, once.  The enumerated series, gamma and the
+    Fredholm count read this table.
     """
     matrix = psi.matrix
     closing = _closing_letters(matrix)
@@ -290,6 +254,7 @@ def _column_series(
     This is the module's one reader of matrix powers.  It reads A^m from the
     powers the matrix caches (:meth:`TransitionMatrix.power`), so the cost is
     one sum per entry of each series, and it keeps nothing once it returns.
+    Its one reader is :func:`length_transfer_counted`.
     """
     series = {}
     for (first, i), span in spans.items():
@@ -489,30 +454,22 @@ def _prefix_runs(e: GeometricEndomorphism) -> list[list[tuple[int, Word, Word]]]
     return runs
 
 
-def _fredholm_tally(psi: PartialPathMap, depth: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Domain words and distinct images counted at each length 1..depth.
+def _collisions(psi: PartialPathMap, depth: int) -> int:
+    """The images of lengths 1..``depth`` counted once more for each further
+    domain word landing on them: the landing table's image counts less the
+    distinct images.
 
-    Every pair's domain words are counted from one walk of its heads
-    (:func:`_pair_counts`), as in :func:`_landing_table`.  A run of one pair
-    (:func:`_prefix_runs`) has distinct images, so its counts are its image
-    counts too.  In a longer run, the pairs' streams (:func:`_pair_images`)
-    landing at one length are merged in lexicographic order and equal
-    neighbours counted once, so a collision of two pairs' images is seen,
-    not assumed away.  Memory is O(pairs * depth).
+    A run of one pair (:func:`_prefix_runs`) has distinct images, so only
+    runs of two or more pairs are read.  There the pairs' streams
+    (:func:`_pair_images`) landing at one length are merged in lexicographic
+    order and equal neighbours counted, so a collision of two pairs' images
+    is seen, not assumed away.  Memory is O(pairs * depth).
     """
     matrix = psi.matrix
     closing = _closing_letters(matrix)
-    dom: Counter = Counter()
-    im: Counter = Counter()
+    total = 0
     for run in _prefix_runs(psi.endo):
-        merged = len(run) > 1
-        for i, nu, mu in run:
-            counts = _pair_counts(matrix, closing, i, nu, mu, _longest_y(nu, mu, depth))
-            for L, n in enumerate(counts):
-                dom[len(mu) + 1 + L] += n
-                if not merged:
-                    im[len(nu) + L] += n
-        if not merged:
+        if len(run) < 2:
             continue
         for j in range(1, depth + 1):
             streams = [
@@ -520,32 +477,27 @@ def _fredholm_tally(psi: PartialPathMap, depth: int) -> tuple[dict[int, int], di
                 for i, nu, mu in run
                 if j >= len(nu)
             ]
-            im[j] += sum(1 for _ in groupby(heapq.merge(*streams)))
-    lengths = range(1, depth + 1)
-    return {j: dom[j] for j in lengths}, {j: im[j] for j in lengths}
+            words, successors = tee(heapq.merge(*streams))
+            next(successors, None)
+            total += sum(map(operator.eq, words, successors))
+    return total
 
 
 def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
     """Kernel-minus-cokernel count of the truncated permutation operator.
 
-    At each length j <= depth, the kernel dimension is the number of words
-    outside the domain and the cokernel dimension the number outside the
-    image; their signed sum telescopes to the partial sum of the index
-    series.  The distinct images are counted from the sorted per-pair
-    streams of :func:`_fredholm_tally`, so no word set is held.
+    At each length j <= depth, the kernel dimension p_j - dom_j counts the
+    words outside the domain and the cokernel dimension p_j - im_j the words
+    outside the image, p_j being the number of all words of length j.  The
+    p_j cancel term by term, (p_j - dom_j) - (p_j - im_j) = im_j - dom_j, so
+    no word total is needed.  The landing table (:func:`_landing_table`)
+    counts an image once per domain word landing on it; im_j counts it once,
+    which is the table's image count less the collisions
+    (:func:`_collisions`).  So the route is the index series summed to
+    ``depth`` less the collisions, and that merge of image streams is what
+    makes it a check of its own.  No word set is held.
     """
     if depth < 1:
         raise InvalidParameter("depth must be >= 1")
-    dom_count, im_count = _fredholm_tally(psi, depth)
-    # p_j, the number of all words of length j, sums the series of
-    # (alphabet, b) at j - 1 over the last letters b
-    matrix = psi.matrix
-    everything = matrix.followers(None)
-    series = _column_series(matrix, {(everything, b): range(depth) for b in matrix.alphabet})
-    total = 0
-    for j in range(1, depth + 1):
-        p_j = sum(s[j - 1] for s in series.values())
-        not_in_dom = p_j - dom_count[j]
-        not_in_im = p_j - im_count[j]
-        total += not_in_dom - not_in_im
-    return total
+    table = _landing_table(psi, depth)
+    return sum(table.index_at(j) for j in range(1, depth + 1)) - _collisions(psi, depth)

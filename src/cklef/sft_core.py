@@ -6,6 +6,9 @@ satisfy ``A[x_i, x_{i+1}] = 1``.  Finite data suffices everywhere in this
 package, so the module works with finite allowable words and with clopen
 subsets held in their unique form, the maximal cylinders they contain; the
 one operation on such sets is the check that they partition the space.
+Words are walked depth first by one function, :func:`walk`, which
+:func:`iter_paths` filters by length and the enumerated index routes read
+directly.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ class TransitionMatrix:
     every later K-theory call on this matrix reads them.  The powers are
     read through :meth:`power` by :func:`count_paths` and by the counting
     kernel of :mod:`cklef.index`, whose per-``(first, i)`` series the
-    counted table (and through it the closed polynomial formula) and the
-    Fredholm count's word totals read; the list grows to the largest
-    exponent any of them asks for and lives as long as the matrix.
+    counted table (and through it the closed polynomial formula) reads; the
+    list grows to the largest exponent either asks for and lives as long as
+    the matrix.
     """
 
     n: int
@@ -182,12 +185,50 @@ def count_paths(matrix: TransitionMatrix, a: int | None, b: int, L: int) -> int:
     return matrix.power(L)[a - 1][b - 1]
 
 
+def walk(
+    matrix: TransitionMatrix, start: Word, first: Iterable[int], top: int
+) -> Iterator[list[int]]:
+    """The words ``start + x`` with x nonempty and x[0] in ``first``, up to
+    length ``top``, depth first: each word before its extensions and the
+    letters in order, so the words of one length come in lexicographic order.
+
+    This is the package's one walk over words.  ``first`` is not checked
+    against ``start``'s terminus, so a caller may restrict it further.  The
+    walk yields a single list, extended and shortened in place, so a caller
+    reads it before the next step and copies it to keep it.  Memory is
+    O(``top``).
+    """
+    if len(start) >= top:
+        return
+    successors = matrix._successors
+    word = list(start)
+    stack = [iter(sorted(first))]
+    while stack:
+        x = next(stack[-1], None)
+        if x is None:
+            stack.pop()
+            if stack:
+                word.pop()
+            continue
+        word.append(x)
+        yield word
+        if len(word) + 1 < top:
+            stack.append(iter(successors[x]))
+            continue
+        if len(word) < top:  # the extensions are the last words: no stack
+            for y in successors[x]:
+                word.append(y)
+                yield word
+                word.pop()
+        word.pop()
+
+
 def iter_paths(matrix: TransitionMatrix, k: int, start: Word = EMPTY_WORD) -> Iterator[Word]:
     """Allowable extensions of ``start`` to length ``k``, in lexicographic order.
 
-    A depth-first walk holding one word and one follower iterator per letter,
-    so memory is O(k) however many words there are.  A ``start`` longer than
-    ``k`` has no extension and yields nothing.
+    The words of length ``k`` that :func:`walk` passes, so memory is O(k)
+    however many words there are.  A ``start`` longer than ``k`` has no
+    extension and yields nothing.
     """
     if k < 0:
         raise InvalidParameter("k must be >= 0")
@@ -196,23 +237,9 @@ def iter_paths(matrix: TransitionMatrix, k: int, start: Word = EMPTY_WORD) -> It
         if len(start) == k:
             yield start
         return
-    successors = matrix._successors
-    word = list(start)
-    stack = [iter(successors[word[-1] if word else 0])]
-    while stack:
-        if len(word) + 1 == k:
-            prefix = tuple(word)
-            for x in stack.pop():
-                yield prefix + (x,)
-        else:
-            x = next(stack[-1], None)
-            if x is not None:
-                word.append(x)
-                stack.append(iter(successors[x]))
-                continue
-            stack.pop()
-        if len(word) > len(start):
-            word.pop()
+    for word in walk(matrix, start, matrix.followers(terminus(start)), k):
+        if len(word) == k:
+            yield tuple(word)
 
 
 def enumerate_paths(matrix: TransitionMatrix, k: int) -> list[Word]:

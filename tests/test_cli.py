@@ -136,6 +136,17 @@ class TestRunExitCodes:
         _, code = run(["validate", "-"], stdin_text=text)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("10 00", "row 2 is zero"), ("10 10", "column 2 is zero")],
+        ids=["zero-row", "zero-column"],
+    )
+    def test_zero_row_or_column_is_two(self, rows, message):
+        text = f"n = 2\nA = {rows}\n[t1]\n1 <- e\n[t2]\n2 <- e\n"
+        out, code = run(["validate", "-"], stdin_text=text)
+        assert code == 2
+        assert out == f"parse error: {message} (line 2, column 1)\n"
+
     def test_missing_file_is_two(self):
         _, code = run(["validate", "/nonexistent/path.ck"])
         assert code == 2

@@ -17,7 +17,7 @@ from cklef.endo import (
 from cklef.errors import ExponentUnderflow, InvalidParameter
 from cklef.index import (
     _closing_letters,
-    _fredholm_tally,
+    _collisions,
     _landing_table,
     _longest_y,
     _pair_counts,
@@ -412,7 +412,8 @@ class TestLandingWalk:
         monkeypatch.setattr(PartialPathMap, "dot_apply", refuse)
         psi = path_map(power(main_endo, 2))
         assert sum(_landing_table(psi, 7).a.values()) > 0
-        assert sum(_fredholm_tally(psi, 7)[1].values()) > 0
+        # E^2 has a run of three pairs, so the collision count merges streams
+        assert _collisions(psi, 7) == 0
 
     def test_table_guards_gamma_past_its_cover(self, main_endo):
         # lengths up to 8 reach images up to the bound away, so gamma_m and
@@ -484,7 +485,11 @@ class TestFredholmPruning:
         for depth in depths:
             psi = path_map(e)
             dom, images = _brute_fredholm_tally(psi, depth)
-            assert _fredholm_tally(psi, depth) == (dom, {j: len(images[j]) for j in images})
+            table = _landing_table(psi, depth)
+            assert {j: table.dom_count(j) for j in dom} == dom
+            assert _collisions(psi, depth) == sum(
+                table.im_count(j) - len(images[j]) for j in images
+            )
             expected = sum(len(images[j]) - dom[j] for j in dom)
             assert fredholm_index_truncated(psi, depth) == expected
 
@@ -513,9 +518,17 @@ class TestFredholmPruning:
         # domain holds 2^m words and the image 2^(m - 1)
         forged = _forged_colliding()
         depth = 7
-        dom, im = _fredholm_tally(path_map(forged), depth)
-        assert dom == {m: 2**m if m >= 2 else 0 for m in range(1, depth + 1)}
-        assert im == {m: 2 ** (m - 1) if m >= 2 else 0 for m in range(1, depth + 1)}
+        psi = path_map(forged)
+        table = _landing_table(psi, depth)
+        assert [table.dom_count(m) for m in range(1, depth + 1)] == [
+            2**m if m >= 2 else 0 for m in range(1, depth + 1)
+        ]
+        # the table counts each image once per domain word, twice here, and
+        # the collisions are the second counts: the sum of 2^(m - 1), m = 2..7
+        assert [table.im_count(m) for m in range(1, depth + 1)] == [
+            2**m if m >= 2 else 0 for m in range(1, depth + 1)
+        ]
+        assert _collisions(psi, depth) == sum(2 ** (m - 1) for m in range(2, depth + 1)) == 126
         self._check(forged, (1, 3, depth))
 
     def test_visits_fewer_words(self, main_endo, monkeypatch):
@@ -528,17 +541,17 @@ class TestFredholmPruning:
         depth = 8
         assert max(len(run) for run in _prefix_runs(e2)) == 1
         walks = []
-        walk = index_module._pair_heads
+        walk = index_module.walk
 
-        def recording_heads(matrix, nu, first, top):
+        def recording_heads(matrix, start, first, top):
             heads = []
             walks.append(heads)
-            for head in walk(matrix, nu, first, top):
+            for head in walk(matrix, start, first, top):
                 heads.append(tuple(head))
                 yield head
 
-        monkeypatch.setattr(index_module, "_pair_heads", recording_heads)
-        _fredholm_tally(path_map(e2), depth)
+        monkeypatch.setattr(index_module, "walk", recording_heads)
+        fredholm_index_truncated(path_map(e2), depth)
         # one walk per pair, and no head walked twice in it
         assert len(walks) == sum(len(pairs) for pairs in e2.raw_images)
         assert all(len(heads) == len(set(heads)) for heads in walks)

@@ -21,6 +21,7 @@ from cklef.sft_core import (
     iter_paths,
     terminus,
     validate_matrix,
+    walk,
 )
 from tests.conftest import Q_ROWS, small_matrices
 from tests.oracles import per_pair_fill
@@ -217,6 +218,52 @@ class TestIterPaths:
         words = iter_paths(main_matrix, 40)
         assert next(words) == (1,) * 40
         assert next(words) == (1,) * 39 + (2,)
+
+
+class TestWalk:
+    """The one word walk against a brute-force filter of every word."""
+
+    @staticmethod
+    def _check(m, start, first, top):
+        words = [tuple(w) for w in walk(m, start, first, top)]
+        want = {
+            w
+            for k in range(len(start) + 1, top + 1)
+            for w in enumerate_paths(m, k)
+            if w[: len(start)] == start and w[len(start)] in first
+        }
+        # exactly the words start + x with x[0] in first, each once
+        assert len(words) == len(set(words))
+        assert set(words) == want
+        # each word before its extensions
+        position = {w: n for n, w in enumerate(words)}
+        assert all(position[w[:-1]] < n for n, w in enumerate(words) if len(w) > len(start) + 1)
+        # the words of each length in lexicographic order
+        for k in range(len(start) + 1, top + 1):
+            same = [w for w in words if len(w) == k]
+            assert same == sorted(same)
+        return words
+
+    def test_every_word_from_the_empty_start(self):
+        for m in small_matrices():
+            words = self._check(m, (), m.followers(None), 5)
+            assert len(words) == sum(len(enumerate_paths(m, k)) for k in range(1, 6))
+
+    def test_nonempty_start_and_restricted_first(self, main_matrix):
+        # 2 may be followed by 1, 2 and 3; 3 by 2 and 3
+        for start, first in [
+            ((2,), {1, 2, 3}),
+            ((2,), {3}),
+            ((2, 3), {2}),
+            ((1, 1, 2), {1, 3}),
+            ((3,), set()),
+        ]:
+            for top in range(len(start) + 1, 7):
+                self._check(main_matrix, start, first, top)
+
+    def test_start_at_or_past_top_yields_nothing(self, main_matrix):
+        for start, top in [((2, 3), 2), ((2, 3, 3), 2), ((1,), 0), ((), 0)]:
+            assert self._check(main_matrix, start, {1, 2, 3}, top) == []
 
 
 def _assert_counted_table_is_per_pair_fill(e):

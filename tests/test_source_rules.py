@@ -3,12 +3,16 @@
 Every cache needs an owner and a size bound, so no function in
 ``src/cklef`` is wrapped in a process-wide ``functools`` cache.  Every
 option is public, so no function takes a parameter whose name starts with an
-underscore: such a parameter is a hidden way round a check.  The index
-routes share one word enumerator, so exactly one function in
-``src/cklef/index.py`` uses ``iter_paths`` or ``enumerate_paths``, or walks
-the follower table ``TransitionMatrix._successors`` by hand.  They share
-one counting kernel too, so exactly one function there reads matrix
-powers: names ``count_paths``, ``.power`` or ``_powers``.  The exact
+underscore: such a parameter is a hidden way round a check.  The package
+has one word walk, ``sft_core.walk``: it is the only function in
+``src/cklef/sft_core.py`` that names the follower table
+``TransitionMatrix._successors``, whose field declaration is the one other
+place naming it, and ``src/cklef/index.py`` names none of ``iter_paths``,
+``enumerate_paths`` and ``_successors``, so the index routes walk words
+only through ``walk``.  They share one counting kernel too, so exactly one
+function there reads matrix powers: names ``count_paths``, ``.power`` or
+``_powers``; and that kernel, ``_column_series``, has one reader, the
+counted table ``length_transfer_counted``.  The exact
 linear algebra has one elimination loop, so exactly one function in
 ``src/cklef/linalg.py`` replaces matrix rows inside a loop over pivots.
 The package holds no code that only the tests need, so every function,
@@ -29,6 +33,8 @@ ENUMERATORS = {"iter_paths", "enumerate_paths", "_successors"}
 POWER_READERS = {"count_paths", ".power", "_powers"}
 # the one function that groups the pairs into classes and sums their counts
 CLASS_READERS = {"_pair_classes"}
+# the counting kernel, read by the counted table alone
+SERIES_READERS = {"_column_series"}
 
 
 def _cached_functions(source: str) -> list[str]:
@@ -105,22 +111,29 @@ def test_no_hidden_parameters_in_package():
 def _naming_scopes(source: str, names: set[str]) -> list[str]:
     """The innermost functions (or ``<module>``) that name one of ``names``,
     whether they call it or pass it on, in source order.  A name written
-    ``.x`` matches only the attribute ``x``."""
+    ``.x`` matches only the attribute ``x``.  A class field declared in the
+    class body, ``x: T`` or ``x: T = ...``, is reported as ``Class.x``."""
     found = []
+    fields = {}  # the declared field names, by node, as Class.x
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
         elif isinstance(node, ast.Lambda):
             scope = "<lambda>"
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    fields[item.target] = f"{node.name}.{item.target.id}"
         if isinstance(node, ast.Name):
             hit = node.id in names
         elif isinstance(node, ast.Attribute):
             hit = node.attr in names or "." + node.attr in names
         else:
             hit = False
-        if hit and scope not in found:
-            found.append(scope)
+        where = fields.get(node, scope)
+        if hit and where not in found:
+            found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -147,9 +160,28 @@ def test_enumerator_detector_sees_every_use():
     ]
 
 
+def test_field_declaration_detector():
+    source = (
+        "class T:\n"
+        "    _successors: tuple = ()\n"
+        "    _followers: tuple\n"
+        "    def a(self):\n        return self._successors\n"
+        "class U:\n    _successors = ()\n"
+        "def b(m: '_successors'):\n    _successors: int = 1\n    return m\n"
+        "X: int = T._successors\n"
+    )
+    assert _naming_scopes(source, {"_successors"}) == ["T._successors", "a", "<module>", "b"]
+
+
 def test_index_routes_share_one_enumerator():
+    # the routes walk words only through sft_core.walk, which they import
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
-    assert _naming_scopes(source, ENUMERATORS) == ["_pair_heads"]
+    assert _naming_scopes(source, ENUMERATORS) == []
+
+
+def test_sft_core_has_one_word_walk():
+    source = (PACKAGE / "sft_core.py").read_text(encoding="utf-8")
+    assert _naming_scopes(source, {"_successors"}) == ["TransitionMatrix._successors", "walk"]
 
 
 def test_power_reader_detector_sees_every_use():
@@ -195,6 +227,27 @@ def test_closed_formula_reads_the_counted_table():
     # grow a second summation of the counted table's counts
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
     assert _naming_scopes(source, CLASS_READERS) == ["length_transfer_counted"]
+
+
+def test_series_reader_detector_sees_every_use():
+    source = (
+        "def _column_series(matrix, spans):\n    return spans\n"
+        "def a(m):\n    \"\"\"_column_series(m, {}) in a docstring is no read.\"\"\"\n    return m\n"
+        "def b(m):\n    return _column_series(m, {})\n"
+        "def c(m):\n    kernel = index._column_series\n    return kernel(m, {})\n"
+        "d = lambda m: _column_series(m, {})\n"
+        "def f(m):\n    def inner():\n        return _column_series(m, {})\n    return inner\n"
+        "def g(m, _column_series=None):\n    return m\n"
+        "KERNEL = _column_series\n"
+    )
+    assert _naming_scopes(source, SERIES_READERS) == ["b", "c", "<lambda>", "inner", "<module>"]
+
+
+def test_column_series_has_one_reader():
+    # the Fredholm route reads the landing table, not word totals from
+    # matrix powers, so the counting kernel serves the counted table alone
+    source = (PACKAGE / "index.py").read_text(encoding="utf-8")
+    assert _naming_scopes(source, SERIES_READERS) == ["length_transfer_counted"]
 
 
 def _assigns_a_subscript(node) -> bool:
