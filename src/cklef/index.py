@@ -477,9 +477,9 @@ def _collisions(psi: PartialPathMap, depth: int) -> int:
                 for i, nu, mu in run
                 if j >= len(nu)
             ]
-            words, successors = tee(heapq.merge(*streams))
-            next(successors, None)
-            total += sum(map(operator.eq, words, successors))
+            words, following = tee(heapq.merge(*streams))
+            next(following, None)
+            total += sum(map(operator.eq, words, following))
     return total
 
 
