@@ -9,15 +9,17 @@ truncated Fredholm-style kernel/cokernel count.  All four agree on valid
 endomorphisms.
 
 The enumerated routes walk words through the package's one word walk,
-:func:`~cklef.sft_core.walk`: for one presentation pair, the heads of its
-images (each image but its last letter), depth first over every length at
-once.  One table holds their counts (:func:`_landing_table`), filled from
-one such walk per pair (:func:`_pair_counts`): a head ending in a letter
-adds the number of letters that may close it, so no image is built.  The
-series and gamma read that table.  The Fredholm count reads it too, less
-the collisions of images (:func:`_collisions`): where pairs' images can
-coincide it merges their sorted image streams (:func:`_pair_images`) and
-counts equal neighbours, so it holds no set of words.  Nothing is cached;
+:func:`~cklef.sft_core.walk`, depth first over every length at once.  One
+table holds their counts (:func:`_landing_table`).  A pair's domain words
+depend only on its class ``(first, i)``, ``first`` the letters that may
+follow both termini, so the table is filled from one walk per class
+(:func:`_class_counts`), from the empty word: a head ending in a letter adds
+the number of letters that may close it, so no word is built.  The series
+and gamma read that table.  The Fredholm count reads it too, less the
+collisions of images (:func:`_collisions`): only under the words where two
+pairs' images can meet (:func:`_overlap_roots`) does it merge their sorted
+image streams (:func:`_root_images`), over every length in one pass, and
+count equal neighbours, so it holds no set of words.  Nothing is cached;
 the routes are meant for moderate depths.
 
 The :class:`LengthTransfer` table can also be filled from the presentation
@@ -111,78 +113,40 @@ class LengthTransfer:
         return shrink - stretch
 
 
-def _closing_letters(matrix: TransitionMatrix) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """``closing[i][a]``: the letters that may follow ``a`` and precede ``i``,
-    in order; ``a = 0`` is the empty terminus, which every letter follows."""
-    return {
-        i: tuple(
-            tuple(sorted(b for b in matrix.followers(a) if matrix.entry(b, i)))
-            for a in range(matrix.n + 1)
-        )
-        for i in matrix.alphabet
-    }
-
-
 def _first_letters(matrix: TransitionMatrix, nu: Word, mu: Word) -> frozenset[int]:
     """The letters that may follow both termini: y's first letter."""
     return matrix.followers(terminus(mu)) & matrix.followers(terminus(nu))
 
 
-def _pair_images(
-    matrix: TransitionMatrix, closing: dict, i: int, nu: Word, mu: Word, L: int
-) -> Iterator[Word]:
-    """The images ``nu + y``, |y| = ``L``, of the domain words the pair
-    (nu, mu) of t_i matches, in lexicographic order.
-
-    The pair sends mu + (i,) to nu when mu is nonempty and its last letter
-    precedes i, and mu + y + (i,) to nu + y for y whose first letter follows
-    both termini and whose last letter precedes i.  Each head nu + y[:-1] of
-    length |nu| + L - 1 (:func:`~cklef.sft_core.walk`) is closed only by the
-    letters of ``closing[i]`` (:func:`_closing_letters`), so no word that
-    fails the test on the last letter is built.  Memory is O(L).
-    """
-    if L == 0:
-        if mu and matrix.entry(mu[-1], i):
-            yield nu
-        return
-    first = _first_letters(matrix, nu, mu)
-    ends = closing[i]
-    if L == 1:
-        for c in ends[0]:
-            if c in first:
-                yield nu + (c,)
-        return
-    top = len(nu) + L - 1
-    for head in walk(matrix, nu, first, top):
-        if len(head) == top:
-            prefix = tuple(head)
-            for b in ends[head[-1]]:
-                yield prefix + (b,)
+def _precedes(matrix: TransitionMatrix, i: int) -> tuple[int, ...]:
+    """``precedes[a]`` is 1 when the letter ``a`` may precede ``i``; index 0,
+    the empty terminus, precedes nothing."""
+    return (0,) + tuple(row[i - 1] for row in matrix.rows)
 
 
-def _pair_counts(
-    matrix: TransitionMatrix, closing: dict, i: int, nu: Word, mu: Word, longest: int
+def _class_counts(
+    matrix: TransitionMatrix, first: frozenset[int], i: int, longest: int
 ) -> list[int]:
-    """The sizes of the pair's streams (:func:`_pair_images`) at each
-    L = 0 .. ``longest``, from one walk of their heads.
+    """``counts[L]``, L = 1 .. ``longest``: the words y of length L whose
+    first letter is in ``first`` and whose last letter precedes i, from one
+    walk of their heads y[:-1]; ``counts[0]`` is 0.
 
-    A head ending in the letter a is closed by the letters of
-    ``closing[i][a]``, so it adds their number at its length + 1; no image
-    is built.  L = 0 and L = 1 have no head to walk and are counted as the
-    stream counts them.
+    For a pair (nu, mu) of t_i whose termini are both followed by exactly
+    the letters of ``first``, these y are the tails of its domain words
+    mu + y + (i,), so every pair of the class ``(first, i)`` has counts[L]
+    domain words of length |mu| + 1 + L.  A head ending in the letter a is
+    closed by the letters that follow a and precede i, so it adds their
+    number at its length + 1; no y is built.  The walk starts at the empty
+    word, so it does not depend on any one pair's nu.
     """
     counts = [0] * (longest + 1)
-    if longest < 0:
+    if longest < 1:
         return counts
-    counts[0] = 1 if mu and matrix.entry(mu[-1], i) else 0
-    if longest == 0:
-        return counts
-    first = _first_letters(matrix, nu, mu)
-    sizes = [len(letters) for letters in closing[i]]
-    counts[1] = sum(c in first for c in closing[i][0])
-    shift = 1 - len(nu)  # a head of length h counts at L = h + 1 - |nu|
-    for head in walk(matrix, nu, first, len(nu) + longest - 1):
-        counts[len(head) + shift] += sizes[head[-1]]
+    precedes = _precedes(matrix, i)
+    closing = [sum(precedes[b] for b in matrix.followers(a)) for a in range(matrix.n + 1)]
+    counts[1] = sum(precedes[c] for c in first)
+    for head in walk(matrix, (), first, longest - 1):
+        counts[len(head) + 1] += closing[head[-1]]
     return counts
 
 
@@ -197,20 +161,33 @@ def _landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
     all that Index_k and gamma_k read for k <= depth.
 
     The pair (nu, mu) of t_i sends its domain words of length |mu| + 1 + L
-    to images of length |nu| + L, and :func:`_pair_counts` counts them.  The
-    source cylinders of one generator are disjoint, so each domain word is
-    counted by one pair, once.  The enumerated series, gamma and the
-    Fredholm count read this table.
+    to images of length |nu| + L: mu + (i,) to nu when mu is nonempty and
+    its last letter precedes i, and mu + y + (i,) to nu + y for the words y
+    that :func:`_class_counts` counts.  Those depend only on the pair's
+    class ``(first, i)``, so each class is walked once, to the longest y one
+    of its pairs needs (:func:`_longest_y`), and each pair reads a prefix of
+    the class counts at its own offsets.  The source cylinders of one
+    generator are disjoint, so each domain word is counted by one pair,
+    once.  The enumerated series, gamma and the Fredholm count read this
+    table.
     """
     matrix = psi.matrix
-    closing = _closing_letters(matrix)
-    a: Counter = Counter()
+    classes: dict[tuple[frozenset[int], int], list[tuple[Word, Word]]] = {}
     for i in matrix.alphabet:
         for nu, mu in psi.endo.raw_images[i - 1]:
-            counts = _pair_counts(matrix, closing, i, nu, mu, _longest_y(nu, mu, depth))
-            for L, n in enumerate(counts):
-                if n:
-                    a[(len(mu) + 1 + L, len(nu) + L)] += n
+            classes.setdefault((_first_letters(matrix, nu, mu), i), []).append((nu, mu))
+    a: Counter = Counter()
+    for (first, i), pairs in classes.items():
+        counts = _class_counts(
+            matrix, first, i, max(_longest_y(nu, mu, depth) for nu, mu in pairs)
+        )
+        for nu, mu in pairs:
+            longest = _longest_y(nu, mu, depth)
+            if longest >= 0 and mu and matrix.entry(mu[-1], i):
+                a[(len(mu) + 1, len(nu))] += 1
+            for L in range(1, longest + 1):
+                if counts[L]:
+                    a[(len(mu) + 1 + L, len(nu) + L)] += counts[L]
     bound = propagation(psi.endo)
     return LengthTransfer(a=a, max_len=depth + bound, bound=bound)
 
@@ -454,28 +431,87 @@ def _prefix_runs(e: GeometricEndomorphism) -> list[list[tuple[int, Word, Word]]]
     return runs
 
 
+def _overlap_roots(run: list[tuple[int, Word, Word]]) -> list[Word]:
+    """The minimal words under which two pairs of ``run`` can share an image.
+
+    An image of two pairs of one run extends both their nu, and one of the
+    two pairs is not the run's first, so the image extends the nu of a pair
+    after the first: a longer nu, or the first nu itself when two pairs
+    share it.  The roots are the minimal such nu, in order; no root is a
+    prefix of another.  In lexicographic order a word extends one of the
+    roots kept before it exactly when it extends the last one kept.
+    """
+    roots: list[Word] = []
+    for _, nu, _ in run[1:]:
+        if not roots or nu[: len(roots[-1])] != roots[-1]:
+            roots.append(nu)
+    return roots
+
+
+def _root_images(
+    matrix: TransitionMatrix, i: int, nu: Word, mu: Word, root: Word, depth: int
+) -> Iterator[Word]:
+    """The images of lengths 1 .. ``depth`` of the pair (nu, mu) of t_i that
+    extend ``root``, in lexicographic order; nu and ``root`` are comparable.
+
+    The pair sends mu + (i,) to nu when mu is nonempty and its last letter
+    precedes i, and mu + y + (i,) to nu + y for y whose first letter follows
+    both termini and whose last letter precedes i.  When nu extends
+    ``root`` these are all the pair's images: nu if mu + (i,) is a domain
+    word, then the words :func:`~cklef.sft_core.walk` passes from nu whose
+    last letter precedes i.  When ``root`` strictly extends nu, they are
+    ``root`` and the words walked from it whose last letter precedes i, if
+    y's first letter ``root[len(nu)]`` follows both termini.
+    The walk passes a word before its extensions and letters in order, so
+    the stream is in tuple order over every length at once.  Memory is
+    O(``depth``).
+    """
+    if len(root) <= len(nu):
+        start, letters = nu, _first_letters(matrix, nu, mu)
+        own = bool(mu) and matrix.entry(mu[-1], i)
+    else:
+        if root[len(nu)] not in _first_letters(matrix, nu, mu):
+            return
+        start, letters = root, matrix.followers(root[-1])
+        own = matrix.entry(root[-1], i)
+    precedes = _precedes(matrix, i)
+    if own and 0 < len(start) <= depth:
+        yield start
+    for word in walk(matrix, start, letters, depth):
+        if precedes[word[-1]]:
+            yield tuple(word)
+
+
 def _collisions(psi: PartialPathMap, depth: int) -> int:
     """The images of lengths 1..``depth`` counted once more for each further
     domain word landing on them: the landing table's image counts less the
     distinct images.
 
-    A run of one pair (:func:`_prefix_runs`) has distinct images, so only
-    runs of two or more pairs are read.  There the pairs' streams
-    (:func:`_pair_images`) landing at one length are merged in lexicographic
-    order and equal neighbours counted, so a collision of two pairs' images
-    is seen, not assumed away.  Memory is O(pairs * depth).
+    A valid presentation's path map is injective, so the count is 0 there.
+    An image nu + y with y nonempty lies in its pair's range cylinder
+    nu + y[:1], and the image nu (y empty) contains its pair's range
+    cylinders nu + c, of which there is at least one since no monomial of
+    the presentation is zero.  The range cylinders of distinct pairs are
+    disjoint, which the validity check proves, and within one pair nu + y
+    determines y.  It is still counted, as a check: a presentation that
+    skips the validity check can collide.
+
+    Two pairs' images can coincide only within a run (:func:`_prefix_runs`),
+    and only under one of its overlap roots (:func:`_overlap_roots`).  Under
+    each root the streams (:func:`_root_images`) of the pairs whose nu is
+    comparable with it are merged in tuple order, over every length in one
+    pass, and equal neighbours counted, so a collision is seen, not assumed
+    away.  The roots are prefix-incomparable, so no image is counted under
+    two.  Memory is O(pairs * depth).
     """
     matrix = psi.matrix
-    closing = _closing_letters(matrix)
     total = 0
     for run in _prefix_runs(psi.endo):
-        if len(run) < 2:
-            continue
-        for j in range(1, depth + 1):
+        for root in _overlap_roots(run):
             streams = [
-                _pair_images(matrix, closing, i, nu, mu, j - len(nu))
+                _root_images(matrix, i, nu, mu, root, depth)
                 for i, nu, mu in run
-                if j >= len(nu)
+                if nu[: len(root)] == root or root[: len(nu)] == nu
             ]
             words, following = tee(heapq.merge(*streams))
             next(following, None)

@@ -228,11 +228,12 @@ def iter_paths(matrix: TransitionMatrix, k: int, start: Word = EMPTY_WORD) -> It
 
     The words of length ``k`` that :func:`walk` passes, so memory is O(k)
     however many words there are.  A ``start`` longer than ``k`` has no
-    extension and yields nothing.
+    extension and yields nothing; one that is not allowable raises
+    :class:`UnallowableWord`.
     """
     if k < 0:
         raise InvalidParameter("k must be >= 0")
-    start = tuple(start)
+    start = require_allowable(matrix, tuple(start))
     if len(start) >= k:
         if len(start) == k:
             yield start

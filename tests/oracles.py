@@ -12,19 +12,25 @@ are kept out of the package because nothing but the tests calls them:
   ``is_projection``, ``support``), against which the cylinder-set validity
   check is tested, and the K_0 map computed from those supports
   (``induced_k0_support_route``);
+- the Fredholm route's collisions merged run by run at each length
+  (``collisions_by_length``), from each pair's images at one length
+  (``pair_images``);
 - composites multiplied out word by word (``compose_word_by_word``), and
   sibling pairs merged one at a time (``reduce_pairs``);
 - Gauss-Jordan inverse and solve over ``Fraction``;
 - graded maps and pairings that only the tests build.
 """
 
+import heapq
+import operator
 from collections import Counter
 from fractions import Fraction
+from itertools import tee
 
 from cklef import linalg
 from cklef.graded import GradedMap, GradedPairing, GradedSpace
-from cklef.index import LengthTransfer, propagation
-from cklef.sft_core import clopen_make, count_paths, iter_paths, terminus
+from cklef.index import LengthTransfer, _prefix_runs, propagation
+from cklef.sft_core import clopen_make, count_paths, iter_paths, terminus, walk
 from cklef.word_algebra import (
     add,
     adjoint,
@@ -99,6 +105,59 @@ def polynomial_parts_pair_by_pair(e, m):
         else:
             neg += words
     return pos, neg
+
+
+def pair_images(matrix, i, nu, mu, L):
+    """The images ``nu + y``, |y| = ``L``, of the domain words the pair
+    (nu, mu) of t_i matches, in lexicographic order.
+
+    The pair sends mu + (i,) to nu when mu is nonempty and its last letter
+    precedes i, and mu + y + (i,) to nu + y for y whose first letter follows
+    both termini and whose last letter precedes i.  Each head nu + y[:-1] of
+    length |nu| + L - 1 is closed by the letters that follow its last
+    letter and precede i.
+    """
+    if L == 0:
+        if mu and matrix.entry(mu[-1], i):
+            yield nu
+        return
+    first = matrix.followers(terminus(mu)) & matrix.followers(terminus(nu))
+    closing = [
+        sorted(b for b in matrix.followers(a) if matrix.entry(b, i))
+        for a in range(matrix.n + 1)
+    ]
+    if L == 1:
+        for c in closing[0]:
+            if c in first:
+                yield nu + (c,)
+        return
+    top = len(nu) + L - 1
+    for head in walk(matrix, nu, first, top):
+        if len(head) == top:
+            prefix = tuple(head)
+            for b in closing[head[-1]]:
+                yield prefix + (b,)
+
+
+def collisions_by_length(psi, depth):
+    """The images of lengths 1..``depth`` counted once more for each further
+    domain word landing on them, merged run by run and length by length:
+    at each length j, the streams ``pair_images`` of every pair of a run
+    of two or more pairs, merged, with equal neighbours counted."""
+    total = 0
+    for run in _prefix_runs(psi.endo):
+        if len(run) < 2:
+            continue
+        for j in range(1, depth + 1):
+            streams = [
+                pair_images(psi.matrix, i, nu, mu, j - len(nu))
+                for i, nu, mu in run
+                if j >= len(nu)
+            ]
+            words, following = tee(heapq.merge(*streams))
+            next(following, None)
+            total += sum(map(operator.eq, words, following))
+    return total
 
 
 # ---------------------------------------------------------------------------

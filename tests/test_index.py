@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -16,13 +16,14 @@ from cklef.endo import (
 )
 from cklef.errors import ExponentUnderflow, InvalidParameter
 from cklef.index import (
-    _closing_letters,
+    _class_counts,
     _collisions,
+    _first_letters,
     _landing_table,
     _longest_y,
-    _pair_counts,
-    _pair_images,
+    _overlap_roots,
     _prefix_runs,
+    _root_images,
     fredholm_index_truncated,
     gamma,
     gamma_parts,
@@ -39,6 +40,7 @@ from cklef.sampling import random_complete_graph_endomorphism, random_inner_auto
 from cklef.sft_core import count_paths, enumerate_paths, validate_matrix
 from tests.conftest import small_matrices
 from tests.oracles import (
+    collisions_by_length,
     compose_word_by_word,
     length_transfer_enumerated,
     polynomial_parts_pair_by_pair,
@@ -385,8 +387,9 @@ class TestLandingWalk:
 
     def test_landing_table_is_the_restricted_full_table(self, corpus):
         # the table counts the domain words of length <= d and the longer
-        # ones landing at or below d: the full table's cells with i <= d or j <= d
-        for e in corpus:
+        # ones landing at or below d: the full table's cells with i <= d or
+        # j <= d; the forged strict root has a pair streamed from a longer nu
+        for e in corpus + [_forged_colliding(), _forged_strict_root()]:
             psi = path_map(e)
             bound = propagation(e)
             end = series_end(e)
@@ -394,16 +397,34 @@ class TestLandingWalk:
                 full = length_transfer_enumerated(psi, d + bound).a
                 want = {(i, j): c for (i, j), c in full.items() if i <= d or j <= d}
                 assert _landing_table(psi, d).a == want
-            # each pair's stream at each length holds the images of the
-            # words that pair matches, for every domain length the tables read
-            top = end + 2 + bound
-            images = _images_by_pair(psi, top)
-            closing = _closing_letters(psi.matrix)
+            # each pair's stream holds the images of the words that pair
+            # matches, of every length up to a depth past the series end, and
+            # under a longer nu the ones extending it
+            top = end + 2
+            images = _images_by_pair(psi, top + bound)
+            longer = {nu for pairs in e.raw_images for nu, _ in pairs}
             for i in psi.matrix.alphabet:
                 for nu, mu in e.raw_images[i - 1]:
-                    for L in range(top - len(mu)):
-                        stream = list(_pair_images(psi.matrix, closing, i, nu, mu, L))
-                        assert stream == images.get((i, nu, mu, len(mu) + 1 + L), [])
+                    want = sorted(
+                        r
+                        for (j, n, m, _), rs in images.items()
+                        if (j, n, m) == (i, nu, mu)
+                        for r in rs
+                        if 1 <= len(r) <= top
+                    )
+                    assert list(_root_images(psi.matrix, i, nu, mu, nu, top)) == want
+                    for root in longer:
+                        if len(root) > len(nu) and root[: len(nu)] == nu:
+                            stream = list(_root_images(psi.matrix, i, nu, mu, root, top))
+                            assert stream == [r for r in want if r[: len(root)] == root]
+
+    def test_collisions_equal_the_per_length_merge(self, corpus):
+        # the merge under overlap roots, over every length at once, against
+        # the merge of whole runs length by length
+        for e in corpus + [_forged_colliding(), _forged_strict_root()]:
+            psi = path_map(e)
+            for d in sorted({1, 2, e.k, series_end(e), series_end(e) + 2, 7} - {0}):
+                assert _collisions(psi, d) == collisions_by_length(psi, d)
 
     def test_walk_evaluates_no_word(self, main_endo, monkeypatch):
         def refuse(self, w):
@@ -477,6 +498,14 @@ def _forged_colliding():
     return GeometricEndomorphism(matrix, ((((1,), ()),), (((1,), ()),)), 0, valid=True)
 
 
+def _forged_strict_root():
+    """t_1 = s_1 and t_2 = s_11 on the full 2-shift: not a valid
+    presentation, built past the checks, whose pairs' images meet only
+    under the longer nu."""
+    matrix = validate_matrix([[1, 1], [1, 1]])
+    return GeometricEndomorphism(matrix, ((((1,), ()),), (((1, 1), ()),)), 0, valid=True)
+
+
 class TestFredholmPruning:
     """The streamed counts against the brute-force walk over all words."""
 
@@ -531,10 +560,20 @@ class TestFredholmPruning:
         assert _collisions(psi, depth) == sum(2 ** (m - 1) for m in range(2, depth + 1)) == 126
         self._check(forged, (1, 3, depth))
 
+    def test_collision_under_a_strict_root(self):
+        # t_2's images (1, 1) + y are t_1's images (1,) + (1,) + y, so at
+        # each length m >= 3 the 2^(m - 2) images of t_2 collide
+        forged = _forged_strict_root()
+        assert _overlap_roots(_prefix_runs(forged)[0]) == [(1, 1)]
+        psi = path_map(forged)
+        depths = (1, 2, 3, 5, 7)
+        assert [_collisions(psi, d) for d in depths] == [0, 0, 2, 14, 62]
+        self._check(forged, depths)
+
     def test_visits_fewer_words(self, main_endo, monkeypatch):
         # the reduced E^2 has a run of three pairs; the unreduced E^2, its
         # pairs multiplied out word by word, has no run to merge, so only
-        # the count walk runs
+        # the class walks run
         assert max(len(run) for run in _prefix_runs(power(main_endo, 2))) == 3
         e2 = build_endomorphism(main_endo.matrix, compose_word_by_word(main_endo, main_endo))
         assert e2.valid
@@ -552,8 +591,13 @@ class TestFredholmPruning:
 
         monkeypatch.setattr(index_module, "walk", recording_heads)
         fredholm_index_truncated(path_map(e2), depth)
-        # one walk per pair, and no head walked twice in it
-        assert len(walks) == sum(len(pairs) for pairs in e2.raw_images)
+        # one walk per (first, i) class, and no head walked twice in it
+        classes = {
+            (_first_letters(e2.matrix, nu, mu), i)
+            for i in e2.matrix.alphabet
+            for nu, mu in e2.raw_images[i - 1]
+        }
+        assert len(walks) == len(classes) < sum(len(pairs) for pairs in e2.raw_images)
         assert all(len(heads) == len(set(heads)) for heads in walks)
         visited = sum(len(heads) for heads in walks)
         every = sum(
@@ -575,14 +619,13 @@ class TestFredholmPruning:
 
 
 class TestPairCounts:
-    """The count walk against the lengths of the streams it replaces, at the
-    short lengths where the walk has few or no heads and at the lengths the
-    tables ask for."""
+    """The class counts against the lengths of each of its pairs' image
+    streams, at the short lengths where the walk has few or no heads and at
+    the lengths the tables ask for."""
 
     @staticmethod
     def _check(e):
         matrix = e.matrix
-        closing = _closing_letters(matrix)
         end = series_end(e)
         checked = 0
         for i in matrix.alphabet:
@@ -592,12 +635,12 @@ class TestPairCounts:
                 depths = {len(nu), len(mu) + 1, len(nu) + 1, len(mu) + 2}
                 depths |= {max(len(nu), len(mu) + 1), end, end + propagation(e)}
                 longest = {_longest_y(nu, mu, d) for d in depths} | {-2, -1, 0, 1, 2}
+                first = _first_letters(matrix, nu, mu)
                 for top in sorted(longest):
-                    counts = _pair_counts(matrix, closing, i, nu, mu, top)
-                    assert counts == [
-                        len(list(_pair_images(matrix, closing, i, nu, mu, L)))
-                        for L in range(top + 1)
-                    ]
+                    counts = _class_counts(matrix, first, i, top)
+                    stream = _root_images(matrix, i, nu, mu, nu, len(nu) + top)
+                    lengths = Counter(len(w) - len(nu) for w in stream)
+                    assert counts == [lengths[L] if L else 0 for L in range(top + 1)]
                     checked += top >= 2 and sum(counts[2:]) > 0
         assert checked  # some walk had heads to visit
 

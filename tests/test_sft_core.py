@@ -8,6 +8,7 @@ from cklef.errors import (
     InvalidParameter,
     MatrixMismatch,
     NonSquare,
+    UnallowableWord,
     ZeroRowOrColumn,
 )
 from cklef.index import length_transfer_counted, propagation, series_end
@@ -201,6 +202,13 @@ class TestIterPaths:
 
     def test_start_of_length_k_is_its_own_extension(self, main_matrix):
         assert list(iter_paths(main_matrix, 2, (2, 3))) == [(2, 3)]
+
+    def test_unallowable_start_rejected(self, main_matrix):
+        # 3 may not follow 1: the walk would extend (1, 3) to (1, 3, 2) and
+        # (1, 3, 3), so the start is checked whatever k is
+        for k in (1, 2, 3):
+            with pytest.raises(UnallowableWord):
+                list(iter_paths(main_matrix, k, (1, 3)))
 
     def test_length_zero(self):
         for m in small_matrices():

@@ -9,7 +9,9 @@ has one word walk, ``sft_core.walk``: it is the only function in
 ``TransitionMatrix._successors``, whose field declaration is the one other
 place naming it, and ``src/cklef/index.py`` names none of ``iter_paths``,
 ``enumerate_paths`` and ``_successors``, so the index routes walk words
-only through ``walk``.  They share one counting kernel too, so exactly one
+only through ``walk``; and only two functions there name ``walk``, the
+class counter ``_class_counts`` and the root stream ``_root_images``, so
+a walk starts nowhere else.  They share one counting kernel too, so exactly one
 function there reads matrix powers: names ``count_paths``, ``.power`` or
 ``_powers``; and that kernel, ``_column_series``, has one reader, the
 counted table ``length_transfer_counted``.  The exact
@@ -35,6 +37,8 @@ POWER_READERS = {"count_paths", ".power", "_powers"}
 CLASS_READERS = {"_pair_classes"}
 # the counting kernel, read by the counted table alone
 SERIES_READERS = {"_column_series"}
+# the one word walk, started only where the enumerated routes count or merge
+WALKERS = {"walk"}
 
 
 def _cached_functions(source: str) -> list[str]:
@@ -177,6 +181,29 @@ def test_index_routes_share_one_enumerator():
     # the routes walk words only through sft_core.walk, which they import
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
     assert _naming_scopes(source, ENUMERATORS) == []
+
+
+def test_walk_detector_sees_every_start():
+    source = (
+        "from .sft_core import walk\n"
+        "from . import sft_core\n"
+        "def a(m):\n    \"\"\"walk(m, (), {1}, 3) in a docstring starts nothing.\"\"\"\n    return m\n"
+        "def b(m):\n    return list(walk(m, (), {1}, 3))\n"
+        "def c(m):\n    return sft_core.walk(m, (), {1}, 3)\n"
+        "def d(m):\n    def inner():\n        return walk(m, (), {1}, 2)\n    return inner\n"
+        "def e(m):\n    step = walk\n    return step(m, (), {1}, 2)\n"
+        "f = lambda m: next(walk(m, (), {1}, 2))\n"
+        "def g(m):\n    walked = m.walks\n    return walked\n"
+        "WALK = walk\n"
+    )
+    assert _naming_scopes(source, WALKERS) == ["b", "c", "inner", "e", "<lambda>", "<module>"]
+
+
+def test_index_routes_start_walks_in_two_places():
+    # ROADMAP's budget guard goes where walks start: the per-class count of
+    # the landing table and the per-root stream of the collision merge
+    source = (PACKAGE / "index.py").read_text(encoding="utf-8")
+    assert _naming_scopes(source, WALKERS) == ["_class_counts", "_root_images"]
 
 
 def test_sft_core_has_one_word_walk():
