@@ -18,6 +18,8 @@ insensitive to such short-word conventions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -32,22 +34,18 @@ from .sft_core import (
     TransitionMatrix,
     Word,
     clopen_make,
-    is_partition,
     require_allowable,
     terminus,
 )
 from .word_algebra import (
     Element,
     Pair,
-    add,
     adjoint,
     element,
     monomial_is_zero,
     multiply,
     normalize,
-    scale,
     unit,
-    zero,
 )
 
 
@@ -141,46 +139,117 @@ def _check_mu_collisions(matrix: TransitionMatrix, i: int, pairs) -> None:
     of mu2 and the connecting tail may follow nu1; expanded to a common
     mu-length, the presentation would then repeat a mu-word and the induced
     path map would be ambiguous.
+
+    The mu-words are swept in sorted order with a stack holding those that
+    are prefixes of the current one: every word between a prefix and the
+    current word extends that prefix, so nothing on the stack is popped
+    early.  Each word is compared with the top of the stack alone.  For
+    mu1 < mu2 < mu3, each a prefix of the next, the letter after mu1 in mu3
+    is the letter after mu1 in mu2, so mu1 overlaps mu3 exactly when it
+    overlaps mu2; an overlap anywhere along a chain therefore shows between
+    two neighbours of the chain, and the sweep names the first such pair.
     """
     nu_of: dict[Word, Word] = {}
     for nu, mu in pairs:
         if mu in nu_of:
             raise DuplicateMuAfterNormalization(f"generator {i}: mu-word {mu} repeated")
         nu_of[mu] = nu
-    for mu2 in nu_of:
-        for n in range(len(mu2)):
-            nu1 = nu_of.get(mu2[:n])
-            if nu1 is not None and (not nu1 or matrix.entry(terminus(nu1), mu2[n])):
+    stack: list[Word] = []
+    for mu2 in sorted(nu_of):
+        while stack and mu2[: len(stack[-1])] != stack[-1]:
+            stack.pop()
+        if stack:
+            mu1 = stack[-1]
+            nu1 = nu_of[mu1]
+            if not nu1 or matrix.entry(terminus(nu1), mu2[len(mu1)]):
                 raise DuplicateMuAfterNormalization(
-                    f"generator {i}: mu-words {mu2[:n]} and {mu2} collide after normalization"
+                    f"generator {i}: mu-words {mu1} and {mu2} collide after normalization"
                 )
+        stack.append(mu2)
+
+
+def _overlapping(words: list[Word]) -> bool:
+    """Whether two of the sorted ``words`` are equal or one extends the other.
+
+    In lexicographic order the word right after ``v`` extends ``v`` whenever
+    any later word does, so neighbours suffice.
+    """
+    return any(w[: len(v)] == v for v, w in zip(words, words[1:]))
 
 
 def _ck_checks(endo: GeometricEndomorphism) -> bool:
     """The Cuntz-Krieger relations, read on cylinder sets.
 
-    The range cylinders of all pairs of all generators partition the space
-    (each t_i is a partial isometry and sum t_i t_i* = 1), and the sources of
-    each t_i make up the ranges of the t_j with A[i, j] = 1
-    (t_i* t_i = sum_j A[i, j] t_j t_j*).
+    The range cylinders of all pairs of all generators must partition the
+    space (each t_i is a partial isometry and sum t_i t_i* = 1), and the
+    sources of each t_i must make up the ranges of the t_j with A[i, j] = 1
+    (t_i* t_i = sum_j A[i, j] t_j t_j*).  Both are decided from one sort of
+    the range cylinders and from word counts, with no canonical form built.
+
+    Let ``top`` be the length of the longest range or source cylinder, and
+    N(w) the number of allowable words of length ``top`` that extend w.  No
+    row of A is zero, so every allowable word extends to length ``top``;
+    a union of cylinders of length at most ``top`` is therefore the union of
+    the cylinders of its words of that length, and one such union contained
+    in another equals it exactly when both hold as many of those words.
+    N(w) depends only on |w| and the terminus of w, and one table gives it:
+    ext[0][a] = 1, and ext[m][a] sums ext[m - 1][b] over the followers b of
+    a, with index 0 the empty terminus.
+
+    - Partition.  One pair's cylinders are disjoint and allowable as they
+      stand.  The range cylinders of all pairs are disjoint exactly when,
+      sorted, no word is a prefix of, or equal to, the next.  Disjoint
+      cylinders lie in the space, so they cover it exactly when their counts
+      sum to N(empty word).
+    - Sources.  The source cylinders of t_i must be disjoint; the mu-rule
+      of :func:`build_endomorphism` guarantees it, and it is checked again
+      by the same neighbour test.  Once the ranges partition the space, each
+      source cylinder s is covered by the range cylinders comparable with
+      it: one prefix of s, which is the last range word sorting at or before
+      s, or else the block of range words extending s, which starts right
+      after s.  If each of them belongs to a t_j with A[i, j] = 1, the
+      sources lie in the union U of those ranges, and since both sides are
+      disjoint unions, the sources equal U exactly when the counts of the
+      source cylinders sum to those of the ranges of those t_j.
     """
     matrix = endo.matrix
-    # One pair's cylinders are maximal and allowable as they stand: nu was
-    # checked on entry, each nu j extends it by a follower, and a proper
-    # subset of nu's followers never merges back into nu.
-    pairs = [pair for raw in endo.raw_images for pair in raw]
-    if not is_partition(
-        [ClopenSet(matrix, frozenset(_cylinders(matrix, [p]))) for p in pairs]
-    ):
+    ranges = [_cylinders(matrix, raw) for raw in endo.raw_images]
+    sources = [
+        sorted(_cylinders(matrix, [(mu, nu) for nu, mu in raw])) for raw in endo.raw_images
+    ]
+    labelled = sorted((w, j) for j, group in zip(matrix.alphabet, ranges) for w in group)
+    words = [w for w, _ in labelled]
+    labels = [j for _, j in labelled]
+    if _overlapping(words):
         return False
-    ranges = [endo.range_set(j).members for j in matrix.alphabet]
-    for i, raw in zip(matrix.alphabet, endo.raw_images):
-        sources = clopen_make(matrix, _cylinders(matrix, [(mu, nu) for nu, mu in raw]))
-        image = clopen_make(
-            matrix, [w for j in matrix.alphabet if matrix.entry(i, j) for w in ranges[j - 1]]
-        )
-        if sources != image:
+    top = max(map(len, words + [s for group in sources for s in group]))
+    ext = [[1] * (matrix.n + 1)]
+    for _ in range(top):
+        prev = ext[-1]
+        ext.append([sum(prev[b] for b in matrix.followers(a)) for a in range(matrix.n + 1)])
+
+    def total(group: list[Word]) -> int:
+        """The number of words of length ``top`` in the cylinders of ``group``."""
+        return sum(ext[top - len(w)][w[-1] if w else 0] for w in group)
+
+    if total(words) != ext[top][0]:
+        return False
+    range_totals = [total(group) for group in ranges]
+    for i, group in zip(matrix.alphabet, sources):
+        allowed = matrix.followers(i)
+        if _overlapping(group) or total(group) != sum(range_totals[j - 1] for j in allowed):
             return False
+        for s in group:
+            k = bisect_right(words, s)
+            if k and s[: len(words[k - 1])] == words[k - 1]:
+                comparable = labels[k - 1 : k]
+            else:
+                end = k
+                while end < len(words) and words[end][: len(s)] == s:
+                    end += 1
+                comparable = labels[k:end]
+            if not allowed.issuperset(comparable):
+                return False
     return True
 
 
@@ -195,11 +264,19 @@ def apply(endo: GeometricEndomorphism, x: Element) -> Element:
 
 
 def _apply(endo: GeometricEndomorphism, x: Element, memo: dict[Word, Element]) -> Element:
-    out = zero(endo.matrix)
+    """The sum of ``c * t_nu t_mu*`` over the terms of ``x``, accumulated in
+    one table, from which a monomial is dropped when its coefficient
+    reaches 0."""
+    acc: dict[Pair, int] = {}
     for (nu, mu), c in x.terms.items():
         term = multiply(_image_of_word(endo, nu, memo), adjoint(_image_of_word(endo, mu, memo)))
-        out = add(out, scale(term, c))
-    return out
+        for key, v in term.terms.items():
+            total = acc.get(key, 0) + c * v
+            if total:
+                acc[key] = total
+            else:
+                del acc[key]
+    return Element(matrix=endo.matrix, terms=acc)
 
 
 def _image_of_word(endo: GeometricEndomorphism, w: Word, memo: dict[Word, Element]) -> Element:
@@ -255,14 +332,19 @@ def _reduce(matrix: TransitionMatrix, pairs) -> list[Pair]:
     follow both termini of a nonempty ``nu`` and of ``mu`` (possibly empty),
     become the one pair (nu, mu): ``s_nu s_mu* = sum_c s_nuc s_muc*`` over
     those c.  This undoes one step of :func:`represent_at_depth` and leaves
-    every t_i unchanged.  A merge whose pair is already present would hide
-    an overlap from the validity check, so it is not made.
+    every t_i unchanged.  A merge is blocked when its mu-word is already the
+    mu of a pair, or is shared by two merges of one pass: the merged pair
+    would repeat a mu-word, which the mu-rule refuses even where the sources
+    are disjoint.  That covers a merge whose pair is already present, which
+    would hide an overlap from the validity check.  Each pass decides its
+    merges from the pairs alone, so the result depends only on the set.
 
-    The result is canonical.  Different sibling groups share no pair, so the
-    order of merges does not matter.  Two presentations of the same t_i
-    expand to one normal form at a common depth (as ``equals`` decides),
-    and each expansion step is undone by one merge; so when their nu-words
-    are nonempty, both reduce to the same pairs.
+    The result is canonical when no merge is blocked.  Different sibling
+    groups share no pair, so the order of merges does not matter.  Two
+    presentations of the same t_i expand to one normal form at a common
+    depth (as ``equals`` decides), and each expansion step is undone by one
+    merge; so when their nu-words are nonempty, both reduce to the same
+    pairs.
     """
     pairs = set(pairs)
     while True:
@@ -273,8 +355,14 @@ def _reduce(matrix: TransitionMatrix, pairs) -> list[Pair]:
         merges = [
             (nu, mu, letters)
             for (nu, mu), letters in siblings.items()
-            if (nu, mu) not in pairs
-            and letters == matrix.followers(terminus(nu)) & matrix.followers(terminus(mu))
+            if letters == matrix.followers(terminus(nu)) & matrix.followers(terminus(mu))
+        ]
+        present = {mu for _, mu in pairs}
+        shared = Counter(mu for _, mu, _ in merges)
+        merges = [
+            (nu, mu, letters)
+            for nu, mu, letters in merges
+            if mu not in present and shared[mu] == 1
         ]
         if not merges:
             return sorted(pairs)
@@ -287,7 +375,7 @@ def power(e: GeometricEndomorphism, n: int) -> GeometricEndomorphism:
     """``e`` composed with itself ``n`` times, by repeated squaring.
 
     It makes floor(log2 n) + popcount(n) - 1 calls to :func:`compose`.
-    Since the reduced form is canonical (see :func:`_reduce`), the result
+    Where the reduced form is canonical (see :func:`_reduce`), the result
     has the same ``raw_images`` as the chain ``compose(e, compose(e, ...))``
     when no nu-word is empty.  ``power(e, 1)`` is ``e`` as given, not
     reduced.

@@ -4,8 +4,10 @@ The symbol space of a 0/1 transition matrix ``A`` is the one-sided shift of
 finite type: infinite sequences over ``{1..n}`` whose consecutive letters
 satisfy ``A[x_i, x_{i+1}] = 1``.  Finite data suffices everywhere in this
 package, so the module works with finite allowable words and with clopen
-subsets held in their unique form, the maximal cylinders they contain; the
-one operation on such sets is the check that they partition the space.
+subsets held in their unique form, the maximal cylinders they contain, which
+``cklef validate`` prints as a generator's range.  The validity check of a
+presentation builds no such form: it sorts cylinders and counts the words
+that extend them.
 Words are walked depth first by one function, :func:`walk`, which
 :func:`iter_paths` filters by length and the enumerated index routes read
 directly.
@@ -19,7 +21,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     EntryOutOfRange,
     InvalidParameter,
-    MatrixMismatch,
     NonSquare,
     UnallowableWord,
     ZeroRowOrColumn,
@@ -289,27 +290,3 @@ def clopen_make(matrix: TransitionMatrix, words: Iterable[Word]) -> ClopenSet:
                 by_len[depth].difference_update(kids)
                 by_len.setdefault(depth - 1, set()).add(p)
     return ClopenSet(matrix=matrix, members=frozenset().union(*by_len.values()))
-
-
-def _same_matrix(first: ClopenSet, *rest: ClopenSet) -> TransitionMatrix:
-    matrix = first.matrix
-    if any(s.matrix != matrix for s in rest):
-        raise MatrixMismatch("clopen sets over different matrices")
-    return matrix
-
-
-def is_partition(parts: Sequence[ClopenSet]) -> bool:
-    """True when the parts are pairwise disjoint and cover the symbol space.
-
-    Each part is an antichain, so the parts are disjoint exactly when no
-    member of one is a prefix of, or equal to, a member of another.  In
-    lexicographic order the word right after a member extends it whenever
-    any later word does, so neighbours suffice.
-    """
-    if not parts:
-        return False
-    matrix = _same_matrix(*parts)
-    words = sorted(w for p in parts for w in p.members)
-    if any(w[: len(v)] == v for v, w in zip(words, words[1:])):
-        return False
-    return clopen_make(matrix, words).members == {EMPTY_WORD}

@@ -75,26 +75,6 @@ def unit(matrix: TransitionMatrix) -> Element:
     return monomial(matrix, (), ())
 
 
-def zero(matrix: TransitionMatrix) -> Element:
-    return Element(matrix=matrix, terms={})
-
-
-def add(x: Element, y: Element) -> Element:
-    _check(x, y)
-    acc = dict(x.terms)
-    for key, c in y.terms.items():
-        acc[key] = acc.get(key, 0) + c
-        if acc[key] == 0:
-            del acc[key]
-    return Element(matrix=x.matrix, terms=acc)
-
-
-def scale(x: Element, c: int) -> Element:
-    if c == 0:
-        return zero(x.matrix)
-    return Element(matrix=x.matrix, terms={k: c * v for k, v in x.terms.items()})
-
-
 def adjoint(x: Element) -> Element:
     """Swap nu and mu in every term (coefficients are integers, so no conjugation)."""
     return Element(matrix=x.matrix, terms={(mu, nu): c for (nu, mu), c in x.terms.items()})

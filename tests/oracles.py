@@ -15,8 +15,12 @@ are kept out of the package because nothing but the tests calls them:
 - the Fredholm route's collisions merged run by run at each length
   (``collisions_by_length``), from each pair's images at one length
   (``pair_images``);
-- composites multiplied out word by word (``compose_word_by_word``), and
-  sibling pairs merged one at a time (``reduce_pairs``);
+- composites multiplied out word by word (``compose_word_by_word``), with
+  the element sum ``add``, ``scale`` and ``zero``, and sibling pairs merged
+  one at a time (``reduce_pairs``);
+- the Cuntz-Krieger relations on cylinder sets decided by comparing
+  canonical forms (``ck_checks_canonical``, with ``is_partition``), the
+  reference for the package's count of extending words;
 - Gauss-Jordan inverse and solve over ``Fraction``;
 - graded maps and pairings that only the tests build.
 """
@@ -30,17 +34,25 @@ from itertools import tee
 from cklef import linalg
 from cklef.graded import GradedMap, GradedPairing, GradedSpace
 from cklef.index import LengthTransfer, _prefix_runs, propagation
-from cklef.sft_core import clopen_make, count_paths, iter_paths, terminus, walk
+from cklef.endo import _cylinders
+from cklef.errors import MatrixMismatch
+from cklef.sft_core import (
+    EMPTY_WORD,
+    ClopenSet,
+    clopen_make,
+    count_paths,
+    iter_paths,
+    terminus,
+    walk,
+)
 from cklef.word_algebra import (
-    add,
+    Element,
     adjoint,
     element,
     equals,
     multiply,
     normalize,
-    scale,
     unit,
-    zero,
 )
 
 
@@ -220,6 +232,27 @@ def induced_k0_support_route(e):
     return tuple(zip(*columns))
 
 
+def zero(matrix):
+    return Element(matrix=matrix, terms={})
+
+
+def add(x, y):
+    if x.matrix != y.matrix:
+        raise MatrixMismatch("elements over different matrices")
+    acc = dict(x.terms)
+    for key, c in y.terms.items():
+        acc[key] = acc.get(key, 0) + c
+        if acc[key] == 0:
+            del acc[key]
+    return Element(matrix=x.matrix, terms=acc)
+
+
+def scale(x, c):
+    if c == 0:
+        return zero(x.matrix)
+    return Element(matrix=x.matrix, terms={k: c * v for k, v in x.terms.items()})
+
+
 def compose_word_by_word(e, f):
     """The unreduced pair lists of e o f: every inner word multiplied out
     from the unit, one freshly built letter image at a time, and each
@@ -263,6 +296,58 @@ def reduce_pairs(matrix, pairs, rng=None):
                 break
         else:
             return tuple(sorted(pairs))
+
+
+# ---------------------------------------------------------------------------
+# The Cuntz-Krieger relations through canonical clopen forms.
+# ---------------------------------------------------------------------------
+
+
+def _same_matrix(first, *rest):
+    matrix = first.matrix
+    if any(s.matrix != matrix for s in rest):
+        raise MatrixMismatch("clopen sets over different matrices")
+    return matrix
+
+
+def is_partition(parts):
+    """True when the ``ClopenSet`` parts are pairwise disjoint and cover the
+    symbol space.
+
+    Each part is an antichain, so the parts are disjoint exactly when no
+    member of one is a prefix of, or equal to, a member of another.  In
+    lexicographic order the word right after a member extends it whenever
+    any later word does, so neighbours suffice.
+    """
+    if not parts:
+        return False
+    matrix = _same_matrix(*parts)
+    words = sorted(w for p in parts for w in p.members)
+    if any(w[: len(v)] == v for v, w in zip(words, words[1:])):
+        return False
+    return clopen_make(matrix, words).members == {EMPTY_WORD}
+
+
+def ck_checks_canonical(endo):
+    """The Cuntz-Krieger relations of a presentation, read on canonical
+    clopen forms: the pairs' range cylinders partition the space, and for
+    each i the maximal cylinders of t_i's sources are those of the union of
+    the ranges of the t_j with A[i, j] = 1."""
+    matrix = endo.matrix
+    pairs = [pair for raw in endo.raw_images for pair in raw]
+    if not is_partition(
+        [ClopenSet(matrix, frozenset(_cylinders(matrix, [p]))) for p in pairs]
+    ):
+        return False
+    ranges = [endo.range_set(j).members for j in matrix.alphabet]
+    for i, raw in zip(matrix.alphabet, endo.raw_images):
+        sources = clopen_make(matrix, _cylinders(matrix, [(mu, nu) for nu, mu in raw]))
+        image = clopen_make(
+            matrix, [w for j in matrix.alphabet if matrix.entry(i, j) for w in ranges[j - 1]]
+        )
+        if sources != image:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

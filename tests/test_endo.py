@@ -27,7 +27,6 @@ from cklef.errors import (
 from cklef.sampling import random_complete_graph_endomorphism, random_inner_automorphism
 from cklef.sft_core import enumerate_paths, is_allowable, terminus, validate_matrix
 from cklef.word_algebra import (
-    add,
     adjoint,
     element,
     equals,
@@ -35,15 +34,18 @@ from cklef.word_algebra import (
     monomial_is_zero,
     multiply,
     unit,
-    zero,
 )
 from tests.conftest import small_matrices
 from tests.oracles import (
+    add,
+    ck_checks_canonical,
     compose_word_by_word,
     generator_equal,
     is_partial_isometry,
     reduce_pairs,
+    scale,
     support,
+    zero,
 )
 
 
@@ -81,6 +83,35 @@ class TestValidation:
         with pytest.raises(DuplicateMuAfterNormalization):
             build_endomorphism(main_matrix, pairs)
 
+    def test_collision_named_between_the_two_longest(self, main_matrix):
+        # mu-words e < 3 < 32: 3 cannot follow 1, so e overlaps neither, and
+        # 2 may follow 2, so 3 and 32 collide
+        pairs = [
+            [((1,), ()), ((2,), (3,)), ((3,), (3, 2))],
+            [((2,), ())],
+            [((3,), ())],
+        ]
+        with pytest.raises(
+            DuplicateMuAfterNormalization, match=r"generator 1: mu-words \(3,\) and \(3, 2\) "
+        ):
+            build_endomorphism(main_matrix, pairs)
+
+    def test_two_generators_on_one_range_invalid(self):
+        # the two range cylinders 1 hold as many words as the space, so only
+        # the test that sorted neighbours do not overlap refuses them
+        m = validate_matrix([[1, 1], [1, 1]])
+        e = build_endomorphism(m, [[((1,), ())], [((1,), ())]])
+        assert not e.valid
+        assert ck_checks_canonical(e) is False
+
+    def test_swapped_generators_invalid(self, main_endo):
+        # the ranges still partition the space, but t_2's sources do not make
+        # up the ranges A allows after 2
+        t = main_endo.raw_images
+        e = build_endomorphism(main_endo.matrix, [t[0], t[2], t[1]])
+        assert not e.valid
+        assert ck_checks_canonical(e) is False
+
 
 class TestApply:
     def test_apply_generator_gives_image(self, main_endo, main_matrix):
@@ -103,6 +134,13 @@ class TestApply:
             mu = rng.choice(words)
             x = element(main_matrix, [(nu, mu, 1)])
             assert equals(apply(main_identity, x), x)
+
+    def test_coefficients_scale_the_term_images(self, main_endo, main_matrix):
+        x = element(main_matrix, [((1, 2), (2,), 2), ((3,), (2, 3), -3)])
+        expected = zero(main_matrix)
+        for (nu, mu), c in x.terms.items():
+            expected = add(expected, scale(apply(main_endo, monomial(main_matrix, nu, mu)), c))
+        assert equals(apply(main_endo, x), expected)
 
 
 class TestCompose:
@@ -163,6 +201,26 @@ class TestCompose:
         )
         with pytest.raises(DuplicateMuAfterNormalization):
             compose(main_identity, forged)
+
+    def test_square_with_merges_onto_one_mu(self):
+        # in t_2 of the square, the sibling families under (2, 5) and (5, 1)
+        # would both merge to mu = (3,); their followers are disjoint, but
+        # the merged pairs would repeat a mu-word, so neither merge is made
+        m = validate_matrix(
+            [[0, 1, 1, 0, 0], [1, 1, 0, 1, 1], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [1, 0, 0, 1, 1]]
+        )
+        e = random_inner_automorphism(m, random.Random(15), depth=2)
+        assert e.valid
+        square = compose(e, e)
+        assert square.valid and sum(map(len, square.raw_images)) == 28
+        assert ((2, 5, 1), (3, 1)) in square.raw_images[1]
+        unreduced = build_endomorphism(m, compose_word_by_word(e, e))
+        assert unreduced.valid and sum(map(len, unreduced.raw_images)) == 192
+        assert generator_equal(square, unreduced)
+        chain = e
+        for n in range(1, 5):
+            assert power(e, n).raw_images == chain.raw_images
+            chain = compose(e, chain)
 
 
 class TestComposeAgainstWordByWord:
@@ -547,3 +605,43 @@ class TestCkChecksAgainstElementOracle:
             DuplicateMuAfterNormalization, match=r"generator 1: mu-words \(\) and \(1,\)"
         ):
             build_endomorphism(main_matrix, raw)
+
+
+def _mutate_or_swap(matrix, raw_images, rng):
+    """One ``_mutate`` change, or the whole pair lists of two generators
+    swapped."""
+    if rng.randrange(6):
+        return _mutate(matrix, raw_images, rng)
+    pairs = [list(p) for p in raw_images]
+    i, j = rng.sample(range(matrix.n), 2) if matrix.n > 1 else (0, 0)
+    pairs[i], pairs[j] = pairs[j], pairs[i]
+    return pairs
+
+
+class TestCkChecksAgainstCanonicalForms:
+    """The word counts of ``_ck_checks`` against the comparison of maximal
+    cylinders in ``tests/oracles.py``."""
+
+    def test_corpus_agrees(self, main_endo):
+        corpus = _oracle_corpus(main_endo)
+        corpus += [power(main_endo, 8), represent_at_depth(main_endo, 6)]
+        corpus.append(identity_endomorphism(validate_matrix([[1]])))
+        for e in corpus:
+            assert e.valid
+            assert ck_checks_canonical(e) is True
+
+    def test_seeded_mutations_agree(self, main_endo):
+        rng = random.Random(22)
+        tally = {}
+        for e in _oracle_corpus(main_endo):
+            for _ in range(60):
+                raw = _mutate_or_swap(e.matrix, e.raw_images, rng)
+                try:
+                    built = build_endomorphism(e.matrix, raw)
+                except CkError as exc:
+                    tally[type(exc)] = tally.get(type(exc), 0) + 1
+                    continue
+                assert built.valid == ck_checks_canonical(built), raw
+                tally[built.valid] = tally.get(built.valid, 0) + 1
+        assert tally[True] >= 100 and tally[False] >= 100
+        assert tally[DuplicateMuAfterNormalization]

@@ -18,14 +18,13 @@ from cklef.sft_core import (
     count_paths,
     enumerate_paths,
     is_allowable,
-    is_partition,
     iter_paths,
     terminus,
     validate_matrix,
     walk,
 )
 from tests.conftest import Q_ROWS, small_matrices
-from tests.oracles import per_pair_fill
+from tests.oracles import is_partition, per_pair_fill
 
 
 class TestValidateMatrix:

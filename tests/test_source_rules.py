@@ -14,7 +14,11 @@ class counter ``_class_counts`` and the root stream ``_root_images``, so
 a walk starts nowhere else.  They share one counting kernel too, so exactly one
 function there reads matrix powers: names ``count_paths``, ``.power`` or
 ``_powers``; and that kernel, ``_column_series``, has one reader, the
-counted table ``length_transfer_counted``.  The exact
+counted table ``length_transfer_counted``.  Validating a presentation builds
+no canonical clopen form and reads no matrix power, so in
+``src/cklef/endo.py`` only ``range_set``, which ``cklef validate`` prints,
+names ``clopen_make`` or ``ClopenSet``, and no function names ``count_paths``,
+``.power`` or ``_powers``.  The exact
 linear algebra has one elimination loop, so exactly one function in
 ``src/cklef/linalg.py`` replaces matrix rows inside a loop over pivots.
 The package holds no code that only the tests need, so every function,
@@ -39,6 +43,8 @@ CLASS_READERS = {"_pair_classes"}
 SERIES_READERS = {"_column_series"}
 # the one word walk, started only where the enumerated routes count or merge
 WALKERS = {"walk"}
+# the canonical clopen form, which validity checks do without
+CANONICAL_FORMS = {"clopen_make", "ClopenSet"}
 
 
 def _cached_functions(source: str) -> list[str]:
@@ -275,6 +281,34 @@ def test_column_series_has_one_reader():
     # matrix powers, so the counting kernel serves the counted table alone
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
     assert _naming_scopes(source, SERIES_READERS) == ["length_transfer_counted"]
+
+
+def test_canonical_form_detector_sees_every_use():
+    source = (
+        "from .sft_core import ClopenSet, clopen_make\n"
+        "from . import sft_core\n"
+        "def a(m):\n    \"\"\"clopen_make(m, ()) in a docstring builds nothing.\"\"\"\n    return m\n"
+        "def b(m) -> ClopenSet:\n    return m\n"
+        "def c(m, w):\n    return sft_core.clopen_make(m, w)\n"
+        "def d(m, w):\n    return ClopenSet(m, frozenset(w))\n"
+        "def e(m, w):\n    def inner():\n        return clopen_make(m, w)\n    return inner\n"
+        "f = lambda m: clopen_make(m, ())\n"
+        "def g(m, w):\n    make = sft_core.clopen_make\n    return make(m, w)\n"
+        "def h(m, clopen):\n    return clopen.members\n"
+        "MAKE = clopen_make\n"
+    )
+    assert _naming_scopes(source, CANONICAL_FORMS) == [
+        "b", "c", "d", "inner", "<lambda>", "g", "<module>",
+    ]
+
+
+def test_validation_builds_no_canonical_form():
+    # the Cuntz-Krieger relations are read off one sort and word counts, and
+    # the count table is local to the check, so building a presentation
+    # grows no matrix's cache of powers
+    source = (PACKAGE / "endo.py").read_text(encoding="utf-8")
+    assert _naming_scopes(source, CANONICAL_FORMS) == ["range_set"]
+    assert _naming_scopes(source, POWER_READERS) == []
 
 
 def _assigns_a_subscript(node) -> bool:

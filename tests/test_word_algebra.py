@@ -5,7 +5,6 @@ import pytest
 from cklef.errors import DepthTooSmall, MatrixMismatch
 from cklef.sft_core import clopen_make, validate_matrix
 from cklef.word_algebra import (
-    add,
     adjoint,
     element,
     equals,
@@ -13,10 +12,9 @@ from cklef.word_algebra import (
     multiply,
     normalize,
     unit,
-    zero,
 )
 from tests.conftest import small_matrices
-from tests.oracles import is_partial_isometry, support
+from tests.oracles import add, is_partial_isometry, support, zero
 
 
 def _random_element(matrix, rng, terms=3, max_len=3):
