@@ -8,30 +8,27 @@ count ``gamma_m``, the closed polynomial formula in matrix powers, and a
 truncated Fredholm-style kernel/cokernel count.  All four agree on valid
 endomorphisms.
 
-The enumerated routes walk words through the package's one word walk,
-:func:`~cklef.sft_core.walk`, depth first over every length at once.  One
-table holds their counts (:func:`_landing_table`).  A pair's domain words
-depend only on its class ``(first, i)``, ``first`` the letters that may
-follow both termini, so the table is filled from one walk per class
-(:func:`_class_counts`), from the empty word: a head ending in a letter adds
-the number of letters that may close it, so no word is built.  The series
-and gamma read that table.  The Fredholm count reads it too, less the
-collisions of images (:func:`_collisions`): only under the words where two
-pairs' images can meet (:func:`_overlap_roots`) does it merge their sorted
-image streams (:func:`_root_images`), over every length in one pass, and
-count equal neighbours, so it holds no set of words.  Nothing is cached;
-the routes are meant for moderate depths.
+The table of word counts, :class:`LengthTransfer`, is filled in one way
+(:func:`_table`).  A pair's domain words depend only on its class
+``(first, i)``, ``first`` the letters that may follow both termini, so the
+fill asks for each class's counts once and places them at each pair's
+lengths.  Two kernels supply the counts, and that is where the routes part.
+The walk (:func:`_class_counts`) counts the words through the package's one
+word walk, :func:`~cklef.sft_core.walk`, from the empty word: a head ending
+in a letter adds the number of letters that may close it, so no word is
+built.  Matrix powers (:func:`_power_counts`) read the same counts off the
+powers the :class:`TransitionMatrix` caches, exactly at any length.
 
-The :class:`LengthTransfer` table can also be filled from the presentation
-pairs alone using matrix powers (:func:`length_transfer_counted`), which
-scales to deeply composed endomorphisms (the counts are exact, not
-asymptotic).  Its one counting kernel is :func:`_column_series`: for each
-distinct ``(first, i)`` of a presentation, ``first`` the letters that may
-follow both termini of a pair of t_i, it sums the column i of A^m over
-``first`` once per m, and every pair class (:func:`_pair_classes`) reads its
-counts as a slice of that series.  The closed polynomial formula is gamma_m
-of this table, and this table is the kernel's one reader.  The powers
-themselves are the ones the :class:`TransitionMatrix` caches.
+The walk's table (:func:`_landing_table`) is read by the enumerated series,
+by gamma, and by the Fredholm count, less the collisions of images
+(:func:`_collisions`): only under the words where two pairs' images can meet
+(:func:`_overlap_roots`) does it merge their sorted image streams
+(:func:`_root_images`), over every length in one pass, and count equal
+neighbours, so it holds no set of words.  The table from powers
+(:func:`length_transfer_counted`) is read by the counted series and the
+closed polynomial formula, whose parts are its gamma_m; it scales to deeply
+composed endomorphisms.  Nothing is cached beyond the matrix's powers; the
+enumerated routes are meant for moderate depths.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, tee
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import ExponentUnderflow, InvalidParameter
 from .sft_core import TransitionMatrix, Word, terminus, walk
@@ -65,7 +62,14 @@ def propagation(e: GeometricEndomorphism) -> int:
 
 @dataclass(frozen=True)
 class LengthTransfer:
-    """Counts a(i, j) of domain words of length i sent to image length j."""
+    """Counts a(i, j) of domain words of length i sent to image length j.
+
+    A table covers the lengths k <= ``max_len`` - ``bound``: a word landing
+    at or crossing such a k is at most ``max_len`` long.  Its totals, index
+    and gamma are read only there, and raise past it.  The package's tables
+    (:func:`_table`) hold just the cells those reads take, a(i, j) with i or
+    j covered; a test reference may hold more.
+    """
 
     a: Mapping[tuple[int, int], int]
     max_len: int
@@ -86,19 +90,19 @@ class LengthTransfer:
         object.__setattr__(self, "_im", im)
 
     def dom_count(self, k: int) -> int:
+        self._require_covered(k)
         return self._dom.get(k, 0)
 
     def im_count(self, k: int) -> int:
         """Image cardinality at length k; injectivity makes this a count of words."""
+        self._require_covered(k)
         return self._im.get(k, 0)
 
     def _require_covered(self, k: int):
-        # a word landing at or crossing length k is at most k + bound long
         if k > self.max_len - self.bound:
             raise InvalidParameter(f"table only covers k <= {self.max_len - self.bound}")
 
     def index_at(self, k: int) -> int:
-        self._require_covered(k)
         return self.im_count(k) - self.dom_count(k)
 
     def gamma_parts(self, m: int) -> tuple[int, int]:
@@ -125,168 +129,117 @@ def _precedes(matrix: TransitionMatrix, i: int) -> tuple[int, ...]:
 
 
 def _class_counts(
-    matrix: TransitionMatrix, first: frozenset[int], i: int, longest: int
+    matrix: TransitionMatrix, first: frozenset[int], i: int, top: int
 ) -> list[int]:
-    """``counts[L]``, L = 1 .. ``longest``: the words y of length L whose
-    first letter is in ``first`` and whose last letter precedes i, from one
-    walk of their heads y[:-1]; ``counts[0]`` is 0.
+    """``counts[L]``, L = 1 .. ``top``: the words y of length L whose first
+    letter is in ``first`` and whose last letter precedes i, from one walk
+    of their heads y[:-1]; ``counts[0]`` is 0.
 
-    For a pair (nu, mu) of t_i whose termini are both followed by exactly
-    the letters of ``first``, these y are the tails of its domain words
-    mu + y + (i,), so every pair of the class ``(first, i)`` has counts[L]
-    domain words of length |mu| + 1 + L.  A head ending in the letter a is
-    closed by the letters that follow a and precede i, so it adds their
-    number at its length + 1; no y is built.  The walk starts at the empty
-    word, so it does not depend on any one pair's nu.
+    A head ending in the letter a is closed by the letters that follow a
+    and precede i, so it adds their number at its length + 1; no y is
+    built.  The walk starts at the empty word, so it does not depend on any
+    one pair's nu.  The enumerated routes' table reads it
+    (:func:`_landing_table`).
     """
-    counts = [0] * (longest + 1)
-    if longest < 1:
+    counts = [0] * (top + 1)
+    if top < 1:
         return counts
     precedes = _precedes(matrix, i)
     closing = [sum(precedes[b] for b in matrix.followers(a)) for a in range(matrix.n + 1)]
     counts[1] = sum(precedes[c] for c in first)
-    for head in walk(matrix, (), first, longest - 1):
+    for head in walk(matrix, (), first, top - 1):
         counts[len(head) + 1] += closing[head[-1]]
     return counts
 
 
-def _longest_y(nu: Word, mu: Word, depth: int) -> int:
-    """The longest y that leaves the domain word mu + y + (i,) or its image
-    nu + y at most ``depth`` long."""
-    return depth - min(len(mu) + 1, len(nu))
+def _power_counts(
+    matrix: TransitionMatrix, first: frozenset[int], i: int, top: int
+) -> list[int]:
+    """The counts of :func:`_class_counts`, read off matrix powers.
+
+    The words y of length L that begin with the letter c and whose last
+    letter precedes i are the (A^L)[c, i] paths from c to i, so counts[L]
+    sums the column i of A^L over ``first``.  This is the module's one
+    reader of matrix powers.  It reads A^L from the powers the matrix
+    caches (:meth:`TransitionMatrix.power`), so the cost is one sum per
+    length, and it keeps nothing once it returns.  The counted table reads
+    it (:func:`length_transfer_counted`).
+    """
+    rows = [c - 1 for c in first]
+    powers = map(matrix.power, range(1, top + 1))
+    return [0] + [sum(power[r][i - 1] for r in rows) for power in powers]
 
 
-def _landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
+def _table(
+    e: GeometricEndomorphism, depth: int, counts_of: Callable[..., list[int]]
+) -> LengthTransfer:
     """The full table's cells a(i, j) with i <= ``depth`` or j <= ``depth``,
-    all that Index_k and gamma_k read for k <= depth.
+    all that Index_k and gamma_k read for k <= depth, from the class counts
+    ``counts_of`` gives: :func:`_class_counts` or :func:`_power_counts`.
 
     The pair (nu, mu) of t_i sends its domain words of length |mu| + 1 + L
     to images of length |nu| + L: mu + (i,) to nu when mu is nonempty and
-    its last letter precedes i, and mu + y + (i,) to nu + y for the words y
-    that :func:`_class_counts` counts.  Those depend only on the pair's
-    class ``(first, i)``, so each class is walked once, to the longest y one
-    of its pairs needs (:func:`_longest_y`), and each pair reads a prefix of
-    the class counts at its own offsets.  The source cylinders of one
-    generator are disjoint, so each domain word is counted by one pair,
-    once.  The enumerated series, gamma and the Fredholm count read this
-    table.
+    its last letter precedes i, placed as the pair is read, and mu + y + (i,)
+    to nu + y for the words y whose first letter is in ``first``, the
+    letters that may follow both termini, and whose last letter precedes i.
+    Those y depend only on ``(first, i)``, so ``counts_of`` is called once
+    per ``(first, i)``, to the longest y one of its pairs needs, and not at
+    all when no pair needs one; ``first`` is formed once per pair of
+    termini.  Pairs that also agree in |mu| and |nu| fill the same cells, so
+    each such class is placed once, times its number of pairs.  The source
+    cylinders of one generator are disjoint, so each domain word is counted
+    by one pair, once.
+
+    The path map of a valid presentation is injective, so the table counts
+    each image once too.  An image nu + y with y nonempty lies in its
+    pair's range cylinder nu + y[:1], and the image nu (y empty) contains
+    its pair's range cylinders nu + c, of which there is at least one since
+    no monomial of the presentation is zero.  The range cylinders of
+    distinct pairs are disjoint, which the validity check proves, and
+    within one pair nu + y determines y.
     """
-    matrix = psi.matrix
-    classes: dict[tuple[frozenset[int], int], list[tuple[Word, Word]]] = {}
-    for i in matrix.alphabet:
-        for nu, mu in psi.endo.raw_images[i - 1]:
-            classes.setdefault((_first_letters(matrix, nu, mu), i), []).append((nu, mu))
+    bound = propagation(e)
+    matrix = e.matrix
+    firsts: dict[tuple[int | None, int | None], frozenset[int]] = {}
+    # classes[first, i, |mu|, |nu|]: the number of pairs of the class;
+    # tops[first, i]: the longest y whose domain word or image one of its
+    # pairs leaves at most depth long
+    classes: Counter = Counter()
+    tops: dict[tuple[frozenset[int], int], int] = {}
     a: Counter = Counter()
-    for (first, i), pairs in classes.items():
-        counts = _class_counts(
-            matrix, first, i, max(_longest_y(nu, mu, depth) for nu, mu in pairs)
-        )
-        for nu, mu in pairs:
-            longest = _longest_y(nu, mu, depth)
-            if longest >= 0 and mu and matrix.entry(mu[-1], i):
-                a[(len(mu) + 1, len(nu))] += 1
-            for L in range(1, longest + 1):
-                if counts[L]:
-                    a[(len(mu) + 1 + L, len(nu) + L)] += counts[L]
-    bound = propagation(psi.endo)
+    for i in matrix.alphabet:
+        for nu, mu in e.raw_images[i - 1]:
+            ends = terminus(mu), terminus(nu)
+            if ends not in firsts:
+                firsts[ends] = _first_letters(matrix, nu, mu)
+            first = firsts[ends]
+            classes[first, i, len(mu), len(nu)] += 1
+            top = depth - min(len(mu) + 1, len(nu))
+            if top > tops.get((first, i), 0):
+                tops[first, i] = top
+            if mu and matrix.entry(mu[-1], i) and top >= 0:
+                a[len(mu) + 1, len(nu)] += 1
+    counts = {key: counts_of(matrix, *key, top) for key, top in tops.items()}
+    for (first, i, mu_len, nu_len), size in classes.items():
+        class_counts = counts.get((first, i), ())
+        for L in range(1, depth - min(mu_len + 1, nu_len) + 1):
+            if class_counts[L]:
+                a[mu_len + 1 + L, nu_len + L] += size * class_counts[L]
     return LengthTransfer(a=a, max_len=depth + bound, bound=bound)
 
 
-def _pair_classes(e: GeometricEndomorphism) -> Counter:
-    """The pairs (nu, mu) of each t_i, grouped by what their word counts and
-    their length change depend on.
-
-    A class is ``(key, shrink)``: the key ``(first, terminus(mu), |mu|, i)``
-    that :func:`length_transfer_counted` reads, with ``first`` the letters
-    that may follow both termini, and the shrink |mu| + 1 - |nu|.  The
-    counter holds each class's number of pairs.  ``first`` is formed once
-    per pair of termini, so the classes sharing it share one set.
-    """
-    matrix = e.matrix
-    firsts: dict[tuple[int | None, int | None], frozenset[int]] = {}
-
-    def first(a: int | None, b: int | None) -> frozenset[int]:
-        letters = firsts.get((a, b))
-        if letters is None:
-            letters = firsts[a, b] = matrix.followers(a) & matrix.followers(b)
-        return letters
-
-    return Counter(
-        (
-            (first(terminus(mu), terminus(nu)), terminus(mu), len(mu), i),
-            len(mu) + 1 - len(nu),
-        )
-        for i in matrix.alphabet
-        for nu, mu in e.raw_images[i - 1]
-    )
-
-
-def _column_series(
-    matrix: TransitionMatrix, spans: Mapping[tuple[frozenset[int], int], range]
-) -> dict[tuple[frozenset[int], int], list[int]]:
-    """For each ``(first, i)`` in ``spans``, the series
-    s[m] = sum over c in ``first`` of (A^m)[c, i] at the exponents m of its
-    span, as a list that starts at the span's start.
-
-    This is the module's one reader of matrix powers.  It reads A^m from the
-    powers the matrix caches (:meth:`TransitionMatrix.power`), so the cost is
-    one sum per entry of each series, and it keeps nothing once it returns.
-    Its one reader is :func:`length_transfer_counted`.
-    """
-    series = {}
-    for (first, i), span in spans.items():
-        col = i - 1
-        rows = [c - 1 for c in first]
-        series[first, i] = [sum(power[r][col] for r in rows) for power in map(matrix.power, span)]
-    return series
+def _landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
+    """The table at ``depth`` from one word walk per class: the enumerated
+    series, gamma and the Fredholm count read it."""
+    return _table(psi.endo, depth, _class_counts)
 
 
 def length_transfer_counted(e: GeometricEndomorphism, max_len: int) -> LengthTransfer:
-    """Fill the a(i, j) table from the presentation pairs with matrix powers.
-
-    A word matched by the pair (nu, mu) of t_i changes length by
-    |nu| - |mu| - 1.  Its domain words are ``mu + (i,)``, of length |mu| + 1,
-    when mu is nonempty and its last letter precedes i, and ``mu + (c,) + u``
-    with c in ``first`` and u one of the (A^m)[c, i] words of length m >= 1
-    that may follow c and end in i.  So at length |mu| + 1 + m there are s[m]
-    of them, s the series of ``(first, i)`` (:func:`_column_series`), and the
-    table is exact at any length without enumerating words.  Pairs of one
-    class (:func:`_pair_classes`) fill the same cells with the same counts,
-    so each class is read once, as a slice of its series at offset |mu| + 1;
-    classes sharing ``(first, i)`` share one series, which runs to the longest
-    length one of them reads.  A class that reads only its own word reads no
-    series.  The closed polynomial formula reads this table too
-    (:func:`index_polynomial_parts`).
-    """
-    e.require_valid()
-    bound = propagation(e)
-    matrix = e.matrix
-    classes = _pair_classes(e)
-    # ends[first, i]: one past the greatest exponent a class of it reads
-    ends: dict[tuple[frozenset[int], int], int] = {}
-    for (first, _, mu_len, i), _ in classes:
-        if max_len - mu_len > ends.get((first, i), 1):
-            ends[first, i] = max_len - mu_len
-    series = _column_series(matrix, {key: range(1, end) for key, end in ends.items()})
-    # by_shrink[d][L]: the domain words of length L that shrink by d
-    by_shrink: dict[int, list[int]] = {}
-    for ((first, last, mu_len, i), shrink), size in classes.items():
-        if mu_len >= max_len:
-            continue
-        row = by_shrink.get(shrink)
-        if row is None:
-            row = by_shrink[shrink] = [0] * (max_len + 1)
-        if last is not None and matrix.entry(last, i):
-            row[mu_len + 1] += size
-        for L, c in enumerate(series.get((first, i), ())[: max_len - mu_len - 1], mu_len + 2):
-            row[L] += size * c
-    a = {
-        (L, L - shrink): c
-        for shrink, row in by_shrink.items()
-        for L, c in enumerate(row)
-        if c
-    }
-    return LengthTransfer(a=a, max_len=max_len, bound=bound)
+    """The table to length ``max_len`` from matrix powers, without
+    enumerating words: exact at any length, so it scales to deeply composed
+    endomorphisms.  The counted series and the closed polynomial formula
+    (:func:`index_polynomial_parts`) read it."""
+    return _table(e, max_len - propagation(e), _power_counts)
 
 
 @dataclass(frozen=True)
@@ -487,14 +440,9 @@ def _collisions(psi: PartialPathMap, depth: int) -> int:
     domain word landing on them: the landing table's image counts less the
     distinct images.
 
-    A valid presentation's path map is injective, so the count is 0 there.
-    An image nu + y with y nonempty lies in its pair's range cylinder
-    nu + y[:1], and the image nu (y empty) contains its pair's range
-    cylinders nu + c, of which there is at least one since no monomial of
-    the presentation is zero.  The range cylinders of distinct pairs are
-    disjoint, which the validity check proves, and within one pair nu + y
-    determines y.  It is still counted, as a check: a presentation that
-    skips the validity check can collide.
+    A valid presentation's path map is injective (:func:`_table` holds the
+    proof), so the count is 0 there.  It is still counted, as a check: a
+    presentation that skips the validity check can collide.
 
     Two pairs' images can coincide only within a run (:func:`_prefix_runs`),
     and only under one of its overlap roots (:func:`_overlap_roots`).  Under

@@ -40,11 +40,11 @@ class TransitionMatrix:
     ``A^L`` computed so far, and its K-groups (one Smith form of I - A^T),
     which :func:`cklef.ktheory.k_groups` fills on its first call so that
     every later K-theory call on this matrix reads them.  The powers are
-    read through :meth:`power` by :func:`count_paths` and by the counting
-    kernel of :mod:`cklef.index`, whose per-``(first, i)`` series the
-    counted table (and through it the closed polynomial formula) reads; the
-    list grows to the largest exponent either asks for and lives as long as
-    the matrix.
+    read through :meth:`power` by :func:`count_paths` and by the power
+    kernel of :mod:`cklef.index`, whose counts per ``(first, i)`` fill the
+    counted table (and through it the closed polynomial formula); the list
+    grows to the largest exponent either asks for and lives as long as the
+    matrix.
     """
 
     n: int

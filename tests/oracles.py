@@ -17,7 +17,7 @@ are kept out of the package because nothing but the tests calls them:
   (``pair_images``);
 - composites multiplied out word by word (``compose_word_by_word``), with
   the element sum ``add``, ``scale`` and ``zero``, and sibling pairs merged
-  one at a time (``reduce_pairs``);
+  one at a time, short of a repeated mu-word (``reduce_pairs``);
 - the Cuntz-Krieger relations on cylinder sets decided by comparing
   canonical forms (``ck_checks_canonical``, with ``is_partition``), the
   reference for the package's count of extending words;
@@ -276,26 +276,37 @@ def compose_word_by_word(e, f):
 
 
 def reduce_pairs(matrix, pairs, rng=None):
-    """One generator's pairs with sibling pairs merged one at a time.
+    """One generator's pairs with sibling pairs merged one at a time, and
+    whether a merge was blocked.
 
     A candidate (nu, mu), with nu nonempty, is cut from the last letters of
-    a pair; it is merged when every term of its expansion
-    ``normalize(s_nu s_mu*, |mu| + 1)`` is a pair and (nu, mu) is not.  The
-    candidates are tried in sorted order, or in the order ``rng`` shuffles
-    them to, and the search restarts after every merge.
+    a pair; its children are the terms of its expansion
+    ``normalize(s_nu s_mu*, |mu| + 1)``.  When every child is a pair, the
+    candidate merges, unless mu is already the mu-word of a pair: then the
+    merge would repeat a mu-word, and it is blocked.  The candidates are
+    tried in sorted order, or in the order ``rng`` shuffles them to, and
+    the search restarts after every merge.  Merges of different candidates
+    share no pair, so without a blocked merge the result does not depend on
+    the order; with one, it may.
     """
     pairs = set(pairs)
+    blocked = False
     while True:
         candidates = sorted({(nu[:-1], mu[:-1]) for nu, mu in pairs if len(nu) > 1 and mu})
         if rng is not None:
             rng.shuffle(candidates)
+        taken = {mu for _, mu in pairs}
         for nu, mu in candidates:
             children = set(normalize(element(matrix, [(nu, mu, 1)]), len(mu) + 1).terms)
-            if children and children <= pairs and (nu, mu) not in pairs:
-                pairs = pairs - children | {(nu, mu)}
-                break
+            if not children or not children <= pairs:
+                continue
+            if mu in taken:
+                blocked = True
+                continue
+            pairs = pairs - children | {(nu, mu)}
+            break
         else:
-            return tuple(sorted(pairs))
+            return tuple(sorted(pairs)), blocked
 
 
 # ---------------------------------------------------------------------------

@@ -202,19 +202,15 @@ class TestCompose:
         with pytest.raises(DuplicateMuAfterNormalization):
             compose(main_identity, forged)
 
-    def test_square_with_merges_onto_one_mu(self):
+    def test_square_with_merges_onto_one_mu(self, blocked_square):
         # in t_2 of the square, the sibling families under (2, 5) and (5, 1)
         # would both merge to mu = (3,); their followers are disjoint, but
         # the merged pairs would repeat a mu-word, so neither merge is made
-        m = validate_matrix(
-            [[0, 1, 1, 0, 0], [1, 1, 0, 1, 1], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [1, 0, 0, 1, 1]]
-        )
-        e = random_inner_automorphism(m, random.Random(15), depth=2)
+        e, unreduced = blocked_square
         assert e.valid
         square = compose(e, e)
         assert square.valid and sum(map(len, square.raw_images)) == 28
         assert ((2, 5, 1), (3, 1)) in square.raw_images[1]
-        unreduced = build_endomorphism(m, compose_word_by_word(e, e))
         assert unreduced.valid and sum(map(len, unreduced.raw_images)) == 192
         assert generator_equal(square, unreduced)
         chain = e
@@ -228,7 +224,7 @@ class TestComposeAgainstWordByWord:
         assert len(compose_cases) == 7 + 14 + 8
         for (e, _, composite), unreduced in zip(compose_cases, unreduced_composites):
             assert composite.valid
-            assert composite.raw_images == tuple(
+            assert tuple((pairs, False) for pairs in composite.raw_images) == tuple(
                 reduce_pairs(e.matrix, pairs) for pairs in unreduced.raw_images
             )
 
@@ -270,6 +266,18 @@ class TestComposeAgainstWordByWord:
         assert checks == [composite] and composite.valid
         # the memo belonged to the call: nothing was left on either factor
         assert set(vars(main_endo)) == set(vars(f)) == {"matrix", "raw_images", "k", "valid"}
+
+
+@pytest.fixture(scope="module")
+def blocked_square():
+    """A depth-2 inner automorphism on a 5 x 5 matrix, and its square as the
+    word-by-word pair list, in which t_2 and t_5 have merges onto a taken
+    mu-word."""
+    m = validate_matrix(
+        [[0, 1, 1, 0, 0], [1, 1, 0, 1, 1], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [1, 0, 0, 1, 1]]
+    )
+    e = random_inner_automorphism(m, random.Random(15), depth=2)
+    return e, build_endomorphism(m, compose_word_by_word(e, e))
 
 
 def _reduced(a):
@@ -321,22 +329,38 @@ def _shallow(a):
 
 
 class TestReducedForm:
-    def test_merge_order_does_not_matter(self, given_presentations, unreduced_composites):
+    def test_merge_order_does_not_matter(
+        self, given_presentations, unreduced_composites, blocked_square
+    ):
         rng = random.Random(5)
         deeper = [represent_at_depth(a, a.k + 1) for a in given_presentations if a.k <= 4]
         # unreduced E^8 (896 pairs) takes the oracle about a second per order
         corpus = [
             a
-            for a in given_presentations + unreduced_composites + deeper
+            for a in given_presentations + unreduced_composites + deeper + [blocked_square[1]]
             if sum(map(len, a.raw_images)) <= 500
         ]
         assert len(corpus) > 60
+        blocked = {}  # the presentations with a blocked merge, and those generators
         for a in corpus:
-            for pairs in a.raw_images:
+            for i, pairs in enumerate(a.raw_images, 1):
                 reduced = tuple(endo_module._reduce(a.matrix, pairs))
-                assert reduce_pairs(a.matrix, pairs) == reduced
-                for _ in range(2):
-                    assert reduce_pairs(a.matrix, pairs, rng) == reduced
+                orders = [reduce_pairs(a.matrix, pairs)]
+                orders += [reduce_pairs(a.matrix, pairs, rng) for _ in range(2)]
+                if any(was_blocked for _, was_blocked in orders):
+                    blocked.setdefault(id(a), (a, []))[1].append(i)
+                else:
+                    assert all(result == reduced for result, _ in orders)
+                # no merge, made in any order, repeats a mu-word
+                for result in [reduced] + [result for result, _ in orders]:
+                    mus = [mu for _, mu in result]
+                    assert len(set(mus)) == len(mus)
+        # one at a time, a blocked merge can make the order matter, so there
+        # the package's reduction is checked against the presentation itself
+        assert blocked[id(blocked_square[1])][1] == [2, 5]
+        for a, _ in blocked.values():
+            reduced = _reduced(a)
+            assert reduced.valid and generator_equal(reduced, a)
 
     def test_undoes_represent_at_depth(self, given_presentations):
         shallow = [a for a in given_presentations if _shallow(a)]

@@ -20,8 +20,8 @@ from cklef.index import (
     _collisions,
     _first_letters,
     _landing_table,
-    _longest_y,
     _overlap_roots,
+    _power_counts,
     _prefix_runs,
     _root_images,
     fredholm_index_truncated,
@@ -47,6 +47,12 @@ from tests.oracles import (
 )
 
 
+def _restricted(full, d):
+    """The cells a(i, j) of ``full`` with i <= d or j <= d: the ones Index_k
+    and gamma_k read for k <= d, which the package's tables hold."""
+    return {(i, j): c for (i, j), c in full.items() if i <= d or j <= d}
+
+
 class TestPropagation:
     def test_main(self, main_endo):
         assert propagation(main_endo) == 1
@@ -69,7 +75,7 @@ class TestSeriesRoute:
     def test_counted_table_matches_enumeration(self, main_endo):
         enum = length_transfer_enumerated(path_map(main_endo), 8)
         counted = length_transfer_counted(main_endo, 8)
-        assert enum.a == counted.a
+        assert counted.a == _restricted(enum.a, 8 - propagation(main_endo))
 
     def test_series_stabilizes_to_one(self, main_endo):
         report = index_series(path_map(main_endo))
@@ -198,61 +204,58 @@ class TestPolynomialRoute:
 
 
 class TestCountingKernel:
-    """The counted table and the closed formula read one series of
-    matrix-power entries per distinct (first, i), not one per pair class."""
+    """The counted table and the closed formula read one series of counts
+    from matrix powers, one ``_power_counts`` call, per distinct (first, i),
+    not one per pair."""
 
     @staticmethod
-    def _record_series(monkeypatch) -> list[dict]:
-        built = []
-        real = index_module._column_series
+    def _record_calls(monkeypatch) -> list[tuple]:
+        calls = []
+        real = index_module._power_counts
 
-        def record(matrix, tops):
-            built.append(dict(tops))
-            return real(matrix, tops)
+        def record(matrix, first, i, top):
+            calls.append((first, i, top))
+            return real(matrix, first, i, top)
 
-        monkeypatch.setattr(index_module, "_column_series", record)
-        return built
+        monkeypatch.setattr(index_module, "_power_counts", record)
+        return calls
 
     def test_series_are_column_sums_of_powers(self, main_matrix):
-        spans = {
-            (frozenset({1, 2}), 1): range(7),
-            (frozenset({3}), 2): range(2, 5),
-            (frozenset({1, 2, 3}), 3): range(1),
-            (frozenset({2, 3}), 1): range(0),
-        }
-        series = index_module._column_series(main_matrix, spans)
-        assert set(series) == set(spans)
-        for (first, i), span in spans.items():
-            assert len(series[first, i]) == len(span)
-            for m, s in zip(span, series[first, i]):
-                if m == 0:
-                    assert s == (i in first)
-                else:
-                    assert s == sum(count_paths(main_matrix, c, i, m) for c in first)
+        for first, i, top in [
+            (frozenset({1, 2}), 1, 7),
+            (frozenset({3}), 2, 4),
+            (frozenset({1, 2, 3}), 3, 1),
+            (frozenset({2, 3}), 1, 0),
+        ]:
+            counts = _power_counts(main_matrix, first, i, top)
+            assert counts == [0] + [
+                sum(count_paths(main_matrix, c, i, L) for c in first) for L in range(1, top + 1)
+            ]
 
     def test_one_series_per_first_and_letter_on_e8(self, main_endo, monkeypatch):
         e8 = power(main_endo, 8)
-        classes = index_module._pair_classes(e8)
-        max_len = series_end(e8) + propagation(e8)
-        built = self._record_series(monkeypatch)
-        length_transfer_counted(e8, max_len)
-        assert len(classes) == 240
-        assert len(built) == 1
-        assert len(built[0]) == len({(first, i) for (first, _, _, i), _ in classes}) == 5
-        # each series spans the exponents from 1 to the longest length one of
-        # its classes reads; exponent 0 is each class's own word
-        for (first, i), span in built[0].items():
-            assert span == range(
-                1, max(max_len - mu_len for (f, _, mu_len, j), _ in classes if (f, j) == (first, i))
+        depth = series_end(e8)
+        calls = self._record_calls(monkeypatch)
+        length_transfer_counted(e8, depth + propagation(e8))
+        pairs = [(i, nu, mu) for i in e8.matrix.alphabet for nu, mu in e8.raw_images[i - 1]]
+        assert len(pairs) == 768
+        classes = {(_first_letters(e8.matrix, nu, mu), i) for i, nu, mu in pairs}
+        assert len(calls) == len({(first, i) for first, i, _ in calls}) == len(classes) == 5
+        # each call runs to the longest y whose domain word or image one of
+        # its pairs needs at the table's depth
+        for first, i, top in calls:
+            assert top == max(
+                depth - min(len(mu) + 1, len(nu))
+                for j, nu, mu in pairs
+                if (_first_letters(e8.matrix, nu, mu), j) == (first, i)
             )
 
     def test_polynomial_reads_one_series_per_first_and_letter(self, main_endo, monkeypatch):
         e8 = power(main_endo, 8)
         n_param = propagation(e8)
-        built = self._record_series(monkeypatch)
+        calls = self._record_calls(monkeypatch)
         assert index_polynomial(e8, 1 + n_param + e8.k, n_param) == 1
-        assert len(built) == 1
-        assert len(built[0]) <= 5
+        assert len(calls) == len({(first, i) for first, i, _ in calls}) <= 5
 
 
 class TestFredholmRoute:
@@ -296,7 +299,7 @@ class TestAgreementProperties:
                 e, _ = random_complete_graph_endomorphism(matrix, rng)
                 enum = length_transfer_enumerated(path_map(e), e.k + 5)
                 counted = length_transfer_counted(e, e.k + 5)
-                assert enum.a == counted.a
+                assert counted.a == _restricted(enum.a, e.k + 5 - propagation(e))
 
     def test_inner_automorphism_all_routes_zero(self, main_matrix):
         rng = random.Random(101)
@@ -386,7 +389,7 @@ class TestLandingWalk:
             assert index_series(path_map(e)).per_k == index_series_counted(e).per_k
 
     def test_landing_table_is_the_restricted_full_table(self, corpus):
-        # the table counts the domain words of length <= d and the longer
+        # both tables count the domain words of length <= d and the longer
         # ones landing at or below d: the full table's cells with i <= d or
         # j <= d; the forged strict root has a pair streamed from a longer nu
         for e in corpus + [_forged_colliding(), _forged_strict_root()]:
@@ -394,9 +397,17 @@ class TestLandingWalk:
             bound = propagation(e)
             end = series_end(e)
             for d in sorted({1, 2, e.k, end, end + 2} - {0}):
-                full = length_transfer_enumerated(psi, d + bound).a
-                want = {(i, j): c for (i, j), c in full.items() if i <= d or j <= d}
+                want = _restricted(length_transfer_enumerated(psi, d + bound).a, d)
                 assert _landing_table(psi, d).a == want
+                assert length_transfer_counted(e, d + bound).a == want
+            # the two kernels give each class the same counts, to a length
+            # past the longest y any table above asks for
+            matrix = psi.matrix
+            longest = end + 2 + bound
+            for i in matrix.alphabet:
+                for first in {_first_letters(matrix, nu, mu) for nu, mu in e.raw_images[i - 1]}:
+                    walked = _class_counts(matrix, first, i, longest)
+                    assert _power_counts(matrix, first, i, longest) == walked
             # each pair's stream holds the images of the words that pair
             # matches, of every length up to a depth past the series end, and
             # under a longer nu the ones extending it
@@ -435,6 +446,22 @@ class TestLandingWalk:
         assert sum(_landing_table(psi, 7).a.values()) > 0
         # E^2 has a run of three pairs, so the collision count merges streams
         assert _collisions(psi, 7) == 0
+
+    def test_totals_are_guarded_past_the_cover(self, corpus):
+        # the tables hold only the cells read at k <= d, so a total past d
+        # would be partial: both tables refuse it, and agree up to it
+        for e in corpus[:5] + [_forged_colliding()]:
+            bound = propagation(e)
+            for d in (1, series_end(e), series_end(e) + 2):
+                tables = (_landing_table(path_map(e), d), length_transfer_counted(e, d + bound))
+                for table in tables:
+                    for total in (table.dom_count, table.im_count, table.index_at):
+                        with pytest.raises(InvalidParameter):
+                            total(d + 1)
+                walked, counted = tables
+                for k in range(1, d + 1):
+                    assert walked.dom_count(k) == counted.dom_count(k)
+                    assert walked.im_count(k) == counted.im_count(k)
 
     def test_table_guards_gamma_past_its_cover(self, main_endo):
         # lengths up to 8 reach images up to the bound away, so gamma_m and
@@ -634,7 +661,7 @@ class TestPairCounts:
                 # both do, and the series end and past it
                 depths = {len(nu), len(mu) + 1, len(nu) + 1, len(mu) + 2}
                 depths |= {max(len(nu), len(mu) + 1), end, end + propagation(e)}
-                longest = {_longest_y(nu, mu, d) for d in depths} | {-2, -1, 0, 1, 2}
+                longest = {d - min(len(mu) + 1, len(nu)) for d in depths} | {-2, -1, 0, 1, 2}
                 first = _first_letters(matrix, nu, mu)
                 for top in sorted(longest):
                     counts = _class_counts(matrix, first, i, top)

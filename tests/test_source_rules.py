@@ -11,10 +11,12 @@ place naming it, and ``src/cklef/index.py`` names none of ``iter_paths``,
 ``enumerate_paths`` and ``_successors``, so the index routes walk words
 only through ``walk``; and only two functions there name ``walk``, the
 class counter ``_class_counts`` and the root stream ``_root_images``, so
-a walk starts nowhere else.  They share one counting kernel too, so exactly one
-function there reads matrix powers: names ``count_paths``, ``.power`` or
-``_powers``; and that kernel, ``_column_series``, has one reader, the
-counted table ``length_transfer_counted``.  Validating a presentation builds
+a walk starts nowhere else.  Exactly one function there reads matrix
+powers: names ``count_paths``, ``.power`` or ``_powers``.  The two tables
+share one fill: only ``_table`` constructs a ``LengthTransfer`` there, and
+each table names its kernel alone, ``_landing_table`` the walk's
+``_class_counts`` and ``length_transfer_counted`` the powers'
+``_power_counts``, so neither route can read the other's counts.  Validating a presentation builds
 no canonical clopen form and reads no matrix power, so in
 ``src/cklef/endo.py`` only ``range_set``, which ``cklef validate`` prints,
 names ``clopen_make`` or ``ClopenSet``, and no function names ``count_paths``,
@@ -31,16 +33,16 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cklef"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 CACHE_DECORATORS = {"lru_cache", "cache"}
 ENUMERATORS = {"iter_paths", "enumerate_paths", "_successors"}
 # ".power" is matched only as an attribute, so a local named power is no read
 POWER_READERS = {"count_paths", ".power", "_powers"}
-# the one function that groups the pairs into classes and sums their counts
-CLASS_READERS = {"_pair_classes"}
-# the counting kernel, read by the counted table alone
-SERIES_READERS = {"_column_series"}
+# the two kernels of the one fill, each named by its own table alone
+KERNEL_READERS = {"_class_counts": "_landing_table", "_power_counts": "length_transfer_counted"}
 # the one word walk, started only where the enumerated routes count or merge
 WALKERS = {"walk"}
 # the canonical clopen form, which validity checks do without
@@ -239,48 +241,70 @@ def test_power_reader_detector_sees_every_use():
 
 def test_index_routes_share_one_power_reader():
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
-    assert _naming_scopes(source, POWER_READERS) == ["_column_series"]
+    assert _naming_scopes(source, POWER_READERS) == ["_power_counts"]
 
 
-def test_class_reader_detector_sees_every_use():
+def _unannotated(source: str) -> str:
+    """``source`` with its annotations dropped, so that a type hint is no use
+    of the name it gives."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node.returns = None
+        elif isinstance(node, ast.arg):
+            node.annotation = None
+        elif isinstance(node, ast.AnnAssign):
+            node.annotation = ast.Constant(None)
+    return ast.unparse(tree)
+
+
+def test_constructor_detector_sees_every_use():
     source = (
-        "def _pair_classes(e):\n    return e\n"
-        "def a(e):\n    \"\"\"_pair_classes(e) in a docstring is no read.\"\"\"\n    return e\n"
-        "def b(e):\n    return len(_pair_classes(e))\n"
-        "def c(e):\n    classes = index._pair_classes\n    return classes(e)\n"
-        "d = lambda e: sorted(_pair_classes(e))\n"
-        "def f(e):\n    def inner():\n        return _pair_classes(e)\n    return inner\n"
-        "def g(e, _pair_classes=None):\n    return e\n"
+        "class LengthTransfer:\n    a: dict\n"
+        "def a(e) -> LengthTransfer:\n"
+        "    \"\"\"LengthTransfer(e) in a docstring builds nothing.\"\"\"\n    return e\n"
+        "def b(t: LengthTransfer, u: 'LengthTransfer' = None):\n"
+        "    v: LengthTransfer = t\n    return v\n"
+        "def c(e):\n    return LengthTransfer(a=e, max_len=1, bound=0)\n"
+        "def d(e):\n    make = index.LengthTransfer\n    return make(e)\n"
+        "f = lambda e: LengthTransfer(e)\n"
+        "def g(e):\n    def inner():\n        return LengthTransfer(e)\n    return inner\n"
+        "MAKE = LengthTransfer\n"
     )
-    assert _naming_scopes(source, CLASS_READERS) == ["b", "c", "<lambda>", "inner"]
+    assert _naming_scopes(_unannotated(source), {"LengthTransfer"}) == [
+        "c", "d", "<lambda>", "inner", "<module>",
+    ]
 
 
-def test_closed_formula_reads_the_counted_table():
-    # the pair classes are summed in one place, so the closed formula cannot
-    # grow a second summation of the counted table's counts
+def test_one_fill_builds_both_tables():
+    # the walk and the powers differ only in the counts they supply, so the
+    # grouping of pairs and the placing of counts are written once
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
-    assert _naming_scopes(source, CLASS_READERS) == ["length_transfer_counted"]
+    assert _naming_scopes(_unannotated(source), {"LengthTransfer"}) == ["_table"]
 
 
-def test_series_reader_detector_sees_every_use():
+@pytest.mark.parametrize("kernel", sorted(KERNEL_READERS))
+def test_kernel_reader_detector_sees_every_use(kernel):
     source = (
-        "def _column_series(matrix, spans):\n    return spans\n"
-        "def a(m):\n    \"\"\"_column_series(m, {}) in a docstring is no read.\"\"\"\n    return m\n"
-        "def b(m):\n    return _column_series(m, {})\n"
-        "def c(m):\n    kernel = index._column_series\n    return kernel(m, {})\n"
-        "d = lambda m: _column_series(m, {})\n"
-        "def f(m):\n    def inner():\n        return _column_series(m, {})\n    return inner\n"
-        "def g(m, _column_series=None):\n    return m\n"
-        "KERNEL = _column_series\n"
-    )
-    assert _naming_scopes(source, SERIES_READERS) == ["b", "c", "<lambda>", "inner", "<module>"]
+        "def KERNEL(matrix, first, i, top):\n    return [0]\n"
+        "def a(m):\n    \"\"\"KERNEL(m, {1}, 1, 2) in a docstring is no read.\"\"\"\n"
+        "    return m\n"
+        "def b(e, d):\n    return _table(e, d, KERNEL)\n"
+        "def c(m):\n    kernel = index.KERNEL\n    return kernel(m, {1}, 1, 2)\n"
+        "d = lambda m: KERNEL(m, {1}, 1, 2)\n"
+        "def f(m):\n    def inner():\n        return KERNEL(m, {1}, 1, 2)\n    return inner\n"
+        "def g(m, KERNEL=None):\n    return m\n"
+        "COUNTS = KERNEL\n"
+    ).replace("KERNEL", kernel)
+    assert _naming_scopes(source, {kernel}) == ["b", "c", "<lambda>", "inner", "<module>"]
 
 
-def test_column_series_has_one_reader():
-    # the Fredholm route reads the landing table, not word totals from
-    # matrix powers, so the counting kernel serves the counted table alone
+@pytest.mark.parametrize("kernel", sorted(KERNEL_READERS))
+def test_each_kernel_is_named_by_its_own_table(kernel):
+    # the walk's table reads no powers and the counted table walks no words,
+    # so the routes that read them stay independent
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
-    assert _naming_scopes(source, SERIES_READERS) == ["length_transfer_counted"]
+    assert _naming_scopes(source, {kernel}) == [KERNEL_READERS[kernel]]
 
 
 def test_canonical_form_detector_sees_every_use():
