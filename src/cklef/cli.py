@@ -49,10 +49,10 @@ from .errors import (
     ZeroRowOrColumn,
 )
 from .index import (
-    fredholm_index_truncated,
-    gamma_parts,
+    fredholm_count,
     index_polynomial_parts,
     index_series_counted,
+    landing_table,
     propagation,
     series_end,
 )
@@ -384,12 +384,16 @@ def cmd_index(doc: CkDocument, args) -> Report:
             report.add(f"index.k{k}", series.per_k[k])
         report.add("series.value", series.stabilized_value)
         report.add("series.depth", series.params["depth"])
-    if method in ("gamma", "all"):
+    if method in ("gamma", "fredholm", "all"):
+        # gamma_m is the partial sum to m, and the Fredholm count truncated
+        # at m is the same sum less the collisions, so from the series end
+        # on both are the index; both read one landing table there.
         psi = path_map(endo)
-        # gamma_m is the partial sum to m, so from the series end on it is the index.
-        m = series_end(endo)
-        shrink, stretch = gamma_parts(psi, m)
-        report.add("gamma.m", m)
+        end = series_end(endo)
+        landing = landing_table(psi, end)
+    if method in ("gamma", "all"):
+        shrink, stretch = landing.gamma_parts(end)
+        report.add("gamma.m", end)
         report.add("gamma.shrink", shrink)
         report.add("gamma.stretch", stretch)
         report.add("gamma.value", shrink - stretch)
@@ -405,11 +409,8 @@ def cmd_index(doc: CkDocument, args) -> Report:
         report.add("polynomial.negative", neg)
         report.add("polynomial.value", pos - neg)
     if method in ("fredholm", "all"):
-        psi = path_map(endo)
-        # Truncated at the series end, the count is the whole index.
-        depth = series_end(endo)
-        report.add("fredholm.depth", depth)
-        report.add("fredholm.value", fredholm_index_truncated(psi, depth))
+        report.add("fredholm.depth", end)
+        report.add("fredholm.value", fredholm_count(psi, landing))
     return report
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (
     DepthTooSmall,
@@ -371,26 +372,81 @@ def _reduce(matrix: TransitionMatrix, pairs) -> list[Pair]:
             pairs.add((nu, mu))
 
 
-def power(e: GeometricEndomorphism, n: int) -> GeometricEndomorphism:
-    """``e`` composed with itself ``n`` times, by repeated squaring.
+def _require_exponent(n, least: int) -> None:
+    """Refuse an exponent that is not an ``int`` of at least ``least``.  A
+    ``bool`` is refused too, though Python counts it an ``int``."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidParameter(f"an exponent must be an int, got {n!r}")
+    if n < least:
+        raise InvalidParameter(f"an exponent must be >= {least}, got {n}")
 
-    It makes floor(log2 n) + popcount(n) - 1 calls to :func:`compose`.
-    Where the reduced form is canonical (see :func:`_reduce`), the result
-    has the same ``raw_images`` as the chain ``compose(e, compose(e, ...))``
-    when no nu-word is empty.  ``power(e, 1)`` is ``e`` as given, not
-    reduced.
+
+def _ladder(e: GeometricEndomorphism, targets) -> Iterator[GeometricEndomorphism]:
+    """``e^k`` for each exponent k in ``targets``, in increasing order.
+
+    This is the package's one place where powers are composed.  The ladder
+    takes the exponents that halving the targets reaches and composes each
+    of them once, in increasing order, from its two balanced halves:
+    ``e^k = compose(e^ceil(k/2), e^floor(k/2))``, with ``e^1`` the ``e``
+    given.  A power is held only until the last power that takes it as a
+    half is composed, and a target only until the caller resumes the
+    ladder, so a caller that drops each target once it has read it keeps at
+    most the halves still to be used and the power in hand.
+
+    Balanced halves cost less than composing onto ``e``: composing ``e``
+    onto ``e^(k-1)`` substitutes t_i into every word of the big power,
+    which memoizes many more prefixes, and composing a big power onto a
+    small one multiplies out mostly zero monomials.
     """
-    if n < 1:
-        raise InvalidParameter("power requires n >= 1")
-    result = None
-    square = e
-    while True:
-        if n & 1:
-            result = square if result is None else compose(square, result)
-        n >>= 1
-        if not n:
-            return result
-        square = compose(square, square)
+    reached = set()
+    stack = list(targets)
+    while stack:
+        k = stack.pop()
+        if k not in reached:
+            reached.add(k)
+            if k > 1:
+                stack += [k - k // 2, k // 2]
+    # last[h]: the largest exponent that takes e^h as one of its halves
+    last = {h: k for k in sorted(reached) if k > 1 for h in (k - k // 2, k // 2)}
+    held = {1: e}
+    for k in sorted(reached):
+        if k > 1:
+            held[k] = compose(held[k - k // 2], held[k // 2])
+            for h in {k - k // 2, k // 2}:
+                if last[h] == k:
+                    del held[h]
+        if k in targets:
+            yield held[k]
+        if k not in last:
+            del held[k]
+
+
+def power(e: GeometricEndomorphism, n: int) -> GeometricEndomorphism:
+    """``e`` composed with itself ``n`` times, on the halving ladder.
+
+    ``e^n`` is ``compose(e^ceil(n/2), e^floor(n/2))``, and so on down
+    (:func:`_ladder`): one call to :func:`compose` for each exponent above 1
+    that halving n reaches, none of which composes a large power onto a
+    small one.  Where the reduced form is canonical (see :func:`_reduce`),
+    the result has the same ``raw_images`` as the chain
+    ``compose(e, compose(e, ...))`` when no nu-word is empty.
+    ``power(e, 1)`` is ``e`` as given, not reduced.  ``n`` must be an
+    ``int`` >= 1.
+    """
+    _require_exponent(n, 1)
+    return next(_ladder(e, (n,)))
+
+
+def powers(e: GeometricEndomorphism, n_max: int) -> Iterator[GeometricEndomorphism]:
+    """``e^1``, ..., ``e^n_max``, from one ladder (:func:`_ladder`).
+
+    Each power is composed once, from its balanced halves: ``n_max - 1``
+    calls to :func:`compose` in all.  A power above ceil(n_max / 2) is no
+    later power's half, so the ladder lets it go once the caller has read
+    it.  ``n_max`` must be an ``int`` >= 0.
+    """
+    _require_exponent(n_max, 0)
+    return _ladder(e, range(1, n_max + 1))
 
 
 def represent_at_depth(e: GeometricEndomorphism, k: int) -> GeometricEndomorphism:

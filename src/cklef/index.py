@@ -19,7 +19,7 @@ in a letter adds the number of letters that may close it, so no word is
 built.  Matrix powers (:func:`_power_counts`) read the same counts off the
 powers the :class:`TransitionMatrix` caches, exactly at any length.
 
-The walk's table (:func:`_landing_table`) is read by the enumerated series,
+The walk's table (:func:`landing_table`) is read by the enumerated series,
 by gamma, and by the Fredholm count, less the collisions of images
 (:func:`_collisions`): only under the words where two pairs' images can meet
 (:func:`_overlap_roots`) does it merge their sorted image streams
@@ -139,7 +139,7 @@ def _class_counts(
     and precede i, so it adds their number at its length + 1; no y is
     built.  The walk starts at the empty word, so it does not depend on any
     one pair's nu.  The enumerated routes' table reads it
-    (:func:`_landing_table`).
+    (:func:`landing_table`).
     """
     counts = [0] * (top + 1)
     if top < 1:
@@ -228,7 +228,7 @@ def _table(
     return LengthTransfer(a=a, max_len=depth + bound, bound=bound)
 
 
-def _landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
+def landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
     """The table at ``depth`` from one word walk per class: the enumerated
     series, gamma and the Fredholm count read it."""
     return _table(psi.endo, depth, _class_counts)
@@ -259,7 +259,7 @@ def gamma_parts(psi: PartialPathMap, m: int) -> tuple[int, int]:
     """Words shrinking past length m and words stretching past it, separately."""
     if m < 1:
         raise InvalidParameter("m must be >= 1")
-    return _landing_table(psi, m).gamma_parts(m)
+    return landing_table(psi, m).gamma_parts(m)
 
 
 def gamma(psi: PartialPathMap, m: int) -> int:
@@ -322,7 +322,7 @@ def _report(table: LengthTransfer, end: int, method: str) -> IndexReport:
 def index_series(psi: PartialPathMap) -> IndexReport:
     """The defining route: enumerate words, sum Index_k up to the series end."""
     end = series_end(psi.endo)
-    return _report(_landing_table(psi, end), end, "series")
+    return _report(landing_table(psi, end), end, "series")
 
 
 def index_series_counted(e: GeometricEndomorphism) -> IndexReport:
@@ -474,7 +474,7 @@ def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
     words outside the domain and the cokernel dimension p_j - im_j the words
     outside the image, p_j being the number of all words of length j.  The
     p_j cancel term by term, (p_j - dom_j) - (p_j - im_j) = im_j - dom_j, so
-    no word total is needed.  The landing table (:func:`_landing_table`)
+    no word total is needed.  The landing table (:func:`landing_table`)
     counts an image once per domain word landing on it; im_j counts it once,
     which is the table's image count less the collisions
     (:func:`_collisions`).  So the route is the index series summed to
@@ -483,5 +483,12 @@ def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
     """
     if depth < 1:
         raise InvalidParameter("depth must be >= 1")
-    table = _landing_table(psi, depth)
+    return fredholm_count(psi, landing_table(psi, depth))
+
+
+def fredholm_count(psi: PartialPathMap, table: LengthTransfer) -> int:
+    """:func:`fredholm_index_truncated` at the depth ``table`` covers, read
+    off ``table``, which must be ``psi``'s landing table at that depth: so
+    ``cklef index --method all`` builds one table for gamma and Fredholm."""
+    depth = table.max_len - table.bound
     return sum(table.index_at(j) for j in range(1, depth + 1)) - _collisions(psi, depth)

@@ -26,14 +26,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .endo import GeometricEndomorphism, compose
+from .endo import GeometricEndomorphism, powers
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
     ReconstructionInconsistent,
     WellDefinednessFailure,
 )
-from .index import index_series_counted
+from .index import index_series_counted, stabilized_index
 from .sft_core import TransitionMatrix, terminus
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -227,7 +227,9 @@ def k0_reduce(kt: KTheoryData, v: Sequence[int]) -> KZeroClass:
 
 
 def generator_class(kt: KTheoryData, i: int) -> KZeroClass:
-    """The class e_i = [s_i s_i*] (1-based)."""
+    """The class e_i = [s_i s_i*] (1-based, i in 1..n)."""
+    if not 1 <= i <= kt.matrix.n:
+        raise InvalidParameter(f"generator index must be in 1..{kt.matrix.n}, got {i}")
     v = [0] * kt.matrix.n
     v[i - 1] = 1
     return k0_reduce(kt, v)
@@ -368,18 +370,19 @@ def lefschetz_number(
 
 
 def zeta_coefficients(e: GeometricEndomorphism, n_max: int) -> list[int]:
-    """Lefschetz indices of the powers of ``e``; coefficient 0 is the Euler term."""
+    """Lefschetz indices of the powers of ``e``; coefficient 0 is the Euler term.
+
+    The powers ``e^1 .. e^n_max`` come from one ladder
+    (:func:`~cklef.endo.powers`), each composed once from its balanced
+    halves, ``compose(e^ceil(k/2), e^floor(k/2))``.  Each power's index is
+    read as the ladder yields it, and a power above ceil(n_max / 2) is let
+    go once read.  ``n_max`` must be an ``int`` >= 0.
+    """
     e.require_valid()
-    if n_max < 0:
-        raise InvalidParameter("n_max must be >= 0")
+    ladder = powers(e, n_max)
     kt = k_groups(e.matrix)
-    coeffs = [kt.rank_k0_free - kt.rank_k1]
-    current = e
-    for n in range(1, n_max + 1):
-        coeffs.append(index_series_counted(current).stabilized_value)
-        if n < n_max:
-            current = compose(e, current)
-    return coeffs
+    # map drops each power once its index is read, so the ladder can let it go
+    return [kt.rank_k0_free - kt.rank_k1, *map(stabilized_index, ladder)]
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cklef import index as index_module
 from cklef.cli import (
     Report,
     document_of,
@@ -214,6 +215,24 @@ class TestSubcommands:
         assert data["gamma.m"] == data["fredholm.depth"] == data["series.depth"] == 8
         for route in ("series", "gamma", "polynomial", "fredholm"):
             assert data[f"{route}.value"] == 1
+
+    @pytest.mark.parametrize("method", ["all", "gamma", "fredholm"])
+    def test_index_walks_one_landing_table(self, main_file, monkeypatch, method):
+        # gamma and Fredholm both read the walk's table at the series end,
+        # so the command fills it once
+        kernels = []
+        table = index_module._table
+
+        def recorded(e, depth, counts_of):
+            kernels.append((counts_of.__name__, depth))
+            return table(e, depth, counts_of)
+
+        monkeypatch.setattr(index_module, "_table", recorded)
+        out, code = run(["--structured", "index", main_file, "--method", method])
+        assert code == 0
+        assert [k for k in kernels if k[0] == "_class_counts"] == [("_class_counts", 3)]
+        data = parse_structured(out)
+        assert data.get("gamma.value", 1) == data.get("fredholm.value", 1) == 1
 
     def test_index_polynomial_parts(self, main_file):
         # the formula runs at N = max(bound, 1) = 1 and m = 1 + N + k = 4 on E

@@ -21,6 +21,7 @@ from cklef.errors import (
     DepthTooSmall,
     DuplicateMuAfterNormalization,
     InvalidEndomorphism,
+    InvalidParameter,
     UnallowableWord,
     ZeroMonomialPair,
 )
@@ -395,7 +396,16 @@ class TestReducedForm:
         assert sum(map(len, _reduced(main_endo).raw_images)) == 6
 
 
+def _halvings(n):
+    """The exponents that halving n reaches: n, and those of ceil(n/2) and
+    floor(n/2) when n > 1."""
+    return {n} | (_halvings(n - n // 2) | _halvings(n // 2) if n > 1 else set())
+
+
 class TestPowerBySquaring:
+    """``power`` on the halving ladder: e^k is composed from e^ceil(k/2)
+    and e^floor(k/2), a square when k is even."""
+
     @pytest.fixture(scope="class")
     def bases(self, main_endo, compose_cases):
         # E, a seeded inner automorphism on E's matrix, and a complete-graph
@@ -408,25 +418,37 @@ class TestPowerBySquaring:
     def test_same_presentation_as_the_chain(self, bases):
         for e in bases:
             chain = e
-            for n in range(1, 9):
+            for n in range(1, 10):
                 assert power(e, n).raw_images == chain.raw_images
                 chain = compose(e, chain)
 
     def test_power_one_is_the_input(self, main_endo):
         assert power(main_endo, 1) is main_endo
 
-    @pytest.mark.parametrize("n, calls", [(1, 0), (2, 1), (6, 3), (7, 4), (8, 3)])
-    def test_compose_calls(self, main_endo, monkeypatch, n, calls):
-        made = []
+    @pytest.mark.parametrize(
+        "n, calls", [(1, 0), (2, 1), (6, 3), (7, 4), (8, 3), (9, 5), (13, 6)]
+    )
+    def test_compose_calls(self, bases, monkeypatch, n, calls):
+        # one compose per exponent above 1 that halving n reaches, each on
+        # its balanced halves; the inner automorphism keeps e^13 small
+        e = bases[1]
+        made = {1: e}
         compose_ = endo_module.compose
 
-        def counted(e, f):
-            made.append(None)
-            return compose_(e, f)
+        def counted(f, g):
+            k = next(k for k in sorted(_halvings(n)) if k not in made)
+            assert f is made[k - k // 2] and g is made[k // 2]
+            made[k] = compose_(f, g)
+            return made[k]
 
         monkeypatch.setattr(endo_module, "compose", counted)
-        power(main_endo, n)
-        assert len(made) == calls == n.bit_length() - 1 + bin(n).count("1") - 1
+        assert power(e, n) is made[n]
+        assert len(made) - 1 == calls == len(_halvings(n)) - 1
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, 1.0, 2.5, True, "3", None])
+    def test_refuses_an_exponent_that_is_not_a_positive_int(self, main_endo, n):
+        with pytest.raises(InvalidParameter):
+            power(main_endo, n)
 
 
 class TestDotApply:

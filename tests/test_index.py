@@ -19,7 +19,6 @@ from cklef.index import (
     _class_counts,
     _collisions,
     _first_letters,
-    _landing_table,
     _overlap_roots,
     _power_counts,
     _prefix_runs,
@@ -31,6 +30,7 @@ from cklef.index import (
     index_polynomial_parts,
     index_series,
     index_series_counted,
+    landing_table,
     length_transfer_counted,
     propagation,
     series_end,
@@ -376,7 +376,7 @@ class TestLandingWalk:
             psi = path_map(e)
             for k in range(1, series_end(e) + 3):
                 want = _reference_window_index_at(psi, k)
-                assert _landing_table(psi, k).index_at(k) == want
+                assert landing_table(psi, k).index_at(k) == want
 
     def test_gamma_parts_equal_the_window(self, corpus):
         for e in corpus:
@@ -398,7 +398,7 @@ class TestLandingWalk:
             end = series_end(e)
             for d in sorted({1, 2, e.k, end, end + 2} - {0}):
                 want = _restricted(length_transfer_enumerated(psi, d + bound).a, d)
-                assert _landing_table(psi, d).a == want
+                assert landing_table(psi, d).a == want
                 assert length_transfer_counted(e, d + bound).a == want
             # the two kernels give each class the same counts, to a length
             # past the longest y any table above asks for
@@ -443,7 +443,7 @@ class TestLandingWalk:
 
         monkeypatch.setattr(PartialPathMap, "dot_apply", refuse)
         psi = path_map(power(main_endo, 2))
-        assert sum(_landing_table(psi, 7).a.values()) > 0
+        assert sum(landing_table(psi, 7).a.values()) > 0
         # E^2 has a run of three pairs, so the collision count merges streams
         assert _collisions(psi, 7) == 0
 
@@ -453,7 +453,7 @@ class TestLandingWalk:
         for e in corpus[:5] + [_forged_colliding()]:
             bound = propagation(e)
             for d in (1, series_end(e), series_end(e) + 2):
-                tables = (_landing_table(path_map(e), d), length_transfer_counted(e, d + bound))
+                tables = (landing_table(path_map(e), d), length_transfer_counted(e, d + bound))
                 for table in tables:
                     for total in (table.dom_count, table.im_count, table.index_at):
                         with pytest.raises(InvalidParameter):
@@ -541,7 +541,7 @@ class TestFredholmPruning:
         for depth in depths:
             psi = path_map(e)
             dom, images = _brute_fredholm_tally(psi, depth)
-            table = _landing_table(psi, depth)
+            table = landing_table(psi, depth)
             assert {j: table.dom_count(j) for j in dom} == dom
             assert _collisions(psi, depth) == sum(
                 table.im_count(j) - len(images[j]) for j in images
@@ -575,7 +575,7 @@ class TestFredholmPruning:
         forged = _forged_colliding()
         depth = 7
         psi = path_map(forged)
-        table = _landing_table(psi, depth)
+        table = landing_table(psi, depth)
         assert [table.dom_count(m) for m in range(1, depth + 1)] == [
             2**m if m >= 2 else 0 for m in range(1, depth + 1)
         ]

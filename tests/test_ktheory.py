@@ -1,9 +1,11 @@
 import dataclasses
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from cklef import endo as endo_module
 from cklef import ktheory, linalg
 from cklef.cli import run
 from cklef.endo import (
@@ -15,9 +17,11 @@ from cklef.endo import (
 )
 from cklef.errors import (
     DimensionMismatch,
+    InvalidParameter,
     ReconstructionInconsistent,
     WellDefinednessFailure,
 )
+from cklef.index import stabilized_index
 from cklef.ktheory import (
     _descend_free,
     _require_well_defined,
@@ -148,6 +152,12 @@ class TestKZeroClasses:
         assert e2.same_class(zero)
         assert e3.same_class(e1.negate(kt))
         assert not e1.same_class(zero)
+
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_generator_index_outside_the_alphabet(self, main_matrix, i):
+        # 0 and -1 would read e_3 and e_2 through negative indexing
+        with pytest.raises(InvalidParameter):
+            generator_class(k_groups(main_matrix), i)
 
     def test_relation_columns_vanish(self, main_matrix):
         kt = k_groups(main_matrix)
@@ -490,3 +500,71 @@ class TestZeta:
     def test_reconstruct_rejects_corruption(self):
         with pytest.raises(ReconstructionInconsistent):
             zeta_reconstruct([0, 1, 1, 1, 1, 2], 1, 1)
+
+
+def _chain_coefficients(e, n_max):
+    """The reference: each power composed onto e, as ``compose(e, e^(n-1))``."""
+    kt = k_groups(e.matrix)
+    coeffs, current = [kt.rank_k0_free - kt.rank_k1], e
+    for _ in range(n_max):
+        coeffs.append(stabilized_index(current))
+        current = compose(e, current)
+    return coeffs
+
+
+class TestZetaLadder:
+    """zeta_coefficients reads the powers off the halving ladder."""
+
+    def test_composes_on_balanced_halves_and_lets_go(self, main_endo, monkeypatch):
+        n_max = 8
+        refs = {}  # k -> a weak reference to e^k, k >= 2
+        compose_ = endo_module.compose
+
+        def power_of(k):
+            return main_endo if k == 1 else refs[k]()
+
+        def recorded(f, g):
+            k = len(refs) + 2
+            assert f is power_of(k - k // 2) and g is power_of(k // 2)
+            # the powers still held are the halves of e^k .. e^n_max, so
+            # none above ceil(n_max / 2) = 4, whose index was read already
+            halves = {h for j in range(k, n_max + 1) for h in (j - j // 2, j // 2)}
+            assert {m for m, ref in refs.items() if ref()} == {h for h in halves if 1 < h < k}
+            result = compose_(f, g)
+            refs[k] = weakref.ref(result)
+            return result
+
+        monkeypatch.setattr(endo_module, "compose", recorded)
+        assert zeta_coefficients(main_endo, n_max) == [0] + [1] * n_max
+        assert sorted(refs) == list(range(2, n_max + 1))
+        assert not any(ref() for ref in refs.values())
+
+    def test_powers_are_those_of_power(self, main_endo, monkeypatch):
+        made = []
+        compose_ = endo_module.compose
+        monkeypatch.setattr(
+            endo_module, "compose", lambda f, g: made.append(compose_(f, g)) or made[-1]
+        )
+        zeta_coefficients(main_endo, 8)
+        monkeypatch.undo()
+        assert len(made) == 7
+        for k, made_k in enumerate(made, start=2):
+            assert made_k.raw_images == power(main_endo, k).raw_images
+
+    def test_coefficients_match_the_chain(self, main_endo, compose_cases):
+        # E; seeded inner automorphisms on E's, the golden-mean and Q's
+        # matrix; an inner automorphism after E^2; complete-graph samples at
+        # n = 2 and 3
+        cases = [(main_endo, 8), (compose_cases[8][2], 3)]
+        cases += [(compose_cases[i][0], 6) for i in (7, 12, 17, 19, 21)]
+        cases += [(compose_cases[i][0], 5) for i in (23, 25)] + [(compose_cases[27][0], 3)]
+        for e, n_max in cases:
+            assert zeta_coefficients(e, n_max) == _chain_coefficients(e, n_max)
+
+    def test_no_powers(self, main_endo):
+        assert zeta_coefficients(main_endo, 0) == [0]
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5, 2.0, True, "3", None])
+    def test_refuses_a_count_that_is_not_a_nonnegative_int(self, main_endo, n_max):
+        with pytest.raises(InvalidParameter):
+            zeta_coefficients(main_endo, n_max)

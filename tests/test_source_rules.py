@@ -14,13 +14,17 @@ class counter ``_class_counts`` and the root stream ``_root_images``, so
 a walk starts nowhere else.  Exactly one function there reads matrix
 powers: names ``count_paths``, ``.power`` or ``_powers``.  The two tables
 share one fill: only ``_table`` constructs a ``LengthTransfer`` there, and
-each table names its kernel alone, ``_landing_table`` the walk's
+each table names its kernel alone, ``landing_table`` the walk's
 ``_class_counts`` and ``length_transfer_counted`` the powers'
 ``_power_counts``, so neither route can read the other's counts.  Validating a presentation builds
 no canonical clopen form and reads no matrix power, so in
 ``src/cklef/endo.py`` only ``range_set``, which ``cklef validate`` prints,
 names ``clopen_make`` or ``ClopenSet``, and no function names ``count_paths``,
-``.power`` or ``_powers``.  The exact
+``.power`` or ``_powers``.  Powers are composed in one place, the halving
+ladder ``endo._ladder``, which ``power`` and ``zeta_coefficients`` read: it
+is the only package function that names ``compose`` besides
+``cli.cmd_compose``, which composes the two endomorphisms it is given, so
+``ktheory.py`` names none.  The exact
 linear algebra has one elimination loop, so exactly one function in
 ``src/cklef/linalg.py`` replaces matrix rows inside a loop over pivots.
 The package holds no code that only the tests need, so every function,
@@ -42,11 +46,14 @@ ENUMERATORS = {"iter_paths", "enumerate_paths", "_successors"}
 # ".power" is matched only as an attribute, so a local named power is no read
 POWER_READERS = {"count_paths", ".power", "_powers"}
 # the two kernels of the one fill, each named by its own table alone
-KERNEL_READERS = {"_class_counts": "_landing_table", "_power_counts": "length_transfer_counted"}
+KERNEL_READERS = {"_class_counts": "landing_table", "_power_counts": "length_transfer_counted"}
 # the one word walk, started only where the enumerated routes count or merge
 WALKERS = {"walk"}
 # the canonical clopen form, which validity checks do without
 CANONICAL_FORMS = {"clopen_make", "ClopenSet"}
+# the composition of two endomorphisms, which only the power ladder and the
+# compose subcommand call
+COMPOSERS = {"compose"}
 
 
 def _cached_functions(source: str) -> list[str]:
@@ -333,6 +340,33 @@ def test_validation_builds_no_canonical_form():
     source = (PACKAGE / "endo.py").read_text(encoding="utf-8")
     assert _naming_scopes(source, CANONICAL_FORMS) == ["range_set"]
     assert _naming_scopes(source, POWER_READERS) == []
+
+
+def test_compose_detector_sees_every_use():
+    source = (
+        "from .endo import compose\n"
+        "from . import endo\n"
+        "def a(e):\n    \"\"\"compose(e, e) in a docstring composes nothing.\"\"\"\n    return e\n"
+        "def b(e):\n    return compose(e, e)\n"
+        "def c(e):\n    return endo.compose(e, e)\n"
+        "def d(e):\n    step = compose\n    return step(e, e)\n"
+        "f = lambda e: compose(e, e)\n"
+        "def g(e):\n    def inner():\n        return compose(e, e)\n    return inner\n"
+        "def h(e, composed):\n    return compose_maps(e, composed) + e.composer\n"
+        "COMPOSE = compose\n"
+    )
+    assert _naming_scopes(source, COMPOSERS) == ["b", "c", "d", "<lambda>", "inner", "<module>"]
+
+
+def test_the_ladder_alone_composes_powers():
+    # power and zeta_coefficients take their powers off one ladder, so the
+    # schedule of composes, and any budget check on it, lives in one place
+    found = {
+        path.stem: scopes
+        for path in SOURCES
+        if (scopes := _naming_scopes(path.read_text(encoding="utf-8"), COMPOSERS))
+    }
+    assert found == {"cli": ["cmd_compose"], "endo": ["_ladder"]}
 
 
 def _assigns_a_subscript(node) -> bool:
