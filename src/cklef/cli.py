@@ -509,8 +509,11 @@ def cmd_zeta(doc: CkDocument, args) -> Report:
 def _write_out(doc: CkDocument, args, report: Report) -> None:
     text = render_document(doc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParameter(f"cannot write --out {args.out}: {exc.strerror}") from exc
         report.add("out", args.out)
     else:
         report.add("document", "\n" + text)

@@ -35,6 +35,8 @@ from .sft_core import (
     TransitionMatrix,
     Word,
     clopen_make,
+    common_followers,
+    path_columns,
     require_allowable,
     terminus,
 )
@@ -127,9 +129,9 @@ def _cylinders(matrix: TransitionMatrix, pairs) -> list[Word]:
     terminus qualifies.  Swapping each pair gives the source cylinders."""
     out = []
     for nu, mu in pairs:
-        fol = matrix.followers(terminus(nu))
-        shared = fol & matrix.followers(terminus(mu))
-        out += [nu] if shared == fol else [nu + (j,) for j in sorted(shared)]
+        shared = common_followers(matrix, nu, mu)
+        whole = shared == matrix.followers(terminus(nu))
+        out += [nu] if whole else [nu + (j,) for j in sorted(shared)]
     return out
 
 
@@ -194,8 +196,8 @@ def _ck_checks(endo: GeometricEndomorphism) -> bool:
     the cylinders of its words of that length, and one such union contained
     in another equals it exactly when both hold as many of those words.
     N(w) depends only on |w| and the terminus of w, and one table gives it:
-    ext[0][a] = 1, and ext[m][a] sums ext[m - 1][b] over the followers b of
-    a, with index 0 the empty terminus.
+    ext[m] is step m of :func:`~cklef.sft_core.path_columns` from the
+    all-ones column, index 0 the empty terminus.
 
     - Partition.  One pair's cylinders are disjoint and allowable as they
       stand.  The range cylinders of all pairs are disjoint exactly when,
@@ -224,10 +226,7 @@ def _ck_checks(endo: GeometricEndomorphism) -> bool:
     if _overlapping(words):
         return False
     top = max(map(len, words + [s for group in sources for s in group]))
-    ext = [[1] * (matrix.n + 1)]
-    for _ in range(top):
-        prev = ext[-1]
-        ext.append([sum(prev[b] for b in matrix.followers(a)) for a in range(matrix.n + 1)])
+    ext = list(path_columns(matrix, [1] * (matrix.n + 1), top))
 
     def total(group: list[Word]) -> int:
         """The number of words of length ``top`` in the cylinders of ``group``."""
@@ -356,7 +355,7 @@ def _reduce(matrix: TransitionMatrix, pairs) -> list[Pair]:
         merges = [
             (nu, mu, letters)
             for (nu, mu), letters in siblings.items()
-            if letters == matrix.followers(terminus(nu)) & matrix.followers(terminus(mu))
+            if letters == common_followers(matrix, nu, mu)
         ]
         present = {mu for _, mu in pairs}
         shared = Counter(mu for _, mu, _ in merges)

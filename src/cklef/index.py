@@ -17,7 +17,7 @@ The walk (:func:`_class_counts`) counts the words through the package's one
 word walk, :func:`~cklef.sft_core.walk`, from the empty word: a head ending
 in a letter adds the number of letters that may close it, so no word is
 built.  Matrix powers (:func:`_power_counts`) read the same counts off the
-powers the :class:`TransitionMatrix` caches, exactly at any length.
+columns of A^L stepped by :func:`~cklef.sft_core.path_columns`, exactly.
 
 The walk's table (:func:`landing_table`) is read by the enumerated series,
 by gamma, and by the Fredholm count, less the collisions of images
@@ -27,8 +27,8 @@ by gamma, and by the Fredholm count, less the collisions of images
 neighbours, so it holds no set of words.  The table from powers
 (:func:`length_transfer_counted`) is read by the counted series and the
 closed polynomial formula, whose parts are its gamma_m; it scales to deeply
-composed endomorphisms.  Nothing is cached beyond the matrix's powers; the
-enumerated routes are meant for moderate depths.
+composed endomorphisms.  Nothing is cached; the enumerated routes are meant
+for moderate depths.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ import heapq
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, tee
+from itertools import accumulate, islice, tee
 from typing import Callable, Iterator, Mapping
 
 from .errors import ExponentUnderflow, InvalidParameter
-from .sft_core import TransitionMatrix, Word, terminus, walk
+from .sft_core import TransitionMatrix, Word, common_followers, path_columns, terminus, walk
 from .endo import GeometricEndomorphism, PartialPathMap
 
 
@@ -117,11 +117,6 @@ class LengthTransfer:
         return shrink - stretch
 
 
-def _first_letters(matrix: TransitionMatrix, nu: Word, mu: Word) -> frozenset[int]:
-    """The letters that may follow both termini: y's first letter."""
-    return matrix.followers(terminus(mu)) & matrix.followers(terminus(nu))
-
-
 def _precedes(matrix: TransitionMatrix, i: int) -> tuple[int, ...]:
     """``precedes[a]`` is 1 when the letter ``a`` may precede ``i``; index 0,
     the empty terminus, precedes nothing."""
@@ -160,14 +155,14 @@ def _power_counts(
     The words y of length L that begin with the letter c and whose last
     letter precedes i are the (A^L)[c, i] paths from c to i, so counts[L]
     sums the column i of A^L over ``first``.  This is the module's one
-    reader of matrix powers.  It reads A^L from the powers the matrix
-    caches (:meth:`TransitionMatrix.power`), so the cost is one sum per
-    length, and it keeps nothing once it returns.  The counted table reads
-    it (:func:`length_transfer_counted`).
+    reader of matrix powers: it steps the unit column of i ``top`` times
+    (:func:`~cklef.sft_core.path_columns`) and keeps only the sums.  The
+    counted table reads it (:func:`length_transfer_counted`).
     """
-    rows = [c - 1 for c in first]
-    powers = map(matrix.power, range(1, top + 1))
-    return [0] + [sum(power[r][i - 1] for r in rows) for power in powers]
+    unit = [0] * (matrix.n + 1)
+    unit[i] = 1
+    columns = islice(path_columns(matrix, unit, top), 1, None)
+    return [0] + [sum(map(column.__getitem__, first)) for column in columns]
 
 
 def _table(
@@ -211,7 +206,7 @@ def _table(
         for nu, mu in e.raw_images[i - 1]:
             ends = terminus(mu), terminus(nu)
             if ends not in firsts:
-                firsts[ends] = _first_letters(matrix, nu, mu)
+                firsts[ends] = common_followers(matrix, nu, mu)
             first = firsts[ends]
             classes[first, i, len(mu), len(nu)] += 1
             top = depth - min(len(mu) + 1, len(nu))
@@ -420,10 +415,10 @@ def _root_images(
     O(``depth``).
     """
     if len(root) <= len(nu):
-        start, letters = nu, _first_letters(matrix, nu, mu)
+        start, letters = nu, common_followers(matrix, nu, mu)
         own = bool(mu) and matrix.entry(mu[-1], i)
     else:
-        if root[len(nu)] not in _first_letters(matrix, nu, mu):
+        if root[len(nu)] not in common_followers(matrix, nu, mu):
             return
         start, letters = root, matrix.followers(root[-1])
         own = matrix.entry(root[-1], i)

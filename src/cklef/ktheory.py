@@ -34,7 +34,7 @@ from .errors import (
     WellDefinednessFailure,
 )
 from .index import index_series_counted, stabilized_index
-from .sft_core import TransitionMatrix, terminus
+from .sft_core import TransitionMatrix, common_followers
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -243,7 +243,7 @@ def _range_class_vector(matrix: TransitionMatrix, nu, mu) -> list[int]:
     surviving cylinder projection s_{nu j} s_{nu j}* has class e_j.  An empty
     word has every letter as a follower.
     """
-    shared = matrix.followers(terminus(nu)) & matrix.followers(terminus(mu))
+    shared = common_followers(matrix, nu, mu)
     return [1 if j in shared else 0 for j in matrix.alphabet]
 
 

@@ -10,12 +10,14 @@ presentation builds no such form: it sorts cylinders and counts the words
 that extend them.
 Words are walked depth first by one function, :func:`walk`, which
 :func:`iter_paths` filters by length and the enumerated index routes read
-directly.
+directly.  They are counted, unwalked, by one recurrence,
+:func:`path_columns`, and no power of ``A`` is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -36,15 +38,12 @@ class TransitionMatrix:
     """A validated 0/1 transition matrix with 1-based letters.
 
     The matrix owns derived tables, left out of equality and hashing: its
-    follower table, built once as ordered tuples and as sets, the powers
-    ``A^L`` computed so far, and its K-groups (one Smith form of I - A^T),
-    which :func:`cklef.ktheory.k_groups` fills on its first call so that
-    every later K-theory call on this matrix reads them.  The powers are
-    read through :meth:`power` by :func:`count_paths` and by the power
-    kernel of :mod:`cklef.index`, whose counts per ``(first, i)`` fill the
-    counted table (and through it the closed polynomial formula); the list
-    grows to the largest exponent either asks for and lives as long as the
-    matrix.
+    follower table, built once as ordered tuples and as sets, and its
+    K-groups (one Smith form of I - A^T), which
+    :func:`cklef.ktheory.k_groups` fills on its first call so that every
+    later K-theory call on this matrix reads them.  It keeps no powers of
+    A: path counts are stepped over the follower table by
+    :func:`path_columns` and dropped by the caller.
     """
 
     n: int
@@ -55,8 +54,6 @@ class TransitionMatrix:
     _successors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     # _followers[a] is the set of _successors[a].
     _followers: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
-    # _powers[L] is A^L; the list grows to the largest L asked for.
-    _powers: list = field(init=False, repr=False, compare=False)
     # _k_groups holds the matrix's KTheoryData once computed: at most one entry.
     _k_groups: list = field(init=False, repr=False, compare=False)
 
@@ -64,12 +61,8 @@ class TransitionMatrix:
         successors = (tuple(self.alphabet),) + tuple(
             tuple(j + 1 for j, v in enumerate(row) if v) for row in self.rows
         )
-        identity = tuple(
-            tuple(1 if i == j else 0 for j in range(self.n)) for i in range(self.n)
-        )
         object.__setattr__(self, "_successors", successors)
         object.__setattr__(self, "_followers", tuple(map(frozenset, successors)))
-        object.__setattr__(self, "_powers", [identity])
         object.__setattr__(self, "_k_groups", [])
 
     def entry(self, a: int, b: int) -> int:
@@ -82,19 +75,6 @@ class TransitionMatrix:
     def followers(self, a: int | None) -> frozenset[int]:
         """Letters that may follow ``a``; the empty terminus follows everything."""
         return self._followers[a or 0]
-
-    def power(self, L: int) -> tuple[tuple[int, ...], ...]:
-        """``A^L`` as a tuple of rows, one product per exponent not yet computed."""
-        powers = self._powers
-        rows = self.rows
-        n = self.n
-        while len(powers) <= L:
-            prev = powers[-1]
-            powers.append(tuple(
-                tuple(sum(prev[i][t] * rows[t][j] for t in range(n)) for j in range(n))
-                for i in range(n)
-            ))
-        return powers[L]
 
 
 def validate_matrix(raw: Sequence[Sequence[int]]) -> TransitionMatrix:
@@ -168,22 +148,44 @@ def require_allowable(matrix: TransitionMatrix, w: Word) -> Word:
     return w
 
 
+def common_followers(matrix: TransitionMatrix, nu: Word, mu: Word) -> frozenset[int]:
+    """The letters that may follow both termini: the first letters of the
+    words y that extend a monomial ``s_nu s_mu*`` to ``s_{nu y} s_{mu y}*``."""
+    return matrix.followers(terminus(nu)) & matrix.followers(terminus(mu))
+
+
+def path_columns(matrix: TransitionMatrix, column: list[int], top: int) -> Iterator[list[int]]:
+    """Steps 0 .. ``top`` of ``column[a] <- sum of column[b] over the
+    followers b of a``, for the termini a = 0 .. n (0 the empty terminus).
+
+    The package's one count of paths: from the unit column of b, step L
+    holds ``(A^L)[a, b]``, and at index 0 the words of length L ending in b;
+    from the all-ones column, the words of length L that may follow a.
+    Only the latest step is held, and each costs one sum per entry of A.
+    """
+    followers = [matrix.followers(a) for a in range(matrix.n + 1)]
+    yield column
+    for _ in range(top):
+        column = [sum(map(column.__getitem__, fol)) for fol in followers]
+        yield column
+
+
 def count_paths(matrix: TransitionMatrix, a: int | None, b: int, L: int) -> int:
     """Number of allowable words ``u`` of length ``L`` with last letter ``b``
     such that ``u`` may follow a word with terminus ``a``.
 
     Equals ``(A^L)[a, b]``; ``a=None`` (empty terminus) admits any first
-    letter.  Arbitrary-precision integers throughout.
+    letter; a letter outside ``1..n`` or ``L < 1`` raises
+    :class:`InvalidParameter`.  It is step L of :func:`path_columns` from
+    the unit column of b.
     """
     if L < 1:
         raise InvalidParameter("L must be >= 1")
-    if a is None:
-        # The empty word's followers are the full alphabet: any first letter.
-        if L == 1:
-            return 1
-        power = matrix.power(L - 1)
-        return sum(power[c - 1][b - 1] for c in matrix.alphabet)
-    return matrix.power(L)[a - 1][b - 1]
+    if b not in matrix.alphabet or not (a is None or a in matrix.alphabet):
+        raise InvalidParameter(f"letters must be in 1..{matrix.n}, got a={a!r}, b={b!r}")
+    unit = [0] * (matrix.n + 1)
+    unit[b] = 1
+    return next(islice(path_columns(matrix, unit, L), L, None))[a or 0]
 
 
 def walk(

@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import DepthTooSmall, MatrixMismatch
-from .sft_core import TransitionMatrix, Word, require_allowable, terminus
+from .sft_core import TransitionMatrix, Word, common_followers, require_allowable, terminus
 
 Pair = tuple[Word, Word]
 
 
 def monomial_is_zero(matrix: TransitionMatrix, nu: Word, mu: Word) -> bool:
     """``s_nu s_mu* = 0`` iff no letter may follow both termini."""
-    return not (matrix.followers(terminus(nu)) & matrix.followers(terminus(mu)))
+    return not common_followers(matrix, nu, mu)
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,7 @@ def multiply(x: Element, y: Element) -> Element:
 
 def _expand_once(matrix: TransitionMatrix, nu: Word, mu: Word) -> list[Pair]:
     """s_nu s_mu* = sum_j s_{nu j} s_{mu j}* over shared followers."""
-    shared = matrix.followers(terminus(nu)) & matrix.followers(terminus(mu))
-    return [(nu + (j,), mu + (j,)) for j in sorted(shared)]
+    return [(nu + (j,), mu + (j,)) for j in sorted(common_followers(matrix, nu, mu))]
 
 
 def normalize(x: Element, depth: int) -> Element:

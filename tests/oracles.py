@@ -4,9 +4,10 @@ They evaluate the definitions directly, word by word or entry by entry, and
 are kept out of the package because nothing but the tests calls them:
 
 - the length-transfer table filled from the path map on every word, and
-  filled pair by pair with ``count_paths`` (``per_pair_fill``), and the
+  filled pair by pair from matrix powers (``per_pair_fill``), and the
   closed polynomial formula summed pair by pair
-  (``polynomial_parts_pair_by_pair``);
+  (``polynomial_parts_pair_by_pair``), each from its own table of powers
+  (``matrix_powers``), made by plain products and dropped when it returns;
 - the relations and cylinder supports of elements of O_A, read through the
   monomial calculus (``generator_equal``, ``is_partial_isometry``,
   ``is_projection``, ``support``), against which the cylinder-set validity
@@ -40,7 +41,6 @@ from cklef.sft_core import (
     EMPTY_WORD,
     ClopenSet,
     clopen_make,
-    count_paths,
     iter_paths,
     terminus,
     walk,
@@ -78,20 +78,34 @@ def _pairs(e):
     ]
 
 
-def _pair_words_at(m, i, mu, first, L):
+def matrix_powers(m, top):
+    """A^0 .. A^``top`` as tuples of rows, by plain matrix products: the
+    tests' own powers, kept for one oracle call."""
+    powers = [tuple(tuple(int(r == c) for c in range(m.n)) for r in range(m.n))]
+    for _ in range(top):
+        prev = powers[-1]
+        powers.append(tuple(
+            tuple(sum(prev[r][t] * m.rows[t][c] for t in range(m.n)) for c in range(m.n))
+            for r in range(m.n)
+        ))
+    return powers
+
+
+def _pair_words_at(m, powers, i, mu, first, L):
     """Domain words of length L matched by one pair (nu, mu) of t_i:
     ``mu + (i,)``, or ``mu + (c,) + u`` with c in ``first``, each c counted
-    with its own ``count_paths`` call."""
+    with its own entry (A^(L - |mu| - 1))[c, i] of ``powers``."""
     if L >= len(mu) + 2:
-        return sum(count_paths(m, c, i, L - len(mu) - 1) for c in first)
+        return sum(powers[L - len(mu) - 1][c - 1][i - 1] for c in first)
     return 1 if L == len(mu) + 1 and mu and m.entry(mu[-1], i) else 0
 
 
 def per_pair_fill(e, max_len):
     """The a(i, j) table filled pair by pair, each pair's words counted at
-    each length with count_paths."""
+    each length from the matrix powers up to ``max_len``."""
+    powers = matrix_powers(e.matrix, max_len)
     cells = [
-        ((L, L - (len(mu) + 1 - len(nu))), _pair_words_at(e.matrix, i, mu, first, L))
+        ((L, L - (len(mu) + 1 - len(nu))), _pair_words_at(e.matrix, powers, i, mu, first, L))
         for i, nu, mu, first in _pairs(e)
         for L in range(len(mu) + 1, max_len + 1)
     ]
@@ -107,11 +121,12 @@ def polynomial_parts_pair_by_pair(e, m):
     pair shrinking by d > 0 adds its words of lengths m+1 .. m+d to the
     positive sum, one with d < 0 its words of lengths m+d+1 .. m to the
     negative sum."""
+    powers = matrix_powers(e.matrix, m + propagation(e))
     pos = neg = 0
     for i, nu, mu, first in _pairs(e):
         d = len(mu) + 1 - len(nu)
         lengths = range(m + 1, m + d + 1) if d > 0 else range(m + d + 1, m + 1)
-        words = sum(_pair_words_at(e.matrix, i, mu, first, L) for L in lengths)
+        words = sum(_pair_words_at(e.matrix, powers, i, mu, first, L) for L in lengths)
         if d > 0:
             pos += words
         else:

@@ -173,6 +173,16 @@ class TestRunExitCodes:
         assert code == 1
         assert out.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv", [["compose", "--with", "t"], ["power", "--n", "2"]], ids=["compose", "power"]
+    )
+    def test_unwritable_out_is_one(self, main_file, tmp_path, argv):
+        out_path = tmp_path / "no-such-dir" / "x.ck"
+        out, code = run(argv[:1] + [main_file] + argv[1:] + ["--out", str(out_path)])
+        assert code == 1
+        assert out.startswith("error:") and str(out_path) in out
+        assert not out_path.parent.exists()
+
 
 class TestSubcommands:
     def test_index_all_methods_agree(self, main_file):

@@ -18,7 +18,6 @@ from cklef.errors import ExponentUnderflow, InvalidParameter
 from cklef.index import (
     _class_counts,
     _collisions,
-    _first_letters,
     _overlap_roots,
     _power_counts,
     _prefix_runs,
@@ -37,12 +36,13 @@ from cklef.index import (
     stabilized_index,
 )
 from cklef.sampling import random_complete_graph_endomorphism, random_inner_automorphism
-from cklef.sft_core import count_paths, enumerate_paths, validate_matrix
+from cklef.sft_core import common_followers, enumerate_paths, validate_matrix
 from tests.conftest import small_matrices
 from tests.oracles import (
     collisions_by_length,
     compose_word_by_word,
     length_transfer_enumerated,
+    matrix_powers,
     polynomial_parts_pair_by_pair,
 )
 
@@ -228,8 +228,9 @@ class TestCountingKernel:
             (frozenset({2, 3}), 1, 0),
         ]:
             counts = _power_counts(main_matrix, first, i, top)
+            powers = matrix_powers(main_matrix, top)
             assert counts == [0] + [
-                sum(count_paths(main_matrix, c, i, L) for c in first) for L in range(1, top + 1)
+                sum(powers[L][c - 1][i - 1] for c in first) for L in range(1, top + 1)
             ]
 
     def test_one_series_per_first_and_letter_on_e8(self, main_endo, monkeypatch):
@@ -239,7 +240,7 @@ class TestCountingKernel:
         length_transfer_counted(e8, depth + propagation(e8))
         pairs = [(i, nu, mu) for i in e8.matrix.alphabet for nu, mu in e8.raw_images[i - 1]]
         assert len(pairs) == 768
-        classes = {(_first_letters(e8.matrix, nu, mu), i) for i, nu, mu in pairs}
+        classes = {(common_followers(e8.matrix, nu, mu), i) for i, nu, mu in pairs}
         assert len(calls) == len({(first, i) for first, i, _ in calls}) == len(classes) == 5
         # each call runs to the longest y whose domain word or image one of
         # its pairs needs at the table's depth
@@ -247,7 +248,7 @@ class TestCountingKernel:
             assert top == max(
                 depth - min(len(mu) + 1, len(nu))
                 for j, nu, mu in pairs
-                if (_first_letters(e8.matrix, nu, mu), j) == (first, i)
+                if (common_followers(e8.matrix, nu, mu), j) == (first, i)
             )
 
     def test_polynomial_reads_one_series_per_first_and_letter(self, main_endo, monkeypatch):
@@ -405,7 +406,7 @@ class TestLandingWalk:
             matrix = psi.matrix
             longest = end + 2 + bound
             for i in matrix.alphabet:
-                for first in {_first_letters(matrix, nu, mu) for nu, mu in e.raw_images[i - 1]}:
+                for first in {common_followers(matrix, nu, mu) for nu, mu in e.raw_images[i - 1]}:
                     walked = _class_counts(matrix, first, i, longest)
                     assert _power_counts(matrix, first, i, longest) == walked
             # each pair's stream holds the images of the words that pair
@@ -620,7 +621,7 @@ class TestFredholmPruning:
         fredholm_index_truncated(path_map(e2), depth)
         # one walk per (first, i) class, and no head walked twice in it
         classes = {
-            (_first_letters(e2.matrix, nu, mu), i)
+            (common_followers(e2.matrix, nu, mu), i)
             for i in e2.matrix.alphabet
             for nu, mu in e2.raw_images[i - 1]
         }
@@ -662,7 +663,7 @@ class TestPairCounts:
                 depths = {len(nu), len(mu) + 1, len(nu) + 1, len(mu) + 2}
                 depths |= {max(len(nu), len(mu) + 1), end, end + propagation(e)}
                 longest = {d - min(len(mu) + 1, len(nu)) for d in depths} | {-2, -1, 0, 1, 2}
-                first = _first_letters(matrix, nu, mu)
+                first = common_followers(matrix, nu, mu)
                 for top in sorted(longest):
                     counts = _class_counts(matrix, first, i, top)
                     stream = _root_images(matrix, i, nu, mu, nu, len(nu) + top)
@@ -714,9 +715,8 @@ def end_corpus(main_endo):
 
 
 def _words_up_to(matrix, length):
-    return sum(
-        count_paths(matrix, None, b, m) for m in range(1, length + 1) for b in matrix.alphabet
-    )
+    # the words of length m are the sum of the entries of A^(m - 1)
+    return sum(sum(map(sum, power)) for power in matrix_powers(matrix, length - 1))
 
 
 def _reference_window_scan(e):

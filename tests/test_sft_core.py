@@ -24,7 +24,7 @@ from cklef.sft_core import (
     walk,
 )
 from tests.conftest import Q_ROWS, small_matrices
-from tests.oracles import is_partition, per_pair_fill
+from tests.oracles import is_partition, matrix_powers, per_pair_fill
 
 
 class TestValidateMatrix:
@@ -129,9 +129,30 @@ class TestCountPaths:
             assert total == len(enumerate_paths(main_matrix, length))
 
     def test_long_length_on_fresh_matrix(self):
-        # A^1500 is reached without recursion, one product per exponent
+        # the column is stepped 1500 times without recursion
         m = validate_matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
-        assert count_paths(m, 1, 1, 1500) == _power_entry(m, 1, 1, 1500)
+        assert count_paths(m, 1, 1, 1500) == matrix_powers(m, 1500)[1500][0][0]
+
+    def test_matches_matrix_powers(self):
+        for m in small_matrices():
+            powers = matrix_powers(m, 40)
+            for length in range(1, 41):
+                for b in m.alphabet:
+                    column = [row[b - 1] for row in powers[length]]
+                    assert [count_paths(m, a, b, length) for a in m.alphabet] == column
+                    from_empty = sum(row[b - 1] for row in powers[length - 1])
+                    assert count_paths(m, None, b, length) == from_empty
+
+    def test_letters_outside_the_alphabet_are_refused(self):
+        # a = None is the empty terminus; 0 is no letter, and neither is n + 1
+        for m in small_matrices():
+            for bad in (0, -1, m.n + 1):
+                with pytest.raises(InvalidParameter):
+                    count_paths(m, bad, 1, 2)
+                with pytest.raises(InvalidParameter):
+                    count_paths(m, 1, bad, 2)
+                with pytest.raises(InvalidParameter):
+                    count_paths(m, None, bad, 1)
 
     def test_owned_tables_ignored_by_equality_and_hash(self):
         used = validate_matrix([[1, 1], [1, 0]])
@@ -159,12 +180,9 @@ class TestEnumeratePaths:
 
     def test_count_identity(self, main_matrix):
         # |P_k| = sum over a,b of (A^{k-1})[a,b]
+        powers = matrix_powers(main_matrix, 5)
         for k in range(2, 7):
-            matrix_total = sum(
-                _power_entry(main_matrix, a, b, k - 1)
-                for a in main_matrix.alphabet
-                for b in main_matrix.alphabet
-            )
+            matrix_total = sum(map(sum, powers[k - 1]))
             assert len(enumerate_paths(main_matrix, k)) == matrix_total
 
 
@@ -306,17 +324,6 @@ def test_counted_table_matches_per_pair_fill_on_deeper_and_wider_inputs(main_end
     inner = random_inner_automorphism(_seeded_matrix(16, rng), rng, depth=1)
     for e in (represent_at_depth(main_endo, 3), represent_at_depth(main_endo, 4), inner):
         _assert_counted_table_is_per_pair_fill(e)
-
-
-def _power_entry(m, a, b, p):
-    rows = [list(r) for r in m.rows]
-    acc = [[1 if i == j else 0 for j in range(m.n)] for i in range(m.n)]
-    for _ in range(p):
-        acc = [
-            [sum(acc[i][t] * rows[t][j] for t in range(m.n)) for j in range(m.n)]
-            for i in range(m.n)
-        ]
-    return acc[a - 1][b - 1]
 
 
 def _reference_maximal_members(matrix, words):

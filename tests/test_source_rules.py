@@ -12,15 +12,20 @@ place naming it, and ``src/cklef/index.py`` names none of ``iter_paths``,
 only through ``walk``; and only two functions there name ``walk``, the
 class counter ``_class_counts`` and the root stream ``_root_images``, so
 a walk starts nowhere else.  Exactly one function there reads matrix
-powers: names ``count_paths``, ``.power`` or ``_powers``.  The two tables
+powers: names ``count_paths``, ``path_columns``, ``.power`` or ``_powers``.
+Paths are counted by one recurrence, ``sft_core.path_columns``, which only
+``count_paths``, that power kernel and the validity check step, and no
+package source names the cache of powers it replaced, ``.power`` or
+``_powers``.  Every field a package dataclass fills itself
+(``field(init=False)``) is listed here with the bound on its size.  The two tables
 share one fill: only ``_table`` constructs a ``LengthTransfer`` there, and
 each table names its kernel alone, ``landing_table`` the walk's
 ``_class_counts`` and ``length_transfer_counted`` the powers'
 ``_power_counts``, so neither route can read the other's counts.  Validating a presentation builds
 no canonical clopen form and reads no matrix power, so in
 ``src/cklef/endo.py`` only ``range_set``, which ``cklef validate`` prints,
-names ``clopen_make`` or ``ClopenSet``, and no function names ``count_paths``,
-``.power`` or ``_powers``.  Powers are composed in one place, the halving
+names ``clopen_make`` or ``ClopenSet``, and only the check ``_ck_checks``
+counts paths, on its own steps of the recurrence.  Powers are composed in one place, the halving
 ladder ``endo._ladder``, which ``power`` and ``zeta_coefficients`` read: it
 is the only package function that names ``compose`` besides
 ``cli.cmd_compose``, which composes the two endomorphisms it is given, so
@@ -43,8 +48,23 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cklef"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 CACHE_DECORATORS = {"lru_cache", "cache"}
 ENUMERATORS = {"iter_paths", "enumerate_paths", "_successors"}
-# ".power" is matched only as an attribute, so a local named power is no read
-POWER_READERS = {"count_paths", ".power", "_powers"}
+# ".power" is matched only as an attribute, so a local named power is no read;
+# ".power" and "_powers" are the cache of powers the recurrence replaced
+POWER_READERS = {"count_paths", "path_columns", ".power", "_powers"}
+# the one recurrence of path counts and the only functions that step it
+RECURRENCE_READERS = {
+    "endo": ["_ck_checks"], "index": ["_power_counts"], "sft_core": ["count_paths"],
+}
+# every field a package dataclass fills itself (field(init=False)), with the
+# bound on its size; a table without one is a cache without a bound
+BOUNDED_FIELDS = {
+    "GradedPairing._inverses": "at most 2 entries, one per degree",
+    "LengthTransfer._dom": "one entry per domain length of the table",
+    "LengthTransfer._im": "one entry per image length of the table",
+    "TransitionMatrix._followers": "n + 1 entries",
+    "TransitionMatrix._k_groups": "at most 1 entry",
+    "TransitionMatrix._successors": "n + 1 entries",
+}
 # the two kernels of the one fill, each named by its own table alone
 KERNEL_READERS = {"_class_counts": "landing_table", "_power_counts": "length_transfer_counted"}
 # the one word walk, started only where the enumerated routes count or merge
@@ -239,16 +259,74 @@ def test_power_reader_detector_sees_every_use():
         "g = lambda m: [m.power(k) for k in range(3)]\n"
         "def h(m):\n    def inner():\n        return m.power(1)\n    return inner\n"
         "def k(m):\n    read = m.power\n    return read(2)\n"
+        "def p(m):\n    return list(path_columns(m, [1, 1], 3))\n"
         "READ = count_paths\n"
     )
     assert _naming_scopes(source, POWER_READERS) == [
-        "b", "c", "d", "f", "<lambda>", "inner", "k", "<module>",
+        "b", "c", "d", "f", "<lambda>", "inner", "k", "p", "<module>",
     ]
 
 
 def test_index_routes_share_one_power_reader():
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
     assert _naming_scopes(source, POWER_READERS) == ["_power_counts"]
+
+
+def test_one_recurrence_counts_paths():
+    # path counts are stepped by sft_core.path_columns alone, read by three
+    # functions, and no package source names a cache of powers again
+    found = {
+        path.stem: scopes
+        for path in SOURCES
+        if (scopes := _naming_scopes(path.read_text(encoding="utf-8"), {"path_columns"}))
+    }
+    assert found == RECURRENCE_READERS
+    for path in SOURCES:
+        assert _naming_scopes(path.read_text(encoding="utf-8"), {".power", "_powers"}) == []
+
+
+def _self_filled_fields(source: str) -> list[str]:
+    """The class fields declared ``x: T = field(..., init=False, ...)``, as
+    ``Class.x``, however ``field`` is spelled."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            value = getattr(item, "value", None)
+            if not (isinstance(item, ast.AnnAssign) and isinstance(value, ast.Call)):
+                continue
+            func = value.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            init = {k.arg: k.value for k in value.keywords}.get("init")
+            if name == "field" and isinstance(init, ast.Constant) and init.value is False:
+                found.append(f"{cls.name}.{item.target.id}")
+    return found
+
+
+def test_self_filled_field_detector_sees_every_spelling():
+    source = (
+        "import dataclasses\nfrom dataclasses import field\n"
+        "class T:\n"
+        "    a: int\n"
+        "    _b: dict = field(init=False, repr=False)\n"
+        "    _c: list = dataclasses.field(repr=False, init=False, compare=False)\n"
+        "    d: list = field(default_factory=list)\n"
+        "    e: list = field(init=True)\n"
+        "    _f = field(init=False)\n"
+        "    def g(self):\n        h: dict = field(init=False)\n        return h\n"
+        "class U:\n    class V:\n        _w: dict = field(init=False)\n"
+    )
+    assert _self_filled_fields(source) == ["T._b", "T._c", "V._w"]
+
+
+def test_every_self_filled_field_has_a_bound():
+    # every cache needs an owner and a size bound: a new field(init=False)
+    # fails here until BOUNDED_FIELDS states its bound
+    found = [
+        name for path in SOURCES for name in _self_filled_fields(path.read_text(encoding="utf-8"))
+    ]
+    assert sorted(found) == sorted(BOUNDED_FIELDS)
 
 
 def _unannotated(source: str) -> str:
@@ -335,11 +413,10 @@ def test_canonical_form_detector_sees_every_use():
 
 def test_validation_builds_no_canonical_form():
     # the Cuntz-Krieger relations are read off one sort and word counts, and
-    # the count table is local to the check, so building a presentation
-    # grows no matrix's cache of powers
+    # the count table is the check's own steps of the one recurrence
     source = (PACKAGE / "endo.py").read_text(encoding="utf-8")
     assert _naming_scopes(source, CANONICAL_FORMS) == ["range_set"]
-    assert _naming_scopes(source, POWER_READERS) == []
+    assert _naming_scopes(source, POWER_READERS) == ["_ck_checks"]
 
 
 def test_compose_detector_sees_every_use():
