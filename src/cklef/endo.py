@@ -18,7 +18,7 @@ insensitive to such short-word conventions.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -56,8 +56,8 @@ from .word_algebra import (
 class GeometricEndomorphism:
     """A validated presentation ``s_i -> t_i = sum s_nu s_mu*``.
 
-    ``raw_images`` keeps the pairs as given; ``k`` is the common mu-length,
-    the length of the longest raw mu-word.
+    ``raw_images`` keeps the pairs as given; ``k`` is the length of the
+    longest raw mu-word.
     """
 
     matrix: TransitionMatrix
@@ -82,12 +82,9 @@ def build_endomorphism(
     matrix: TransitionMatrix,
     raw_pairs: "list[list[tuple[Word, Word]]]",
 ) -> GeometricEndomorphism:
-    """Validate and normalize a presentation given as per-generator pair lists.
-
-    The common mu-length k is the maximal raw mu-length.  Repeated mu-words
-    and overlapping source cylinders within one generator (which would make
-    the path map ambiguous or non-injective) are rejected.
-    """
+    """Validate a presentation given as per-generator pair lists: each pair,
+    then each generator's mu-words by the mu-rule of :func:`_sources`, whose
+    sorted source cylinders the Cuntz-Krieger check reads."""
     if len(raw_pairs) != matrix.n:
         raise InvalidEndomorphism(
             f"expected {matrix.n} generator image lists, got {len(raw_pairs)}"
@@ -110,17 +107,9 @@ def build_endomorphism(
 
     k = max(len(mu) for pairs in raws for _, mu in pairs)
 
-    for i, pairs in enumerate(raws, start=1):
-        _check_mu_collisions(matrix, i, pairs)
-
-    endo = GeometricEndomorphism(
-        matrix=matrix,
-        raw_images=tuple(raws),
-        k=k,
-        valid=False,
-    )
-    object.__setattr__(endo, "valid", _ck_checks(endo))
-    return endo
+    sources = [_sources(matrix, i, pairs) for i, pairs in enumerate(raws, start=1)]
+    valid = _ck_checks(matrix, raws, sources)
+    return GeometricEndomorphism(matrix=matrix, raw_images=tuple(raws), k=k, valid=valid)
 
 
 def _cylinders(matrix: TransitionMatrix, pairs) -> list[Word]:
@@ -135,53 +124,52 @@ def _cylinders(matrix: TransitionMatrix, pairs) -> list[Word]:
     return out
 
 
-def _check_mu_collisions(matrix: TransitionMatrix, i: int, pairs) -> None:
-    """Reject a repeated mu-word, or two pairs whose source cylinders overlap.
+def _sources(matrix: TransitionMatrix, i: int, pairs) -> list[Word]:
+    """The source cylinders of t_i, sorted, once they pass the mu-rule.
 
-    A pair (nu1, mu1) overlaps (nu2, mu2) exactly when mu1 is a proper prefix
-    of mu2 and the connecting tail may follow nu1; expanded to a common
-    mu-length, the presentation would then repeat a mu-word and the induced
-    path map would be ambiguous.
+    The mu-rule refuses a repeated mu-word, and two pairs whose source
+    cylinders meet: either makes the path map ambiguous.  A source cylinder
+    of mu1 is mu1 or mu1 j.  Call mu2 covered when a cylinder of another
+    mu-word is a prefix of mu2 or equals it.  Cylinders of distinct mu-words
+    meet exactly when one covers the other's mu-word, and then two
+    neighbours in the sort meet.  With mu1 a proper prefix of mu2 and
+    j = mu2[|mu1|], mu1 covers mu2 exactly when nu1 is empty or j may follow
+    nu1's terminus.
 
-    The mu-words are swept in sorted order with a stack holding those that
-    are prefixes of the current one: every word between a prefix and the
-    current word extends that prefix, so nothing on the stack is popped
-    early.  Each word is compared with the top of the stack alone.  For
-    mu1 < mu2 < mu3, each a prefix of the next, the letter after mu1 in mu3
-    is the letter after mu1 in mu2, so mu1 overlaps mu3 exactly when it
-    overlaps mu2; an overlap anywhere along a chain therefore shows between
-    two neighbours of the chain, and the sweep names the first such pair.
+    The least covered mu2 is covered by one cylinder c of its longest
+    mu-prefix mu1, as a cover from a shorter mu-word covers mu1 < mu2 too;
+    the message names mu1 and mu2.  With mu-words as labels, c sorts right
+    before the key (mu2, mu2): a cylinder between would extend c, and so
+    would its mu-word, a covered one below mu2, unless it equals c = mu1 and
+    covers mu1.  Cylinders of mu2 sort after that key, so a predecessor that
+    is a prefix of mu2 covers it: mu2 is the least mu-word with one.
     """
-    nu_of: dict[Word, Word] = {}
-    for nu, mu in pairs:
-        if mu in nu_of:
+    seen: set[Word] = set()
+    for _, mu in pairs:
+        if mu in seen:
             raise DuplicateMuAfterNormalization(f"generator {i}: mu-word {mu} repeated")
-        nu_of[mu] = nu
-    stack: list[Word] = []
-    for mu2 in sorted(nu_of):
-        while stack and mu2[: len(stack[-1])] != stack[-1]:
-            stack.pop()
-        if stack:
-            mu1 = stack[-1]
-            nu1 = nu_of[mu1]
-            if not nu1 or matrix.entry(terminus(nu1), mu2[len(mu1)]):
-                raise DuplicateMuAfterNormalization(
-                    f"generator {i}: mu-words {mu1} and {mu2} collide after normalization"
-                )
-        stack.append(mu2)
+        seen.add(mu)
+    labelled = sorted((s, mu) for nu, mu in pairs for s in _cylinders(matrix, [(mu, nu)]))
+    words = [s for s, _ in labelled]
+    if _overlapping(words):
+        for mu2 in sorted(seen):
+            k = bisect_left(labelled, (mu2, mu2))
+            for v, mu1 in labelled[k - 1 : k]:
+                if mu2[: len(v)] == v:
+                    raise DuplicateMuAfterNormalization(
+                        f"generator {i}: mu-words {mu1} and {mu2} collide after normalization"
+                    )
+    return words
 
 
 def _overlapping(words: list[Word]) -> bool:
-    """Whether two of the sorted ``words`` are equal or one extends the other.
-
-    In lexicographic order the word right after ``v`` extends ``v`` whenever
-    any later word does, so neighbours suffice.
-    """
+    """Whether sorted ``words`` overlap: if a later word extends a word, the next one does."""
     return any(w[: len(v)] == v for v, w in zip(words, words[1:]))
 
 
-def _ck_checks(endo: GeometricEndomorphism) -> bool:
-    """The Cuntz-Krieger relations, read on cylinder sets.
+def _ck_checks(matrix: TransitionMatrix, raws, sources: list[list[Word]]) -> bool:
+    """The Cuntz-Krieger relations, read on cylinder sets of the pair lists
+    ``raws``, with the sorted source cylinders of :func:`_sources`.
 
     The range cylinders of all pairs of all generators must partition the
     space (each t_i is a partial isometry and sum t_i t_i* = 1), and the
@@ -204,9 +192,8 @@ def _ck_checks(endo: GeometricEndomorphism) -> bool:
       sorted, no word is a prefix of, or equal to, the next.  Disjoint
       cylinders lie in the space, so they cover it exactly when their counts
       sum to N(empty word).
-    - Sources.  The source cylinders of t_i must be disjoint; the mu-rule
-      of :func:`build_endomorphism` guarantees it, and it is checked again
-      by the same neighbour test.  Once the ranges partition the space, each
+    - Sources.  The source cylinders of t_i are disjoint, as the mu-rule of
+      :func:`_sources` leaves them.  Once the ranges partition the space, each
       source cylinder s is covered by the range cylinders comparable with
       it: one prefix of s, which is the last range word sorting at or before
       s, or else the block of range words extending s, which starts right
@@ -215,11 +202,7 @@ def _ck_checks(endo: GeometricEndomorphism) -> bool:
       disjoint unions, the sources equal U exactly when the counts of the
       source cylinders sum to those of the ranges of those t_j.
     """
-    matrix = endo.matrix
-    ranges = [_cylinders(matrix, raw) for raw in endo.raw_images]
-    sources = [
-        sorted(_cylinders(matrix, [(mu, nu) for nu, mu in raw])) for raw in endo.raw_images
-    ]
+    ranges = [_cylinders(matrix, raw) for raw in raws]
     labelled = sorted((w, j) for j, group in zip(matrix.alphabet, ranges) for w in group)
     words = [w for w, _ in labelled]
     labels = [j for _, j in labelled]
@@ -237,7 +220,7 @@ def _ck_checks(endo: GeometricEndomorphism) -> bool:
     range_totals = [total(group) for group in ranges]
     for i, group in zip(matrix.alphabet, sources):
         allowed = matrix.followers(i)
-        if _overlapping(group) or total(group) != sum(range_totals[j - 1] for j in allowed):
+        if total(group) != sum(range_totals[j - 1] for j in allowed):
             return False
         for s in group:
             k = bisect_right(words, s)
@@ -395,8 +378,10 @@ def _ladder(e: GeometricEndomorphism, targets) -> Iterator[GeometricEndomorphism
     Balanced halves cost less than composing onto ``e``: composing ``e``
     onto ``e^(k-1)`` substitutes t_i into every word of the big power,
     which memoizes many more prefixes, and composing a big power onto a
-    small one multiplies out mostly zero monomials.
+    small one multiplies out mostly zero monomials.  An invalid ``e`` is
+    refused before ``e^1`` is yielded.
     """
+    e.require_valid()
     reached = set()
     stack = list(targets)
     while stack:
@@ -429,8 +414,8 @@ def power(e: GeometricEndomorphism, n: int) -> GeometricEndomorphism:
     small one.  Where the reduced form is canonical (see :func:`_reduce`),
     the result has the same ``raw_images`` as the chain
     ``compose(e, compose(e, ...))`` when no nu-word is empty.
-    ``power(e, 1)`` is ``e`` as given, not reduced.  ``n`` must be an
-    ``int`` >= 1.
+    ``power(e, 1)`` is a valid ``e`` as given, not reduced.  ``n`` must be
+    an ``int`` >= 1.
     """
     _require_exponent(n, 1)
     return next(_ladder(e, (n,)))
@@ -468,9 +453,9 @@ class PartialPathMap:
     """The partial self-map of the path set induced by a presentation.
 
     Evaluation matches the raw pairs: for ``w = p + (i,)`` with ``p``
-    nonempty, the unique pair (nu, mu) of ``t_i`` with mu a prefix of ``p``
-    (mu-words are prefix-free within a generator) sends ``w`` to
-    ``nu + p[len(mu):]`` provided the result is allowable.
+    nonempty, a pair (nu, mu) of ``t_i`` with mu a prefix of ``p`` sends ``w``
+    to ``nu + p[len(mu):]`` if that is allowable.  Mu-words may nest, but by
+    the mu-rule at most one pair of a generator gives an allowable result.
     """
 
     def __init__(self, endo: GeometricEndomorphism):

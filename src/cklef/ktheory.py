@@ -21,7 +21,7 @@ when K_0 is torsion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,12 +44,14 @@ class SmithDecomposition:
     """U · M · V = D with unimodular U, V and a nonnegative divisibility chain.
 
     ``u_inv`` is U^{-1}, kept in step with U by the inverse column operations.
+    The repr shows D alone: an entry of U, V or U^{-1} can have more digits
+    than Python will print.
     """
 
-    u: IntMatrix
-    v: IntMatrix
+    u: IntMatrix = field(repr=False)
+    v: IntMatrix = field(repr=False)
     d: IntMatrix
-    u_inv: IntMatrix
+    u_inv: IntMatrix = field(repr=False)
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:

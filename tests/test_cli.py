@@ -173,6 +173,13 @@ class TestRunExitCodes:
         assert code == 1
         assert out.startswith("error:")
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_power_of_an_invalid_presentation_is_one(self, n):
+        # t2 and t3 share the range 2; t^1 is refused like t^2
+        text = "n = 3\nA = 110 111 011\n[t1]\n1 <- e\n[t2]\n2 <- e\n[t3]\n2 <- e\n"
+        out, code = run(["power", "-", "--n", n], stdin_text=text)
+        assert (out, code) == ("error: presentation fails the Cuntz-Krieger checks\n", 1)
+
     @pytest.mark.parametrize(
         "argv", [["compose", "--with", "t"], ["power", "--n", "2"]], ids=["compose", "power"]
     )

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from cklef.endo import (
     identity_endomorphism,
     path_map,
     power,
+    powers,
     represent_at_depth,
 )
 from cklef.index import index_series_counted
@@ -36,7 +38,7 @@ from cklef.word_algebra import (
     multiply,
     unit,
 )
-from tests.conftest import small_matrices
+from tests.conftest import Q_ROWS, small_matrices
 from tests.oracles import (
     add,
     ck_checks_canonical,
@@ -245,9 +247,9 @@ class TestComposeAgainstWordByWord:
             products.append(None)
             return multiply_(x, y)
 
-        def counted_checks(endo):
-            checks.append(endo)
-            return ck_checks(endo)
+        def counted_checks(matrix, raws, sources):
+            checks.append(tuple(raws))
+            return ck_checks(matrix, raws, sources)
 
         monkeypatch.setattr(GeometricEndomorphism, "image_element", counted_image)
         monkeypatch.setattr(endo_module, "multiply", counted_multiply)
@@ -264,7 +266,7 @@ class TestComposeAgainstWordByWord:
         assert len(letters) <= main_endo.matrix.n
         assert len(products) <= len(prefixes) + terms
         # the composite still goes through the full validity check
-        assert checks == [composite] and composite.valid
+        assert checks == [composite.raw_images] and composite.valid
         # the memo belonged to the call: nothing was left on either factor
         assert set(vars(main_endo)) == set(vars(f)) == {"matrix", "raw_images", "k", "valid"}
 
@@ -425,6 +427,17 @@ class TestPowerBySquaring:
     def test_power_one_is_the_input(self, main_endo):
         assert power(main_endo, 1) is main_endo
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_refuses_an_invalid_presentation(self, main_matrix, n):
+        # t_2 and t_3 share the range 2, so e fails the checks; e^1 is
+        # refused like every higher power, not returned as given
+        e = build_endomorphism(main_matrix, [[((1,), ())], [((2,), ())], [((2,), ())]])
+        assert not e.valid
+        with pytest.raises(InvalidEndomorphism):
+            power(e, n)
+        with pytest.raises(InvalidEndomorphism):
+            next(powers(e, n))
+
     @pytest.mark.parametrize(
         "n, calls", [(1, 0), (2, 1), (6, 3), (7, 4), (8, 3), (9, 5), (13, 6)]
     )
@@ -561,6 +574,44 @@ def _reference_outcome(matrix, raw_pairs):
     return equals(total, unit(matrix))
 
 
+def _mu_rule_message(matrix, raw_pairs):
+    """The message the mu-rule raises on ``raw_pairs``, decided pair by pair,
+    or None.  For each generator in turn: the first mu-word given twice, or
+    else the first mu-word, sorted, that collides with its longest proper
+    mu-prefix mu1, where the letter after mu1 may follow mu1's nu-word."""
+    for i, pairs in enumerate(raw_pairs, start=1):
+        nu_of = {}
+        for nu, mu in pairs:
+            if mu in nu_of:
+                return f"generator {i}: mu-word {mu} repeated"
+            nu_of[mu] = nu
+        for mu2 in sorted(nu_of):
+            prefixes = [mu for mu in nu_of if len(mu) < len(mu2) and mu2[: len(mu)] == mu]
+            if not prefixes:
+                continue
+            mu1 = max(prefixes, key=len)
+            nu1 = nu_of[mu1]
+            if not nu1 or matrix.entry(terminus(nu1), mu2[len(mu1)]):
+                return f"generator {i}: mu-words {mu1} and {mu2} collide after normalization"
+    return None
+
+
+def _nested_presentation(matrix, rng):
+    """Pair lists whose mu-words are mostly prefixes of one word of length 4,
+    with random nu-words of length at most 2."""
+    words = [w for n in range(5) for w in enumerate_paths(matrix, n)]
+    stems = [w for w in words if len(w) == 4]
+    raw = []
+    for _ in matrix.alphabet:
+        stem = rng.choice(stems)
+        pairs = []
+        for _ in range(rng.randrange(1, 5)):
+            mu = stem[: rng.randrange(5)] if rng.randrange(3) else rng.choice(words)
+            pairs.append((rng.choice([w for w in words if len(w) <= 2]), mu))
+        raw.append(pairs)
+    return raw
+
+
 def _outcome(matrix, raw_pairs):
     try:
         return build_endomorphism(matrix, raw_pairs).valid
@@ -646,11 +697,43 @@ class TestCkChecksAgainstElementOracle:
             build_endomorphism(m, raw)
 
     def test_collision_names_generator_and_words(self, main_matrix):
-        raw = [[((1,), ()), ((2,), (1,))], [((2,), ())], [((3,), ())]]
-        with pytest.raises(
-            DuplicateMuAfterNormalization, match=r"generator 1: mu-words \(\) and \(1,\)"
-        ):
-            build_endomorphism(main_matrix, raw)
+        rest = [[((2,), ())], [((3,), ())]]
+        cases = [
+            # e covers 1
+            ([((1,), ()), ((2,), (1,))], "() and (1,)"),
+            # the chain 2 < 22 < 221: 2 covers both longer words, and the
+            # cylinder 221 sorts before 22's cylinders 222 and 223, yet the
+            # rule names 2 with its nearest extension 22
+            ([((2,), (2,)), ((3,), (2, 2)), ((1,), (2, 2, 1))], "(2,) and (2, 2)"),
+            # the branch 2 < 21, 2 < 23: 2's cylinders are 22 and 23, so 21
+            # is passed over and 23 named
+            ([((3,), (2,)), ((1,), (2, 1)), ((2,), (2, 3))], "(2,) and (2, 3)"),
+        ]
+        for pairs, words in cases:
+            message = f"generator 1: mu-words {words} collide after normalization"
+            assert _mu_rule_message(main_matrix, [pairs] + rest) == message
+            with pytest.raises(DuplicateMuAfterNormalization, match=re.escape(message)):
+                build_endomorphism(main_matrix, [pairs] + rest)
+
+    def test_nested_mu_words_name_the_pairwise_pair(self):
+        # mu-words drawn as prefixes of one word make chains and branches,
+        # where two neighbours in the source sort can hold another pair than
+        # the one the rule names
+        rng = random.Random(26)
+        named = 0
+        for matrix in small_matrices() + [validate_matrix(Q_ROWS)]:
+            for _ in range(150):
+                raw = _nested_presentation(matrix, rng)
+                try:
+                    build_endomorphism(matrix, raw)
+                except DuplicateMuAfterNormalization as exc:
+                    assert str(exc) == _mu_rule_message(matrix, raw), raw
+                    named += "collide" in str(exc)
+                except CkError:
+                    continue
+                else:
+                    assert _mu_rule_message(matrix, raw) is None, raw
+        assert named >= 300
 
 
 def _mutate_or_swap(matrix, raw_images, rng):
@@ -685,8 +768,11 @@ class TestCkChecksAgainstCanonicalForms:
                 try:
                     built = build_endomorphism(e.matrix, raw)
                 except CkError as exc:
+                    if isinstance(exc, DuplicateMuAfterNormalization):
+                        assert str(exc) == _mu_rule_message(e.matrix, raw), raw
                     tally[type(exc)] = tally.get(type(exc), 0) + 1
                     continue
+                assert _mu_rule_message(e.matrix, raw) is None, raw
                 assert built.valid == ck_checks_canonical(built), raw
                 tally[built.valid] = tally.get(built.valid, 0) + 1
         assert tally[True] >= 100 and tally[False] >= 100

@@ -106,6 +106,20 @@ class TestSmithNormalForm:
                 else:
                     assert b == 0
 
+    def test_repr_survives_a_huge_transform(self):
+        # Python refuses to print an int of more than 4 300 digits; U, V and
+        # U^-1 reach such entries at n = 128, and the repr of the K-theory
+        # data holding them must not raise
+        huge = 10**5000
+        snf = ktheory.SmithDecomposition(
+            u=((1, huge), (0, 1)), v=((huge,),), d=((1, 0), (0, 2)), u_inv=((1, -huge), (0, 1))
+        )
+        assert repr(snf) == "SmithDecomposition(d=((1, 0), (0, 2)))"
+        e = build_endomorphism(validate_matrix(MAIN_ROWS), MAIN_PAIRS)
+        kt = dataclasses.replace(k_groups(e.matrix), snf=snf)
+        assert "d=((1, 0), (0, 2))" in repr(kt)
+        assert "d=((1, 0), (0, 2))" in repr(dataclasses.replace(induced_k0(e), ktheory=kt))
+
     def test_u_inv_is_inverse(self):
         assert smith_normal_form([]).u_inv == ()
         rng = random.Random(17)

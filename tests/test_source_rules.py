@@ -25,11 +25,14 @@ each table names its kernel alone, ``landing_table`` the walk's
 no canonical clopen form and reads no matrix power, so in
 ``src/cklef/endo.py`` only ``range_set``, which ``cklef validate`` prints,
 names ``clopen_make`` or ``ClopenSet``, and only the check ``_ck_checks``
-counts paths, on its own steps of the recurrence.  Powers are composed in one place, the halving
-ladder ``endo._ladder``, which ``power`` and ``zeta_coefficients`` read: it
-is the only package function that names ``compose`` besides
-``cli.cmd_compose``, which composes the two endomorphisms it is given, so
-``ktheory.py`` names none.  The exact
+counts paths, on its own steps of the recurrence.  The mu-rule is decided
+in one place: only ``_sources`` there names
+``DuplicateMuAfterNormalization``, so one sort of each generator's source
+cylinders refuses colliding mu-words and feeds the validity check.  Powers
+are composed in one place, the halving ladder ``endo._ladder``, which
+``power`` and ``zeta_coefficients`` read: it is the only package function
+that names ``compose`` besides ``cli.cmd_compose``, which composes the two
+endomorphisms it is given, so ``ktheory.py`` names none.  The exact
 linear algebra has one elimination loop, so exactly one function in
 ``src/cklef/linalg.py`` replaces matrix rows inside a loop over pivots.
 The package holds no code that only the tests need, so every function,
@@ -74,6 +77,8 @@ CANONICAL_FORMS = {"clopen_make", "ClopenSet"}
 # the composition of two endomorphisms, which only the power ladder and the
 # compose subcommand call
 COMPOSERS = {"compose"}
+# the error of the mu-rule, which one function of endo.py raises
+MU_RULE = {"DuplicateMuAfterNormalization"}
 
 
 def _cached_functions(source: str) -> list[str]:
@@ -444,6 +449,34 @@ def test_the_ladder_alone_composes_powers():
         if (scopes := _naming_scopes(path.read_text(encoding="utf-8"), COMPOSERS))
     }
     assert found == {"cli": ["cmd_compose"], "endo": ["_ladder"]}
+
+
+def test_mu_rule_detector_sees_every_use():
+    source = (
+        "from .errors import DuplicateMuAfterNormalization\n"
+        "from . import errors\n"
+        "def a(p):\n    \"\"\"DuplicateMuAfterNormalization in a docstring raises nothing.\"\"\"\n"
+        "    return p\n"
+        "def b(p):\n    raise DuplicateMuAfterNormalization(p)\n"
+        "def c(p):\n    raise errors.DuplicateMuAfterNormalization(p)\n"
+        "def d(p):\n    def inner():\n        raise DuplicateMuAfterNormalization(p)\n"
+        "    return inner\n"
+        "def e(p):\n    error = DuplicateMuAfterNormalization\n    raise error(p)\n"
+        "f = lambda p: DuplicateMuAfterNormalization(p)\n"
+        "def g(p):\n    try:\n        return p()\n"
+        "    except DuplicateMuAfterNormalization:\n        return None\n"
+        "ERROR = DuplicateMuAfterNormalization\n"
+    )
+    assert _naming_scopes(source, MU_RULE) == [
+        "b", "c", "inner", "e", "<lambda>", "g", "<module>",
+    ]
+
+
+def test_one_function_decides_the_mu_rule():
+    # a repeated mu-word and meeting source cylinders are refused from one
+    # sort of each generator's source cylinders, which the check then reads
+    source = (PACKAGE / "endo.py").read_text(encoding="utf-8")
+    assert _naming_scopes(source, MU_RULE) == ["_sources"]
 
 
 def _assigns_a_subscript(node) -> bool:
