@@ -22,6 +22,7 @@ dotted form is accepted for every n.
 
 Subcommands: validate, index, ktheory, k0map, lefschetz, zeta, compose,
 power.  Exit codes: 0 success, 1 domain/validation failure, 2 parse error.
+Run as ``cklef`` or ``python -m cklef.cli``.
 """
 
 from __future__ import annotations
@@ -85,7 +86,9 @@ class CkDocument:
         return next(iter(self.endos))
 
 
-_BLOCK_RE = re.compile(r"^\[([A-Za-z_][A-Za-z_0-9]*(?:\.[0-9]+)?)\]$")
+# An endomorphism's name, as block labels and --name spell it.
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_BLOCK_RE = re.compile(rf"^\[({_NAME}(?:\.[0-9]+)?)\]$")
 
 
 def _split_block_label(label: str, n: int, line_no: int) -> tuple[str, int]:
@@ -110,11 +113,6 @@ def _split_block_label(label: str, n: int, line_no: int) -> tuple[str, int]:
     raise CkSyntaxError(
         f"block [{label}] must end in a generator index 1..{n}", line_no, 1
     )
-
-
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
 
 
 def _parse_word(text: str, n: int, line_no: int, col: int) -> Word:
@@ -142,30 +140,22 @@ def _parse_word(text: str, n: int, line_no: int, col: int) -> Word:
 def parse_document(text: str) -> CkDocument:
     """Parse the document format, attaching line/column positions to errors."""
     lines = text.splitlines()
-    pos = 0
-
-    def next_content() -> tuple[int, str] | None:
-        nonlocal pos
-        while pos < len(lines):
-            stripped = _strip_comment(lines[pos]).strip()
-            pos += 1
-            if stripped:
-                return pos, stripped
-        return None
-
-    got = next_content()
-    if got is None:
+    # (line number, text before any '#') of each line with content, read once
+    content = [
+        (line_no, stripped)
+        for line_no, raw in enumerate(lines, start=1)
+        if (stripped := raw.partition("#")[0].strip())
+    ]
+    if not content:
         raise CkSyntaxError("empty document", 1, 1)
-    line_no, line = got
+    line_no, line = content[0]
     m = re.match(r"^n\s*=\s*(\d+)$", line)
     if not m:
         raise CkSyntaxError("expected 'n = <int>'", line_no, 1)
     n = int(m.group(1))
 
-    got = next_content()
-    if got is None:
-        raise CkSyntaxError("expected 'A = <rows>'", line_no + 1, 1)
-    line_no, line = got
+    # a document that ends after n is missing A on the line after n's
+    line_no, line = content[1] if len(content) > 1 else (line_no + 1, "")
     m = re.match(r"^A\s*=\s*(.+)$", line)
     if not m:
         raise CkSyntaxError("expected 'A = <rows>'", line_no, 1)
@@ -187,11 +177,7 @@ def parse_document(text: str) -> CkDocument:
 
     blocks: dict[str, dict[int, list[tuple[Word, Word]]]] = {}
     current: list[tuple[Word, Word]] | None = None
-    while True:
-        got = next_content()
-        if got is None:
-            break
-        line_no, line = got
+    for line_no, line in content[2:]:
         bm = _BLOCK_RE.match(line)
         if bm:
             name, idx = _split_block_label(bm.group(1), n, line_no)
@@ -372,7 +358,6 @@ def cmd_validate(doc: CkDocument, args) -> Report:
 
 def cmd_index(doc: CkDocument, args) -> Report:
     name, endo = _endo_from(doc, args.endo)
-    endo.require_valid()
     report = Report(command="index")
     report.add("endomorphism", name)
     bound = propagation(endo)
@@ -435,7 +420,6 @@ def cmd_ktheory(doc: CkDocument, args) -> Report:
 
 def cmd_k0map(doc: CkDocument, args) -> Report:
     name, endo = _endo_from(doc, args.endo)
-    endo.require_valid()
     ind = induced_k0(endo)
     report = Report(command="k0map")
     report.add("endomorphism", name)
@@ -461,6 +445,7 @@ def _parse_k1_matrix(text: str):
 
 def cmd_lefschetz(doc: CkDocument, args) -> Report:
     name, endo = _endo_from(doc, args.endo)
+    # before --k1-matrix is parsed, so an invalid presentation is reported first
     endo.require_valid()
     report = Report(command="lefschetz")
     report.add("endomorphism", name)
@@ -493,7 +478,6 @@ def cmd_lefschetz(doc: CkDocument, args) -> Report:
 
 def cmd_zeta(doc: CkDocument, args) -> Report:
     name, endo = _endo_from(doc, args.endo)
-    endo.require_valid()
     terms = args.terms
     report = Report(command="zeta")
     report.add("endomorphism", name)
@@ -506,8 +490,18 @@ def cmd_zeta(doc: CkDocument, args) -> Report:
     return report
 
 
-def _write_out(doc: CkDocument, args, report: Report) -> None:
-    text = render_document(doc)
+def _new_endo(doc: CkDocument, args, label: str, default: str, build, *operands) -> Report:
+    """The report of ``compose`` and ``power``: the endomorphism
+    ``build(*operands)``, written to ``--out`` or embedded as a document.
+    ``--name`` is checked before anything is built."""
+    if args.name and not re.fullmatch(_NAME, args.name):
+        raise InvalidParameter(f"--name must match {_NAME}, got {args.name!r}")
+    result = build(*operands)
+    report = Report(command=args.subcommand)
+    report.add("endomorphism", label)
+    report.add("k", result.k)
+    report.add("pairs", sum(map(len, result.raw_images)))
+    text = render_document(document_of(doc.matrix, args.name or default, result))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -517,31 +511,18 @@ def _write_out(doc: CkDocument, args, report: Report) -> None:
         report.add("out", args.out)
     else:
         report.add("document", "\n" + text)
+    return report
 
 
 def cmd_compose(doc: CkDocument, args) -> Report:
     name_e, e = _endo_from(doc, args.endo)
     name_f, f = _endo_from(doc, getattr(args, "with"))
-    composite = compose(e, f)
-    report = Report(command="compose")
-    out_name = args.name or f"{name_e}{name_f}"
-    report.add("endomorphism", f"{name_e} after {name_f}")
-    report.add("k", composite.k)
-    report.add("pairs", sum(map(len, composite.raw_images)))
-    _write_out(document_of(doc.matrix, out_name, composite), args, report)
-    return report
+    return _new_endo(doc, args, f"{name_e} after {name_f}", f"{name_e}{name_f}", compose, e, f)
 
 
 def cmd_power(doc: CkDocument, args) -> Report:
     name, endo = _endo_from(doc, args.endo)
-    result = power(endo, args.n)
-    report = Report(command="power")
-    out_name = args.name or f"{name}p{args.n}"
-    report.add("endomorphism", f"{name}^{args.n}")
-    report.add("k", result.k)
-    report.add("pairs", sum(map(len, result.raw_images)))
-    _write_out(document_of(doc.matrix, out_name, result), args, report)
-    return report
+    return _new_endo(doc, args, f"{name}^{args.n}", f"{name}p{args.n}", power, endo, args.n)
 
 
 # ---------------------------------------------------------------------------
@@ -629,3 +610,7 @@ def main() -> None:
     out, code = run(sys.argv[1:])
     sys.stdout.write(out)
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -29,6 +29,7 @@ from .errors import (
     InvalidEndomorphism,
     InvalidParameter,
     ZeroMonomialPair,
+    require_int,
 )
 from .sft_core import (
     ClopenSet,
@@ -355,10 +356,9 @@ def _reduce(matrix: TransitionMatrix, pairs) -> list[Pair]:
 
 
 def _require_exponent(n, least: int) -> None:
-    """Refuse an exponent that is not an ``int`` of at least ``least``.  A
-    ``bool`` is refused too, though Python counts it an ``int``."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InvalidParameter(f"an exponent must be an int, got {n!r}")
+    """Refuse an exponent that is not an ``int`` (:func:`require_int`) of at
+    least ``least``."""
+    require_int(n, "an exponent")
     if n < least:
         raise InvalidParameter(f"an exponent must be >= {least}, got {n}")
 
@@ -438,8 +438,9 @@ def represent_at_depth(e: GeometricEndomorphism, k: int) -> GeometricEndomorphis
 
     Re-presenting deepens the path map's domain threshold, removing its
     shortest domain words; the invariance property of the index is exactly
-    that this does not change the stabilized value.
+    that this does not change the stabilized value.  ``k`` must be an ``int``.
     """
+    require_int(k, "k")
     if k < e.k:
         raise DepthTooSmall(f"cannot re-present at depth {k} below {e.k}")
     pair_lists = []

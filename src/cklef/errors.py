@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one check that a
+parameter is an ``int``."""
 
 
 class CkError(Exception):
@@ -55,6 +56,13 @@ class InvalidEndomorphism(CkError):
 
 class InvalidParameter(CkError, ValueError):
     """A numeric parameter or option value outside its allowed range."""
+
+
+def require_int(value, what: str) -> None:
+    """Refuse ``value``, named ``what`` in the message, unless it is an
+    ``int``.  A ``bool`` is refused too, though Python counts it an ``int``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameter(f"{what} must be an int, got {value!r}")
 
 
 class ExponentUnderflow(CkError):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, islice, tee
 from typing import Callable, Iterator, Mapping
 
-from .errors import ExponentUnderflow, InvalidParameter
+from .errors import ExponentUnderflow, InvalidParameter, require_int
 from .sft_core import TransitionMatrix, Word, common_followers, path_columns, terminus, walk
 from .endo import GeometricEndomorphism, PartialPathMap
 
@@ -226,6 +226,7 @@ def _table(
 def landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
     """The table at ``depth`` from one word walk per class: the enumerated
     series, gamma and the Fredholm count read it."""
+    require_int(depth, "depth")
     return _table(psi.endo, depth, _class_counts)
 
 
@@ -234,6 +235,7 @@ def length_transfer_counted(e: GeometricEndomorphism, max_len: int) -> LengthTra
     enumerating words: exact at any length, so it scales to deeply composed
     endomorphisms.  The counted series and the closed polynomial formula
     (:func:`index_polynomial_parts`) read it."""
+    require_int(max_len, "max_len")
     return _table(e, max_len - propagation(e), _power_counts)
 
 
@@ -252,6 +254,7 @@ class IndexReport:
 
 def gamma_parts(psi: PartialPathMap, m: int) -> tuple[int, int]:
     """Words shrinking past length m and words stretching past it, separately."""
+    require_int(m, "m")
     if m < 1:
         raise InvalidParameter("m must be >= 1")
     return landing_table(psi, m).gamma_parts(m)
@@ -340,6 +343,8 @@ def index_polynomial_parts(e: GeometricEndomorphism, m: int, N: int) -> tuple[in
     so both parts are read off the counted table to length m + bound
     (:func:`length_transfer_counted`).
     """
+    require_int(m, "m")
+    require_int(N, "N")
     e.require_valid()
     bound = propagation(e)
     # Shrink and stretch amounts are at most the two-sided length bound, so

@@ -32,6 +32,7 @@ from .errors import (
     InvalidParameter,
     ReconstructionInconsistent,
     WellDefinednessFailure,
+    require_int,
 )
 from .index import index_series_counted, stabilized_index
 from .sft_core import TransitionMatrix, common_followers
@@ -213,13 +214,15 @@ def k0_reduce(kt: KTheoryData, v: Sequence[int]) -> KZeroClass:
 
     In the SNF basis the quotient splits into Z/d_i summands and free Z
     summands; coordinates at invariant factor 1 vanish, so only the torsion
-    and free rows of U v are formed.
+    and free rows of U v are formed.  The entries must be ``int``.
     """
     if len(v) != kt.matrix.n:
         raise DimensionMismatch(f"expected a vector of length {kt.matrix.n}")
+    for x in v:
+        require_int(x, "a vector entry")
     u = kt.snf.u
     return KZeroClass(
-        vector=tuple(int(x) for x in v),
+        vector=tuple(v),
         torsion=tuple(
             sum(a * b for a, b in zip(u[i], v)) % kt.invariant_factors[i]
             for i in kt.torsion_indices

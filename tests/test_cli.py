@@ -1,5 +1,7 @@
+import os
 import random
-import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,6 +79,107 @@ class TestParsing:
         assert generator_equal(again.build("t"), main_endo)
 
 
+_HEAD = "n = 3\nA = 110 111 011\n"
+_TAIL = "[t2]\n2 <- e\n[t3]\n3 <- e\n"
+_ROWS10 = " ".join(["1111111111"] * 10)
+# every error parse_document raises: the document, the message with its
+# position, and that (line, column)
+PARSE_ERRORS = {
+    "empty": ("", "empty document (line 1, column 1)", (1, 1)),
+    "only-comments": ("# nothing\n\n", "empty document (line 1, column 1)", (1, 1)),
+    "n-line": ("m = 3\n", "expected 'n = <int>' (line 1, column 1)", (1, 1)),
+    "n-not-int": ("# header\nn = three\n", "expected 'n = <int>' (line 2, column 1)", (2, 1)),
+    # the document ends after n: the error is on the line after n's
+    "a-missing": ("n = 3\n", "expected 'A = <rows>' (line 2, column 1)", (2, 1)),
+    "a-missing-after-comment": (
+        "n = 3\n# no rows\n\n", "expected 'A = <rows>' (line 2, column 1)", (2, 1)
+    ),
+    "a-wrong": ("n = 3\nB = 110 111 011\n", "expected 'A = <rows>' (line 2, column 1)", (2, 1)),
+    "row-count": ("n = 3\nA = 110 111\n", "expected 3 rows, got 2 (line 2, column 1)", (2, 1)),
+    "row-character": (
+        "n = 3\nA = 110 121 011\n",
+        "row '121' must be 3 characters of 0/1 (line 2, column 1)",
+        (2, 1),
+    ),
+    "row-length": (
+        "n = 3\nA = 110 1111 011\n",
+        "row '1111' must be 3 characters of 0/1 (line 2, column 1)",
+        (2, 1),
+    ),
+    "undotted-from-n10": (
+        f"n = 10\nA = {_ROWS10}\n[t10]\n1 <- e\n",
+        "block [t10] is ambiguous when n >= 10; write it as [<name>.<i>], as in [t.10]"
+        " (line 3, column 1)",
+        (3, 1),
+    ),
+    "index-out-of-range": (
+        _HEAD + "[t.4]\n1 <- e\n",
+        "block [t.4] must end in a generator index 1..3 (line 3, column 1)",
+        (3, 1),
+    ),
+    "undotted-index-out-of-range": (
+        _HEAD + "[t4]\n1 <- e\n",
+        "block [t4] must end in a generator index 1..3 (line 3, column 1)",
+        (3, 1),
+    ),
+    "duplicate-block": (
+        _HEAD + "[t1]\n1 <- e\n[t1]\n1 <- e\n", "duplicate block [t1] (line 5, column 1)", (5, 1)
+    ),
+    "pair-before-header": (
+        _HEAD + "1 <- e\n",
+        "expected a '[name<i>]' or '[name.<i>]' block header (line 3, column 1)",
+        (3, 1),
+    ),
+    "no-arrow": (_HEAD + "[t1]\n1 -> e\n", "expected '<nu> <- <mu>' (line 4, column 1)", (4, 1)),
+    "letter-in-mu": (
+        _HEAD + "[t1]\n1 <- x\n", "expected a letter, got 'x' (line 4, column 5)", (4, 5)
+    ),
+    "letter-in-nu": (
+        _HEAD + "[t1]\n  y <- e\n", "expected a letter, got 'y' (line 4, column 3)", (4, 3)
+    ),
+    "unknown-letter": (
+        _HEAD + "[t1]\n1,4 <- e\n" + _TAIL, "letter 4 outside the alphabet at 4:1", (4, 1)
+    ),
+    "unknown-letter-in-mu": (
+        _HEAD + "[t1]\n1 <- 2,4\n" + _TAIL, "letter 4 outside the alphabet at 4:5", (4, 5)
+    ),
+    "unallowable-word": (
+        _HEAD + "[t1]\n1,3 <- e\n" + _TAIL, "word (1, 3) is not allowable at 4:1", (4, 1)
+    ),
+    "unallowable-word-in-mu": (
+        _HEAD + "[t1]\n1 <- 1,3\n" + _TAIL, "word (1, 3) is not allowable at 4:5", (4, 5)
+    ),
+    "missing-generator-blocks": (
+        _HEAD + "[t1]\n1 <- e\n\n# end\n",
+        "endomorphism 't' is missing generator blocks [2, 3] (line 6, column 1)",
+        (6, 1),
+    ),
+}
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("text, message, where", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+    def test_message_position_and_exit_code(self, text, message, where):
+        with pytest.raises((CkSyntaxError, UnknownLetter, UnallowableWord)) as exc:
+            parse_document(text)
+        error = exc.value
+        assert str(error) == message
+        position = error.position if hasattr(error, "position") else (error.line, error.col)
+        assert position == where
+        assert run(["validate", "-"], stdin_text=text) == (f"parse error: {message}\n", 2)
+
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            (MAIN_DOCUMENT, ["--endo", "nope"], "no endomorphism named 'nope' in the document"),
+            (_HEAD, [], "document defines no endomorphism"),
+        ],
+        ids=["no-endomorphism-named", "no-endomorphism-defined"],
+    )
+    def test_document_error_is_one(self, text, argv, message):
+        assert run(["validate", "-"] + argv, stdin_text=text) == (f"error: {message}\n", 1)
+
+
 def _inner_automorphism(n, seed):
     rng = random.Random(seed)
     while True:
@@ -115,6 +218,10 @@ class TestBlockLabels:
     def test_dotted_index_out_of_range(self):
         with pytest.raises(CkSyntaxError, match="1..3"):
             parse_document("n = 3\nA = 110 111 011\n[t.4]\n1 <- e\n")
+
+
+# t2 and t3 share the range 2
+INVALID_DOCUMENT = "n = 3\nA = 110 111 011\n[t1]\n1 <- e\n[t2]\n2 <- e\n[t3]\n2 <- e\n"
 
 
 class TestRunExitCodes:
@@ -175,10 +282,66 @@ class TestRunExitCodes:
 
     @pytest.mark.parametrize("n", ["1", "2"])
     def test_power_of_an_invalid_presentation_is_one(self, n):
-        # t2 and t3 share the range 2; t^1 is refused like t^2
-        text = "n = 3\nA = 110 111 011\n[t1]\n1 <- e\n[t2]\n2 <- e\n[t3]\n2 <- e\n"
-        out, code = run(["power", "-", "--n", n], stdin_text=text)
+        # t^1 is refused like t^2
+        out, code = run(["power", "-", "--n", n], stdin_text=INVALID_DOCUMENT)
         assert (out, code) == ("error: presentation fails the Cuntz-Krieger checks\n", 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index"],
+            ["k0map"],
+            ["lefschetz"],
+            ["lefschetz", "--k1-matrix", "0"],
+            ["zeta"],
+            ["compose", "--with", "t"],
+        ],
+        ids=["index", "k0map", "lefschetz", "lefschetz-k1-matrix", "zeta", "compose"],
+    )
+    def test_every_command_refuses_an_invalid_presentation(self, argv):
+        # the power case is test_power_of_an_invalid_presentation_is_one
+        out, code = run(argv[:1] + ["-"] + argv[1:], stdin_text=INVALID_DOCUMENT)
+        assert (out, code) == ("error: presentation fails the Cuntz-Krieger checks\n", 1)
+
+    def test_validate_of_an_invalid_presentation_warns(self):
+        out, code = run(["--structured", "validate", "-"], stdin_text=INVALID_DOCUMENT)
+        assert code == 0
+        data = parse_structured(out)
+        assert data["valid"] is False
+        assert data["warning.0"] == "presentation fails the Cuntz-Krieger checks"
+
+    @pytest.mark.parametrize("name", ["t.x", "a b", "9abc", "a-b"])
+    @pytest.mark.parametrize(
+        "argv", [["compose", "--with", "t"], ["power", "--n", "2"]], ids=["compose", "power"]
+    )
+    def test_unreadable_name_is_one(self, main_file, tmp_path, argv, name):
+        # a name the parser would not read back is refused, and no file written
+        out_path = tmp_path / "o.ck"
+        out, code = run(
+            argv[:1] + [main_file] + argv[1:] + ["--name", name, "--out", str(out_path)]
+        )
+        assert (out, code) == (
+            f"error: --name must match [A-Za-z_][A-Za-z_0-9]*, got {name!r}\n", 1
+        )
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["compose", "--with", "t"], ["power", "--n", "2"]], ids=["compose", "power"]
+    )
+    def test_name_is_checked_before_composing(self, argv):
+        # composing the invalid presentation would raise; the name is refused first
+        argv = argv[:1] + ["-"] + argv[1:] + ["--name", "t.x"]
+        out, code = run(argv, stdin_text=INVALID_DOCUMENT)
+        assert (out, code) == ("error: --name must match [A-Za-z_][A-Za-z_0-9]*, got 't.x'\n", 1)
+
+    def test_name_ending_in_a_digit_round_trips(self, main_file, tmp_path, main_endo):
+        # at n = 3 the block [t11] reads as generator 1 of t1
+        out_path = tmp_path / "o.ck"
+        _, code = run(["power", main_file, "--n", "2", "--name", "t1", "--out", str(out_path)])
+        assert code == 0
+        doc = parse_document(out_path.read_text())
+        assert list(doc.endos) == ["t1"]
+        assert generator_equal(doc.build("t1"), power(main_endo, 2))
 
     @pytest.mark.parametrize(
         "argv", [["compose", "--with", "t"], ["power", "--n", "2"]], ids=["compose", "power"]
@@ -189,6 +352,28 @@ class TestRunExitCodes:
         assert code == 1
         assert out.startswith("error:") and str(out_path) in out
         assert not out_path.parent.exists()
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # python -m cklef.cli runs main(); Python warns on stderr that the package
+    # imported cklef.cli first
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    (tmp_path / "main.ck").write_text(MAIN_DOCUMENT)
+    (tmp_path / "bad.ck").write_text("n = 3\n")
+
+    def script(name):
+        return subprocess.run(
+            [sys.executable, "-m", "cklef.cli", "validate", str(tmp_path / name)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    ok = script("main.ck")
+    assert ok.returncode == 0 and ok.stdout.startswith("command: validate\n")
+    bad = script("bad.ck")
+    assert bad.returncode == 2
+    assert bad.stdout == "parse error: expected 'A = <rows>' (line 2, column 1)\n"
 
 
 class TestSubcommands:
@@ -432,16 +617,3 @@ class TestStructuredFormat:
         written = parse_document(data["document"])
         built = written.build(written.default_name())
         assert sum(map(len, built.raw_images)) == pairs
-
-
-def test_readme_library_example(tmp_path, monkeypatch, capsys):
-    """The README's python block runs on the worked example and prints the
-    values its comments give."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    [block] = re.findall(r"```python\n(.*?)```", readme, re.S)
-    (tmp_path / "doc.ck").write_text(MAIN_DOCUMENT)
-    monkeypatch.chdir(tmp_path)
-    exec(block, {})
-    expected = re.findall(r"^print\(.*\)\s*#\s*(.*?)\s*$", block, re.M)
-    assert expected == ["1", "(1, 1, 0)", "((1,),)", "1"]
-    assert capsys.readouterr().out.splitlines() == expected

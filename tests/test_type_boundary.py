@@ -1,13 +1,16 @@
 """The exact linear algebra runs in ints where the data are integral, but the
 public scalars keep their types: every structured tag the CLI prints on the
 worked example, and the Fraction results of the graded harness and the
-K-theory layer."""
+K-theory layer.  Integer parameters take an ``int`` and nothing else: a
+float, a ``bool`` or a Fraction is refused with ``InvalidParameter``."""
 
 from fractions import Fraction
 
 import pytest
 
 from cklef.cli import run
+from cklef.endo import path_map, power, represent_at_depth
+from cklef.errors import InvalidParameter
 from cklef.graded import (
     GradedSpace,
     graded_map,
@@ -15,7 +18,13 @@ from cklef.graded import (
     graded_trace,
     index_pairing,
 )
-from cklef.ktheory import lefschetz_number, zeta_reconstruct
+from cklef.index import (
+    fredholm_index_truncated,
+    gamma,
+    index_polynomial,
+    length_transfer_counted,
+)
+from cklef.ktheory import k0_reduce, k_groups, lefschetz_number, zeta_reconstruct
 from tests.conftest import MAIN_DOCUMENT
 
 
@@ -122,3 +131,38 @@ def test_rational_function_coefficients_are_fractions():
     rf = zeta_reconstruct([0, 1, 1, 1, 1, 1], 1, 1)
     assert all(type(c) is Fraction for c in rf.numerator + rf.denominator)
     assert all(type(c) is Fraction for c in rf.expand(8))
+
+
+# (call on the worked example E, the exact message it must raise)
+NON_INT_PARAMETERS = {
+    "gamma-float": (lambda e: gamma(path_map(e), 4.0), "m must be an int, got 4.0"),
+    "gamma-bool": (lambda e: gamma(path_map(e), True), "m must be an int, got True"),
+    "gamma-zero": (lambda e: gamma(path_map(e), 0), "m must be >= 1"),
+    "fredholm-float": (
+        lambda e: fredholm_index_truncated(path_map(e), 6.0), "depth must be an int, got 6.0"
+    ),
+    "fredholm-zero": (lambda e: fredholm_index_truncated(path_map(e), 0), "depth must be >= 1"),
+    "polynomial-m": (lambda e: index_polynomial(e, 4.0, 1), "m must be an int, got 4.0"),
+    "polynomial-N": (lambda e: index_polynomial(e, 4, 1.5), "N must be an int, got 1.5"),
+    "counted-table": (
+        lambda e: length_transfer_counted(e, 8.0), "max_len must be an int, got 8.0"
+    ),
+    "represent": (lambda e: represent_at_depth(e, 2.5), "k must be an int, got 2.5"),
+    "k0-vector": (
+        lambda e: k0_reduce(k_groups(e.matrix), [Fraction(1, 2), 0, 0]),
+        "a vector entry must be an int, got Fraction(1, 2)",
+    ),
+    "k0-vector-bool": (
+        lambda e: k0_reduce(k_groups(e.matrix), [0, True, 0]),
+        "a vector entry must be an int, got True",
+    ),
+    "power-float": (lambda e: power(e, 2.0), "an exponent must be an int, got 2.0"),
+    "power-zero": (lambda e: power(e, 0), "an exponent must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("call, message", NON_INT_PARAMETERS.values(), ids=NON_INT_PARAMETERS)
+def test_integer_parameters_refuse_other_types(main_endo, call, message):
+    with pytest.raises(InvalidParameter) as exc:
+        call(main_endo)
+    assert str(exc.value) == message
