@@ -196,10 +196,12 @@ def parse_document(text: str) -> CkDocument:
             raise CkSyntaxError("expected '<nu> <- <mu>'", line_no, 1)
         left, _, right = line.partition("<-")
         raw = lines[line_no - 1]
-        nu = _parse_word(left, n, line_no, raw.find(left.strip()) + 1)
-        mu_col = raw.find("<-") + 3
+        # each word's errors point at the column where its text starts
+        nu_col = raw.find(left.strip()) + 1
+        mu_col = raw.find("<-") + 3 + len(right) - len(right.lstrip())
+        nu = _parse_word(left, n, line_no, nu_col)
         mu = _parse_word(right, n, line_no, mu_col)
-        for w, col in ((nu, 1), (mu, mu_col)):
+        for w, col in ((nu, nu_col), (mu, mu_col)):
             if not is_allowable(matrix, w):
                 raise UnallowableWord(w, (line_no, col))
         current.append((nu, mu))
@@ -370,9 +372,9 @@ def cmd_index(doc: CkDocument, args) -> Report:
         report.add("series.value", series.stabilized_value)
         report.add("series.depth", series.params["depth"])
     if method in ("gamma", "fredholm", "all"):
-        # gamma_m is the partial sum to m, and the Fredholm count truncated
-        # at m is the same sum less the collisions, so from the series end
-        # on both are the index; both read one landing table there.
+        # gamma_m is the partial sum to m and the Fredholm count at m that
+        # sum less the collisions, so from the series end on gamma is the
+        # index; both read one landing table there.
         psi = path_map(endo)
         end = series_end(endo)
         landing = landing_table(psi, end)

@@ -26,20 +26,23 @@ class DepthTooSmall(CkError):
     pass
 
 
+def _where(position) -> str:
+    """A document position (line, column) as every parse error writes it."""
+    return f" (line {position[0]}, column {position[1]})" if position else ""
+
+
 class UnallowableWord(CkError):
     def __init__(self, word, position=None):
         self.word = word
         self.position = position
-        where = f" at {position[0]}:{position[1]}" if position else ""
-        super().__init__(f"word {word!r} is not allowable{where}")
+        super().__init__(f"word {word!r} is not allowable{_where(position)}")
 
 
 class UnknownLetter(CkError):
     def __init__(self, letter, position=None):
         self.letter = letter
         self.position = position
-        where = f" at {position[0]}:{position[1]}" if position else ""
-        super().__init__(f"letter {letter!r} outside the alphabet{where}")
+        super().__init__(f"letter {letter!r} outside the alphabet{_where(position)}")
 
 
 class ZeroMonomialPair(CkError):
@@ -106,4 +109,4 @@ class CkSyntaxError(CkError):
     def __init__(self, message, line, col):
         self.line = line
         self.col = col
-        super().__init__(f"{message} (line {line}, column {col})")
+        super().__init__(f"{message}{_where((line, col))}")

@@ -5,8 +5,9 @@
 ``Index_k`` vanishes from ``K_0`` on (:func:`series_end` holds the proof).
 Besides the defining series this module provides the telescoped boundary
 count ``gamma_m``, the closed polynomial formula in matrix powers, and a
-truncated Fredholm-style kernel/cokernel count.  All four agree on valid
-endomorphisms.
+truncated Fredholm-style kernel/cokernel count.  The first three agree on
+valid endomorphisms; the Fredholm count is the series less the collisions
+of images, which a valid presentation can have (:func:`_table`).
 
 The table of word counts, :class:`LengthTransfer`, is filled in one way
 (:func:`_table`).  A pair's domain words depend only on its class
@@ -37,7 +38,7 @@ import heapq
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, tee
+from itertools import islice, tee
 from typing import Callable, Iterator, Mapping
 
 from .errors import ExponentUnderflow, InvalidParameter, require_int
@@ -64,16 +65,14 @@ def propagation(e: GeometricEndomorphism) -> int:
 class LengthTransfer:
     """Counts a(i, j) of domain words of length i sent to image length j.
 
-    A table covers the lengths k <= ``max_len`` - ``bound``: a word landing
-    at or crossing such a k is at most ``max_len`` long.  Its totals, index
-    and gamma are read only there, and raise past it.  The package's tables
-    (:func:`_table`) hold just the cells those reads take, a(i, j) with i or
-    j covered; a test reference may hold more.
+    A table covers the lengths k <= ``depth``.  Its totals, index and gamma
+    are read only there, and raise past it.  The package's tables
+    (:func:`_table`) hold just the cells those reads take, a(i, j) with
+    i <= ``depth`` or j <= ``depth``; a test reference may hold more.
     """
 
     a: Mapping[tuple[int, int], int]
-    max_len: int
-    bound: int
+    depth: int
     # The table's totals by domain length i and by image length j.
     _dom: dict[int, int] = field(init=False, repr=False, compare=False)
     _im: dict[int, int] = field(init=False, repr=False, compare=False)
@@ -94,13 +93,13 @@ class LengthTransfer:
         return self._dom.get(k, 0)
 
     def im_count(self, k: int) -> int:
-        """Image cardinality at length k; injectivity makes this a count of words."""
+        """Images at length k, counted once per domain word landing there."""
         self._require_covered(k)
         return self._im.get(k, 0)
 
     def _require_covered(self, k: int):
-        if k > self.max_len - self.bound:
-            raise InvalidParameter(f"table only covers k <= {self.max_len - self.bound}")
+        if k > self.depth:
+            raise InvalidParameter(f"table only covers k <= {self.depth}")
 
     def index_at(self, k: int) -> int:
         return self.im_count(k) - self.dom_count(k)
@@ -185,15 +184,16 @@ def _table(
     cylinders of one generator are disjoint, so each domain word is counted
     by one pair, once.
 
-    The path map of a valid presentation is injective, so the table counts
-    each image once too.  An image nu + y with y nonempty lies in its
-    pair's range cylinder nu + y[:1], and the image nu (y empty) contains
-    its pair's range cylinders nu + c, of which there is at least one since
-    no monomial of the presentation is zero.  The range cylinders of
-    distinct pairs are disjoint, which the validity check proves, and
-    within one pair nu + y determines y.
+    Each image is counted once per domain word landing on it.  An image
+    nu + y with y nonempty lies in its pair's range cylinder nu + y[:1], and
+    the image nu (y empty) contains its pair's range cylinders nu + c, of
+    which there is at least one since no monomial is zero.  The range
+    cylinders of distinct pairs are disjoint, which the validity check
+    proves, and within one pair nu + y determines y.  So two domain words
+    share an image only as own words mu + (i,) of pairs sharing nu, and a
+    valid presentation's path map need not be injective: one over
+    ``0111 1100 1010 1001`` has (2,1,4) <- (1) and (2,1,4) <- (2) in t_2.
     """
-    bound = propagation(e)
     matrix = e.matrix
     firsts: dict[tuple[int | None, int | None], frozenset[int]] = {}
     # classes[first, i, |mu|, |nu|]: the number of pairs of the class;
@@ -220,7 +220,7 @@ def _table(
         for L in range(1, depth - min(mu_len + 1, nu_len) + 1):
             if class_counts[L]:
                 a[mu_len + 1 + L, nu_len + L] += size * class_counts[L]
-    return LengthTransfer(a=a, max_len=depth + bound, bound=bound)
+    return LengthTransfer(a=a, depth=depth)
 
 
 def landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
@@ -242,14 +242,8 @@ def length_transfer_counted(e: GeometricEndomorphism, max_len: int) -> LengthTra
 @dataclass(frozen=True)
 class IndexReport:
     per_k: Mapping[int, int]
-    partial_sums: tuple[int, ...]
     stabilized_value: int
-    method: str
-    params: Mapping[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_k", dict(self.per_k))
-        object.__setattr__(self, "params", dict(self.params))
+    params: Mapping[str, int]
 
 
 def gamma_parts(psi: PartialPathMap, m: int) -> tuple[int, int]:
@@ -304,29 +298,22 @@ def series_end(e: GeometricEndomorphism) -> int:
     ) - 1
 
 
-def _report(table: LengthTransfer, end: int, method: str) -> IndexReport:
+def _report(table: LengthTransfer, end: int) -> IndexReport:
     """Index_1 .. Index_end from a table that covers them, and their sum."""
     per_k = {k: table.index_at(k) for k in range(1, end + 1)}
-    partial = tuple(accumulate(per_k.values()))
-    return IndexReport(
-        per_k=per_k,
-        partial_sums=partial,
-        stabilized_value=partial[-1],
-        method=method,
-        params={"depth": end, "propagation": table.bound},
-    )
+    return IndexReport(per_k=per_k, stabilized_value=sum(per_k.values()), params={"depth": end})
 
 
 def index_series(psi: PartialPathMap) -> IndexReport:
     """The defining route: enumerate words, sum Index_k up to the series end."""
     end = series_end(psi.endo)
-    return _report(landing_table(psi, end), end, "series")
+    return _report(landing_table(psi, end), end)
 
 
 def index_series_counted(e: GeometricEndomorphism) -> IndexReport:
     """The same sum from the pair-counting table; scales to deep composites."""
     end = series_end(e)
-    return _report(length_transfer_counted(e, end + propagation(e)), end, "series-counted")
+    return _report(length_transfer_counted(e, end + propagation(e)), end)
 
 
 def stabilized_index(e: GeometricEndomorphism) -> int:
@@ -440,9 +427,9 @@ def _collisions(psi: PartialPathMap, depth: int) -> int:
     domain word landing on them: the landing table's image counts less the
     distinct images.
 
-    A valid presentation's path map is injective (:func:`_table` holds the
-    proof), so the count is 0 there.  It is still counted, as a check: a
-    presentation that skips the validity check can collide.
+    A valid presentation collides only on the nu of pairs sharing it, when
+    their own words mu + (i,) land there (:func:`_table`); a presentation
+    that skips the validity check can collide anywhere.
 
     Two pairs' images can coincide only within a run (:func:`_prefix_runs`),
     and only under one of its overlap roots (:func:`_overlap_roots`).  Under
@@ -479,7 +466,8 @@ def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
     which is the table's image count less the collisions
     (:func:`_collisions`).  So the route is the index series summed to
     ``depth`` less the collisions, and that merge of image streams is what
-    makes it a check of its own.  No word set is held.
+    makes it a check of its own; it differs from the series wherever a
+    valid presentation collides (:func:`_table`).  No word set is held.
     """
     if depth < 1:
         raise InvalidParameter("depth must be >= 1")
@@ -490,5 +478,5 @@ def fredholm_count(psi: PartialPathMap, table: LengthTransfer) -> int:
     """:func:`fredholm_index_truncated` at the depth ``table`` covers, read
     off ``table``, which must be ``psi``'s landing table at that depth: so
     ``cklef index --method all`` builds one table for gamma and Fredholm."""
-    depth = table.max_len - table.bound
+    depth = table.depth
     return sum(table.index_at(j) for j in range(1, depth + 1)) - _collisions(psi, depth)

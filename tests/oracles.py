@@ -57,14 +57,16 @@ from cklef.word_algebra import (
 
 
 def length_transfer_enumerated(psi, max_len):
-    """Fill the a(i, j) table by evaluating the path map on every word."""
+    """Fill the a(i, j) table by evaluating the path map on every word of
+    length <= ``max_len``.  It covers the lengths up to ``max_len`` less the
+    propagation bound: a word landing at or crossing one is no longer."""
     a = Counter(
         (m, len(r))
         for m in range(1, max_len + 1)
         for w in iter_paths(psi.matrix, m)
         if (r := psi.dot_apply(w)) is not None
     )
-    return LengthTransfer(a=a, max_len=max_len, bound=propagation(psi.endo))
+    return LengthTransfer(a=a, depth=max_len - propagation(psi.endo))
 
 
 def _pairs(e):

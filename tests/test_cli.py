@@ -131,23 +131,47 @@ PARSE_ERRORS = {
         (3, 1),
     ),
     "no-arrow": (_HEAD + "[t1]\n1 -> e\n", "expected '<nu> <- <mu>' (line 4, column 1)", (4, 1)),
+    # every error on a word points at the column where the word starts
     "letter-in-mu": (
-        _HEAD + "[t1]\n1 <- x\n", "expected a letter, got 'x' (line 4, column 5)", (4, 5)
+        _HEAD + "[t1]\n1 <- x\n", "expected a letter, got 'x' (line 4, column 6)", (4, 6)
     ),
     "letter-in-nu": (
         _HEAD + "[t1]\n  y <- e\n", "expected a letter, got 'y' (line 4, column 3)", (4, 3)
     ),
     "unknown-letter": (
-        _HEAD + "[t1]\n1,4 <- e\n" + _TAIL, "letter 4 outside the alphabet at 4:1", (4, 1)
+        _HEAD + "[t1]\n1,4 <- e\n" + _TAIL,
+        "letter 4 outside the alphabet (line 4, column 1)",
+        (4, 1),
+    ),
+    "unknown-letter-indented": (
+        _HEAD + "[t1]\n  1,4 <- e\n" + _TAIL,
+        "letter 4 outside the alphabet (line 4, column 3)",
+        (4, 3),
     ),
     "unknown-letter-in-mu": (
-        _HEAD + "[t1]\n1 <- 2,4\n" + _TAIL, "letter 4 outside the alphabet at 4:5", (4, 5)
+        _HEAD + "[t1]\n1 <- 2,4\n" + _TAIL,
+        "letter 4 outside the alphabet (line 4, column 6)",
+        (4, 6),
     ),
     "unallowable-word": (
-        _HEAD + "[t1]\n1,3 <- e\n" + _TAIL, "word (1, 3) is not allowable at 4:1", (4, 1)
+        _HEAD + "[t1]\n1,3 <- e\n" + _TAIL,
+        "word (1, 3) is not allowable (line 4, column 1)",
+        (4, 1),
+    ),
+    "unallowable-word-indented": (
+        _HEAD + "[t1]\n  1,3 <- e\n" + _TAIL,
+        "word (1, 3) is not allowable (line 4, column 3)",
+        (4, 3),
     ),
     "unallowable-word-in-mu": (
-        _HEAD + "[t1]\n1 <- 1,3\n" + _TAIL, "word (1, 3) is not allowable at 4:5", (4, 5)
+        _HEAD + "[t1]\n1 <- 1,3\n" + _TAIL,
+        "word (1, 3) is not allowable (line 4, column 6)",
+        (4, 6),
+    ),
+    "unallowable-word-in-mu-indented": (
+        _HEAD + "[t1]\n  1 <-   1,3  # comment\n" + _TAIL,
+        "word (1, 3) is not allowable (line 4, column 10)",
+        (4, 10),
     ),
     "missing-generator-blocks": (
         _HEAD + "[t1]\n1 <- e\n\n# end\n",

@@ -1,10 +1,13 @@
 import random
 import tracemalloc
 from collections import Counter, defaultdict
+from dataclasses import fields
+from itertools import accumulate
 
 import pytest
 
 import cklef.index as index_module
+from cklef.cli import parse_document, parse_structured, run
 from cklef.endo import (
     GeometricEndomorphism,
     PartialPathMap,
@@ -16,6 +19,8 @@ from cklef.endo import (
 )
 from cklef.errors import ExponentUnderflow, InvalidParameter
 from cklef.index import (
+    IndexReport,
+    LengthTransfer,
     _class_counts,
     _collisions,
     _overlap_roots,
@@ -37,7 +42,7 @@ from cklef.index import (
 )
 from cklef.sampling import random_complete_graph_endomorphism, random_inner_automorphism
 from cklef.sft_core import common_followers, enumerate_paths, validate_matrix
-from tests.conftest import small_matrices
+from tests.conftest import Q_ROWS, small_matrices
 from tests.oracles import (
     collisions_by_length,
     compose_word_by_word,
@@ -757,7 +762,7 @@ class TestSeriesEnd:
         report = index_series_counted(main_endo)
         assert report.params["depth"] == 3
         assert sorted(report.per_k) == [1, 2, 3]
-        assert report.partial_sums == (1, 1, 1)
+        assert list(accumulate(report.per_k.values())) == [1, 1, 1]
 
     def test_counted_index_vanishes_past_the_end(self, end_corpus):
         for e in end_corpus:
@@ -795,3 +800,103 @@ class TestSeriesEnd:
                 series = index_series(path_map(e))
                 assert series.per_k == counted.per_k
                 assert series.params == counted.params
+
+
+class TestTablesCoverADepth:
+    """A table stores the depth it covers, and a report keeps the fields
+    that the package, the CLI and the benchmark read."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, main_endo, main_identity):
+        return [main_endo, power(main_endo, 2), main_identity, _q_endo()]
+
+    def test_fields(self):
+        assert [f.name for f in fields(LengthTransfer) if f.init] == ["a", "depth"]
+        assert [f.name for f in fields(IndexReport)] == ["per_k", "stabilized_value", "params"]
+
+    def test_landing_table_stores_its_depth(self, cases):
+        for e in cases:
+            for d in sorted({1, series_end(e), series_end(e) + 2}):
+                assert landing_table(path_map(e), d).depth == d
+
+    def test_counted_table_covers_its_length_less_the_bound(self, cases):
+        for e in cases:
+            bound = propagation(e)
+            for length in range(bound + 1, series_end(e) + bound + 3):
+                assert length_transfer_counted(e, length).depth == length - bound
+
+    def test_report_params_hold_the_series_end(self, cases):
+        for e in cases:
+            want = {"depth": series_end(e)}
+            assert index_series_counted(e).params == want
+            assert index_series(path_map(e)).params == want
+
+
+# A valid presentation over Q whose path map is not injective: t2 holds
+# (2,1,4) <- (1) and (2,1,4) <- (2), whose range cylinders (2,1,4,4) and
+# (2,1,4,1) are disjoint, and both own words (1,2) and (2,2) land on (2,1,4).
+Q_COLLIDING_DOCUMENT = """\
+n = 4
+A = 0111 1100 1010 1001
+
+[t1]
+1,2 <- 2,2
+1,4,4 <- 4
+1,4,1 <- 2,1
+1,3 <- 3
+
+[t2]
+2,1,3 <- 1,3
+2,1,4 <- 1
+2,1,4 <- 2
+2,1,2 <- 1,2
+
+[t3]
+4,4,1 <- 1
+4,4,4 <- 4,4
+4,1 <- 4,1
+
+[t4]
+3 <- 3
+2,2,2 <- 2,2
+2,2,1 <- 1
+"""
+
+
+def _q_endo():
+    return parse_document(Q_COLLIDING_DOCUMENT).build("t")
+
+
+class TestValidPresentationThatCollides:
+    """Validity does not make the path map injective; the routes' values on
+    such a presentation are pinned as they stand."""
+
+    def test_two_words_land_on_one(self):
+        e = _q_endo()
+        assert e.matrix.rows == Q_ROWS
+        assert e.valid
+        psi = path_map(e)
+        assert psi.dot_apply((1, 2)) == psi.dot_apply((2, 2)) == (2, 1, 4)
+        assert _collisions(psi, 3) == 1
+
+    def test_represented_at_depth_two_it_does_not_collide(self):
+        deeper = represent_at_depth(_q_endo(), 2)
+        assert deeper.valid
+        psi = path_map(deeper)
+        assert not any(_collisions(psi, d) for d in range(1, series_end(deeper) + 3))
+
+    def test_fredholm_differs_from_the_other_routes(self):
+        e = _q_endo()
+        psi = path_map(e)
+        end = series_end(e)
+        assert end == 3
+        assert index_series_counted(e).stabilized_value == 0
+        assert gamma(psi, end) == 0
+        assert index_polynomial(e, 1 + propagation(e) + e.k, propagation(e)) == 0
+        assert [fredholm_index_truncated(psi, d) for d in range(3, 7)] == [-1] * 4
+        out, code = run(["--structured", "index", "-"], stdin_text=Q_COLLIDING_DOCUMENT)
+        assert code == 0
+        report = parse_structured(out)
+        values = [report[f"{route}.value"] for route in ("series", "gamma", "polynomial")]
+        assert values == [0, 0, 0]
+        assert report["fredholm.value"] == -1

@@ -21,8 +21,11 @@ package source names the cache of powers it replaced, ``.power`` or
 share one fill: only ``_table`` constructs a ``LengthTransfer`` there, and
 each table names its kernel alone, ``landing_table`` the walk's
 ``_class_counts`` and ``length_transfer_counted`` the powers'
-``_power_counts``, so neither route can read the other's counts.  Validating a presentation builds
-no canonical clopen form and reads no matrix power, so in
+``_power_counts``, so neither route can read the other's counts.  A table
+stores the depth it covers, so of the functions that build a table or read
+its depth only ``length_transfer_counted``, which turns the length it is
+asked for into that depth, names the propagation bound.  Validating a
+presentation builds no canonical clopen form and reads no matrix power, so in
 ``src/cklef/endo.py`` only ``range_set``, which ``cklef validate`` prints,
 names ``clopen_make`` or ``ClopenSet``, and only the check ``_ck_checks``
 counts paths, on its own steps of the recurrence.  The mu-rule is decided
@@ -70,6 +73,10 @@ BOUNDED_FIELDS = {
 }
 # the two kernels of the one fill, each named by its own table alone
 KERNEL_READERS = {"_class_counts": "landing_table", "_power_counts": "length_transfer_counted"}
+# the functions of index.py that build a table or read the depth it covers
+TABLE_SCOPES = {
+    "_table", "landing_table", "length_transfer_counted", "_require_covered", "fredholm_count",
+}
 # the one word walk, started only where the enumerated routes count or merge
 WALKERS = {"walk"}
 # the canonical clopen form, which validity checks do without
@@ -355,7 +362,7 @@ def test_constructor_detector_sees_every_use():
         "    \"\"\"LengthTransfer(e) in a docstring builds nothing.\"\"\"\n    return e\n"
         "def b(t: LengthTransfer, u: 'LengthTransfer' = None):\n"
         "    v: LengthTransfer = t\n    return v\n"
-        "def c(e):\n    return LengthTransfer(a=e, max_len=1, bound=0)\n"
+        "def c(e):\n    return LengthTransfer(a=e, depth=1)\n"
         "def d(e):\n    make = index.LengthTransfer\n    return make(e)\n"
         "f = lambda e: LengthTransfer(e)\n"
         "def g(e):\n    def inner():\n        return LengthTransfer(e)\n    return inner\n"
@@ -371,6 +378,14 @@ def test_one_fill_builds_both_tables():
     # grouping of pairs and the placing of counts are written once
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
     assert _naming_scopes(_unannotated(source), {"LengthTransfer"}) == ["_table"]
+
+
+def test_tables_do_not_read_the_propagation_bound():
+    # the bound turns the counted table's max_len into its depth, and
+    # nowhere else does a table or a reader of its depth need it
+    source = (PACKAGE / "index.py").read_text(encoding="utf-8")
+    readers = _naming_scopes(source, {"propagation"})
+    assert [scope for scope in readers if scope in TABLE_SCOPES] == ["length_transfer_counted"]
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNEL_READERS))
