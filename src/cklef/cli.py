@@ -372,9 +372,9 @@ def cmd_index(doc: CkDocument, args) -> Report:
         report.add("series.value", series.stabilized_value)
         report.add("series.depth", series.params["depth"])
     if method in ("gamma", "fredholm", "all"):
-        # gamma_m is the partial sum to m and the Fredholm count at m that
-        # sum less the collisions, so from the series end on gamma is the
-        # index; both read one landing table there.
+        # gamma_m is the partial sum to m, so from the series end on gamma is
+        # the index; the Fredholm count there reads its domain words off the
+        # same landing table and counts its distinct images itself.
         psi = path_map(endo)
         end = series_end(endo)
         landing = landing_table(psi, end)
@@ -598,7 +598,7 @@ def run(argv: Sequence[str], stdin_text: str | None = None) -> tuple[str, int]:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
         doc = parse_document(text)
-    except (CkSyntaxError, UnknownLetter, UnallowableWord, OSError) as exc:
+    except (CkSyntaxError, UnknownLetter, UnallowableWord, OSError, UnicodeDecodeError) as exc:
         return f"parse error: {exc}\n", 2
     try:
         report = _COMMANDS[args.subcommand](doc, args)

@@ -6,8 +6,9 @@
 Besides the defining series this module provides the telescoped boundary
 count ``gamma_m``, the closed polynomial formula in matrix powers, and a
 truncated Fredholm-style kernel/cokernel count.  The first three agree on
-valid endomorphisms; the Fredholm count is the series less the collisions
-of images, which a valid presentation can have (:func:`_table`).
+valid endomorphisms; the Fredholm count counts each image once, so it
+differs from them where images collide, which a valid presentation allows
+(:func:`_table`).
 
 The table of word counts, :class:`LengthTransfer`, is filled in one way
 (:func:`_table`).  A pair's domain words depend only on its class
@@ -21,25 +22,21 @@ built.  Matrix powers (:func:`_power_counts`) read the same counts off the
 columns of A^L stepped by :func:`~cklef.sft_core.path_columns`, exactly.
 
 The walk's table (:func:`landing_table`) is read by the enumerated series,
-by gamma, and by the Fredholm count, less the collisions of images
-(:func:`_collisions`): only under the words where two pairs' images can meet
-(:func:`_overlap_roots`) does it merge their sorted image streams
-(:func:`_root_images`), over every length in one pass, and count equal
-neighbours, so it holds no set of words.  The table from powers
-(:func:`length_transfer_counted`) is read by the counted series and the
-closed polynomial formula, whose parts are its gamma_m; it scales to deeply
-composed endomorphisms.  Nothing is cached; the enumerated routes are meant
-for moderate depths.
+by gamma, and by the Fredholm count for its domain words; the Fredholm count
+reads its distinct images off one pass over the prefixes of the pairs' nu
+and path counts past them (:func:`_image_counts`), so it holds no set of
+words.  The table from powers (:func:`length_transfer_counted`) is read by
+the counted series and the closed polynomial formula, whose parts are its
+gamma_m; it scales to deeply composed endomorphisms.  Nothing is cached; the
+enumerated routes are meant for moderate depths.
 """
 
 from __future__ import annotations
 
-import heapq
-import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, tee
-from typing import Callable, Iterator, Mapping
+from itertools import islice
+from typing import Callable, Mapping
 
 from .errors import ExponentUnderflow, InvalidParameter, require_int
 from .sft_core import TransitionMatrix, Word, common_followers, path_columns, terminus, walk
@@ -352,106 +349,69 @@ def index_polynomial(e: GeometricEndomorphism, m: int, N: int) -> int:
     return pos - neg
 
 
-def _prefix_runs(e: GeometricEndomorphism) -> list[list[tuple[int, Word, Word]]]:
-    """The pairs ``(i, nu, mu)`` sorted by nu and cut into maximal runs whose
-    nu all extend the run's first nu.
+def _image_counts(e: GeometricEndomorphism, depth: int) -> list[int]:
+    """``counts[j]``, j = 1 .. ``depth``: the number of distinct images of
+    length j, each counted once however many domain words land on it;
+    ``counts[0]`` is 0.
 
-    Images nu + y and nu' + y' of one length are equal only if one of nu and
-    nu' is a prefix of the other.  In lexicographic order every word between
-    a word and its extension extends that word too, so two pairs whose
-    images can coincide lie in one run.
+    The pair (nu, mu) of t_i sends mu + (i,) to nu when mu is nonempty and
+    its last letter precedes i, and mu + y + (i,) to nu + y for the words y
+    whose first letter is in ``first`` = common_followers(nu, mu) and whose
+    last letter precedes i.  So a word x, |x| >= 1, is an image exactly when
+    x = nu for a pair whose own word mu + (i,) is a domain word, or x = nu + y
+    with y nonempty, y[0] in its pair's ``first`` and x[-1] preceding i.
+    Let ends(u) be the generators i of the pairs whose nu is a proper prefix
+    of u and whose ``first`` holds u[|nu|]: x is an image of the second kind
+    exactly when x[-1] precedes some i in ends(x).  For nu a proper prefix
+    of u, (u + (a,))[|nu|] = u[|nu|], so ends(u + (a,)) adds to ends(u) only
+    pairs with nu = u, and ends is fixed along the extensions of a word that
+    is no longer a prefix of any nu.
+
+    One depth-first pass over the prefixes of the nu (the nu are allowable,
+    so each is reached by allowable steps) counts each prefix once if it is
+    an image of either kind.  A step u -> u + (a,) out of the prefixes is
+    recorded as an exit (ends, a, |u| + 1) when ends(u + (a,)) is nonempty;
+    a word that is no prefix of a nu extends exactly one step out, at its
+    longest prefix that is one, and is no image when that step's ends is
+    empty.  For each distinct ends, the column b -> [b precedes some i in
+    ends] stepped L times by :func:`~cklef.sft_core.path_columns` holds at a
+    the words of length L that may follow a and end in such a b: the
+    images that extend an exit (ends, a, length) by L letters.  No word past
+    the prefixes is built, and no validity property is used, so a forged
+    presentation is counted exactly too.
     """
-    runs: list[list[tuple[int, Word, Word]]] = []
-    pairs = ((i, nu, mu) for i in e.matrix.alphabet for nu, mu in e.raw_images[i - 1])
-    for pair in sorted(pairs, key=lambda p: p[1]):
-        if runs and pair[1][: len(runs[-1][0][1])] == runs[-1][0][1]:
-            runs[-1].append(pair)
-        else:
-            runs.append([pair])
-    return runs
-
-
-def _overlap_roots(run: list[tuple[int, Word, Word]]) -> list[Word]:
-    """The minimal words under which two pairs of ``run`` can share an image.
-
-    An image of two pairs of one run extends both their nu, and one of the
-    two pairs is not the run's first, so the image extends the nu of a pair
-    after the first: a longer nu, or the first nu itself when two pairs
-    share it.  The roots are the minimal such nu, in order; no root is a
-    prefix of another.  In lexicographic order a word extends one of the
-    roots kept before it exactly when it extends the last one kept.
-    """
-    roots: list[Word] = []
-    for _, nu, _ in run[1:]:
-        if not roots or nu[: len(roots[-1])] != roots[-1]:
-            roots.append(nu)
-    return roots
-
-
-def _root_images(
-    matrix: TransitionMatrix, i: int, nu: Word, mu: Word, root: Word, depth: int
-) -> Iterator[Word]:
-    """The images of lengths 1 .. ``depth`` of the pair (nu, mu) of t_i that
-    extend ``root``, in lexicographic order; nu and ``root`` are comparable.
-
-    The pair sends mu + (i,) to nu when mu is nonempty and its last letter
-    precedes i, and mu + y + (i,) to nu + y for y whose first letter follows
-    both termini and whose last letter precedes i.  When nu extends
-    ``root`` these are all the pair's images: nu if mu + (i,) is a domain
-    word, then the words :func:`~cklef.sft_core.walk` passes from nu whose
-    last letter precedes i.  When ``root`` strictly extends nu, they are
-    ``root`` and the words walked from it whose last letter precedes i, if
-    y's first letter ``root[len(nu)]`` follows both termini.
-    The walk passes a word before its extensions and letters in order, so
-    the stream is in tuple order over every length at once.  Memory is
-    O(``depth``).
-    """
-    if len(root) <= len(nu):
-        start, letters = nu, common_followers(matrix, nu, mu)
-        own = bool(mu) and matrix.entry(mu[-1], i)
-    else:
-        if root[len(nu)] not in common_followers(matrix, nu, mu):
-            return
-        start, letters = root, matrix.followers(root[-1])
-        own = matrix.entry(root[-1], i)
-    precedes = _precedes(matrix, i)
-    if own and 0 < len(start) <= depth:
-        yield start
-    for word in walk(matrix, start, letters, depth):
-        if precedes[word[-1]]:
-            yield tuple(word)
-
-
-def _collisions(psi: PartialPathMap, depth: int) -> int:
-    """The images of lengths 1..``depth`` counted once more for each further
-    domain word landing on them: the landing table's image counts less the
-    distinct images.
-
-    A valid presentation collides only on the nu of pairs sharing it, when
-    their own words mu + (i,) land there (:func:`_table`); a presentation
-    that skips the validity check can collide anywhere.
-
-    Two pairs' images can coincide only within a run (:func:`_prefix_runs`),
-    and only under one of its overlap roots (:func:`_overlap_roots`).  Under
-    each root the streams (:func:`_root_images`) of the pairs whose nu is
-    comparable with it are merged in tuple order, over every length in one
-    pass, and equal neighbours counted, so a collision is seen, not assumed
-    away.  The roots are prefix-incomparable, so no image is counted under
-    two.  Memory is O(pairs * depth).
-    """
-    matrix = psi.matrix
-    total = 0
-    for run in _prefix_runs(psi.endo):
-        for root in _overlap_roots(run):
-            streams = [
-                _root_images(matrix, i, nu, mu, root, depth)
-                for i, nu, mu in run
-                if nu[: len(root)] == root or root[: len(nu)] == nu
-            ]
-            words, following = tee(heapq.merge(*streams))
-            next(following, None)
-            total += sum(map(operator.eq, words, following))
-    return total
+    matrix = e.matrix
+    starts: dict[Word, list[tuple[int, frozenset[int]]]] = {}
+    own: set[Word] = set()
+    for i in matrix.alphabet:
+        for nu, mu in e.raw_images[i - 1]:
+            starts.setdefault(nu, []).append((i, common_followers(matrix, nu, mu)))
+            if mu and matrix.entry(mu[-1], i):
+                own.add(nu)
+    prefixes = {nu[:k] for nu in starts for k in range(len(nu) + 1)}
+    counts = [0] * (depth + 1)
+    exits: dict[frozenset[int], Counter] = {}
+    stack: list[tuple[Word, frozenset[int]]] = [((), frozenset())]
+    while stack:
+        u, ends = stack.pop()
+        if len(u) >= depth:
+            continue
+        for a in matrix.followers(terminus(u)):
+            x = u + (a,)
+            x_ends = ends | {i for i, first in starts.get(u, ()) if a in first}
+            if x in prefixes:
+                stack.append((x, x_ends))
+                counts[len(x)] += x in own or any(matrix.entry(a, i) for i in x_ends)
+            elif x_ends:
+                exits.setdefault(x_ends, Counter())[a, len(x)] += 1
+    for ends, steps in exits.items():
+        closing = [0] + [any(matrix.entry(b, i) for i in ends) for b in matrix.alphabet]
+        top = depth - min(length for _, length in steps)
+        for L, column in enumerate(path_columns(matrix, closing, top)):
+            for (a, length), size in steps.items():
+                if length + L <= depth:
+                    counts[length + L] += size * column[a]
+    return counts
 
 
 def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
@@ -461,22 +421,22 @@ def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
     words outside the domain and the cokernel dimension p_j - im_j the words
     outside the image, p_j being the number of all words of length j.  The
     p_j cancel term by term, (p_j - dom_j) - (p_j - im_j) = im_j - dom_j, so
-    no word total is needed.  The landing table (:func:`landing_table`)
-    counts an image once per domain word landing on it; im_j counts it once,
-    which is the table's image count less the collisions
-    (:func:`_collisions`).  So the route is the index series summed to
-    ``depth`` less the collisions, and that merge of image streams is what
-    makes it a check of its own; it differs from the series wherever a
-    valid presentation collides (:func:`_table`).  No word set is held.
+    no word total is needed.  im_j counts each image once
+    (:func:`_image_counts`), where the landing table (:func:`landing_table`),
+    which gives dom_j, counts it once per domain word landing on it: so the
+    route differs from the series where a valid presentation collides
+    (:func:`_table`).  No word set is held.
     """
+    require_int(depth, "depth")
     if depth < 1:
         raise InvalidParameter("depth must be >= 1")
     return fredholm_count(psi, landing_table(psi, depth))
 
 
 def fredholm_count(psi: PartialPathMap, table: LengthTransfer) -> int:
-    """:func:`fredholm_index_truncated` at the depth ``table`` covers, read
-    off ``table``, which must be ``psi``'s landing table at that depth: so
+    """:func:`fredholm_index_truncated` at the depth ``table`` covers: the
+    distinct images less the domain words, the latter read off ``table``,
+    which must be ``psi``'s landing table at that depth, so
     ``cklef index --method all`` builds one table for gamma and Fredholm."""
-    depth = table.depth
-    return sum(table.index_at(j) for j in range(1, depth + 1)) - _collisions(psi, depth)
+    images = _image_counts(psi.endo, table.depth)
+    return sum(images[j] - table.dom_count(j) for j in range(1, table.depth + 1))

@@ -13,9 +13,9 @@ are kept out of the package because nothing but the tests calls them:
   ``is_projection``, ``support``), against which the cylinder-set validity
   check is tested, and the K_0 map computed from those supports
   (``induced_k0_support_route``);
-- the Fredholm route's collisions merged run by run at each length
-  (``collisions_by_length``), from each pair's images at one length
-  (``pair_images``);
+- the images landing more than once, merged at each length over runs of
+  pairs whose nu extend one minimal nu (``collisions_by_length``), from
+  each pair's images at one length (``pair_images``);
 - composites multiplied out word by word (``compose_word_by_word``), with
   the element sum ``add``, ``scale`` and ``zero``, and sibling pairs merged
   one at a time, short of a repeated mu-word (``reduce_pairs``);
@@ -34,7 +34,7 @@ from itertools import tee
 
 from cklef import linalg
 from cklef.graded import GradedMap, GradedPairing, GradedSpace
-from cklef.index import LengthTransfer, _prefix_runs, propagation
+from cklef.index import LengthTransfer, propagation
 from cklef.endo import _cylinders
 from cklef.errors import MatrixMismatch
 from cklef.sft_core import (
@@ -168,13 +168,27 @@ def pair_images(matrix, i, nu, mu, L):
                 yield prefix + (b,)
 
 
+def _nu_runs(e):
+    """The pairs ``(i, nu, mu)`` grouped under the minimal nu, those that no
+    other pair's nu is a proper prefix of.  Images nu + y and nu' + y' of one
+    length are equal only if one of nu and nu' is a prefix of the other, and
+    then both extend the one minimal nu that is a prefix of the shorter."""
+    pairs = [(i, nu, mu) for i in e.matrix.alphabet for nu, mu in e.raw_images[i - 1]]
+    roots = {
+        nu
+        for _, nu, _ in pairs
+        if not any(len(other) < len(nu) and nu[: len(other)] == other for _, other, _ in pairs)
+    }
+    return [[pair for pair in pairs if pair[1][: len(root)] == root] for root in roots]
+
+
 def collisions_by_length(psi, depth):
     """The images of lengths 1..``depth`` counted once more for each further
     domain word landing on them, merged run by run and length by length:
     at each length j, the streams ``pair_images`` of every pair of a run
     of two or more pairs, merged, with equal neighbours counted."""
     total = 0
-    for run in _prefix_runs(psi.endo):
+    for run in _nu_runs(psi.endo):
         if len(run) < 2:
             continue
         for j in range(1, depth + 1):

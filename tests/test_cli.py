@@ -283,6 +283,13 @@ class TestRunExitCodes:
         _, code = run(["validate", "/nonexistent/path.ck"])
         assert code == 2
 
+    def test_non_utf8_file_is_two(self, tmp_path):
+        # a UTF-16 byte-order mark cannot start UTF-8 text
+        path = tmp_path / "utf16.ck"
+        path.write_bytes(b"\xff\xfe" + MAIN_DOCUMENT.encode("utf-16-le"))
+        message = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert run(["validate", str(path)]) == (f"parse error: {message}\n", 2)
+
     def test_unknown_endo_is_one(self, main_file):
         out, code = run(["index", main_file, "--endo", "nope"])
         assert code == 1

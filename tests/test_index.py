@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import fields
 from itertools import accumulate
 
@@ -22,11 +22,8 @@ from cklef.index import (
     IndexReport,
     LengthTransfer,
     _class_counts,
-    _collisions,
-    _overlap_roots,
+    _image_counts,
     _power_counts,
-    _prefix_runs,
-    _root_images,
     fredholm_index_truncated,
     gamma,
     gamma_parts,
@@ -48,6 +45,7 @@ from tests.oracles import (
     compose_word_by_word,
     length_transfer_enumerated,
     matrix_powers,
+    pair_images,
     polynomial_parts_pair_by_pair,
 )
 
@@ -397,7 +395,8 @@ class TestLandingWalk:
     def test_landing_table_is_the_restricted_full_table(self, corpus):
         # both tables count the domain words of length <= d and the longer
         # ones landing at or below d: the full table's cells with i <= d or
-        # j <= d; the forged strict root has a pair streamed from a longer nu
+        # j <= d; in the forged strict root one nu is a proper prefix of
+        # another
         for e in corpus + [_forged_colliding(), _forged_strict_root()]:
             psi = path_map(e)
             bound = propagation(e)
@@ -414,12 +413,11 @@ class TestLandingWalk:
                 for first in {common_followers(matrix, nu, mu) for nu, mu in e.raw_images[i - 1]}:
                     walked = _class_counts(matrix, first, i, longest)
                     assert _power_counts(matrix, first, i, longest) == walked
-            # each pair's stream holds the images of the words that pair
-            # matches, of every length up to a depth past the series end, and
-            # under a longer nu the ones extending it
+            # the oracle's images of each pair are the images of the words
+            # that pair matches, of every length up to a depth past the
+            # series end
             top = end + 2
             images = _images_by_pair(psi, top + bound)
-            longer = {nu for pairs in e.raw_images for nu, _ in pairs}
             for i in psi.matrix.alphabet:
                 for nu, mu in e.raw_images[i - 1]:
                     want = sorted(
@@ -429,15 +427,17 @@ class TestLandingWalk:
                         for r in rs
                         if 1 <= len(r) <= top
                     )
-                    assert list(_root_images(psi.matrix, i, nu, mu, nu, top)) == want
-                    for root in longer:
-                        if len(root) > len(nu) and root[: len(nu)] == nu:
-                            stream = list(_root_images(psi.matrix, i, nu, mu, root, top))
-                            assert stream == [r for r in want if r[: len(root)] == root]
+                    oracle = sorted(
+                        r
+                        for L in range(top - len(nu) + 1)
+                        for r in pair_images(psi.matrix, i, nu, mu, L)
+                        if r
+                    )
+                    assert oracle == want
 
     def test_collisions_equal_the_per_length_merge(self, corpus):
-        # the merge under overlap roots, over every length at once, against
-        # the merge of whole runs length by length
+        # the landing table's images less the distinct images, against the
+        # merge of whole runs length by length
         for e in corpus + [_forged_colliding(), _forged_strict_root()]:
             psi = path_map(e)
             for d in sorted({1, 2, e.k, series_end(e), series_end(e) + 2, 7} - {0}):
@@ -450,7 +450,9 @@ class TestLandingWalk:
         monkeypatch.setattr(PartialPathMap, "dot_apply", refuse)
         psi = path_map(power(main_endo, 2))
         assert sum(landing_table(psi, 7).a.values()) > 0
-        # E^2 has a run of three pairs, so the collision count merges streams
+        # a nu of E^2 is a proper prefix of two others, so images are
+        # counted past several pairs' nu
+        assert max(_nu_extensions(psi.endo)) == 2
         assert _collisions(psi, 7) == 0
 
     def test_totals_are_guarded_past_the_cover(self, corpus):
@@ -507,6 +509,22 @@ def _images_by_pair(psi, max_len):
     return {key: sorted(images) for key, images in grouped.items()}
 
 
+def _collisions(psi, d):
+    """The images of lengths 1..d counted once more for each further domain
+    word landing on them: the landing table's image counts less the
+    distinct images."""
+    table = landing_table(psi, d)
+    distinct = _image_counts(psi.endo, d)
+    return sum(table.im_count(j) - distinct[j] for j in range(1, d + 1))
+
+
+def _nu_extensions(e):
+    """For each pair, the number of other pairs whose nu extends its nu,
+    an equal nu included."""
+    nus = [nu for pairs in e.raw_images for nu, _ in pairs]
+    return [sum(other[: len(nu)] == nu for other in nus) - 1 for nu in nus]
+
+
 def _brute_fredholm_tally(psi, depth):
     """Domain counts and image sets from every word of lengths 1..depth+bound."""
     bound = propagation(psi.endo)
@@ -540,7 +558,7 @@ def _forged_strict_root():
 
 
 class TestFredholmPruning:
-    """The streamed counts against the brute-force walk over all words."""
+    """The Fredholm counts against the brute-force walk over all words."""
 
     @staticmethod
     def _check(e, depths):
@@ -552,12 +570,14 @@ class TestFredholmPruning:
             assert _collisions(psi, depth) == sum(
                 table.im_count(j) - len(images[j]) for j in images
             )
+            assert _image_counts(e, depth) == [0] + [len(images[j]) for j in images]
             expected = sum(len(images[j]) - dom[j] for j in dom)
             assert fredholm_index_truncated(psi, depth) == expected
 
     def test_main_example(self, main_endo):
-        # (2,) heads a run with (2,3,2) and (2,3,3), so the merge is exercised
-        assert max(len(run) for run in _prefix_runs(main_endo)) == 3
+        # (2,) is a proper prefix of (2,3,2) and (2,3,3), and no nu of any
+        # other pair, so images past several pairs' nu are counted
+        assert max(_nu_extensions(main_endo)) == 2
         # depth 1 lies below the largest |mu| = 2
         self._check(main_endo, range(1, 7))
 
@@ -591,27 +611,29 @@ class TestFredholmPruning:
             2**m if m >= 2 else 0 for m in range(1, depth + 1)
         ]
         assert _collisions(psi, depth) == sum(2 ** (m - 1) for m in range(2, depth + 1)) == 126
+        assert _image_counts(forged, depth) == [0, 0] + [2 ** (m - 1) for m in range(2, depth + 1)]
         self._check(forged, (1, 3, depth))
 
     def test_collision_under_a_strict_root(self):
         # t_2's images (1, 1) + y are t_1's images (1,) + (1,) + y, so at
         # each length m >= 3 the 2^(m - 2) images of t_2 collide
         forged = _forged_strict_root()
-        assert _overlap_roots(_prefix_runs(forged)[0]) == [(1, 1)]
+        # t_1's nu (1,) is a proper prefix of t_2's nu (1, 1)
+        assert [pairs[0][0] for pairs in forged.raw_images] == [(1,), (1, 1)]
         psi = path_map(forged)
         depths = (1, 2, 3, 5, 7)
         assert [_collisions(psi, d) for d in depths] == [0, 0, 2, 14, 62]
         self._check(forged, depths)
 
     def test_visits_fewer_words(self, main_endo, monkeypatch):
-        # the reduced E^2 has a run of three pairs; the unreduced E^2, its
-        # pairs multiplied out word by word, has no run to merge, so only
-        # the class walks run
-        assert max(len(run) for run in _prefix_runs(power(main_endo, 2))) == 3
+        # a nu of the reduced E^2 is a proper prefix of two others; in the
+        # unreduced E^2, its pairs multiplied out word by word, no nu is a
+        # prefix of another, and only the class walks run
+        assert max(_nu_extensions(power(main_endo, 2))) == 2
         e2 = build_endomorphism(main_endo.matrix, compose_word_by_word(main_endo, main_endo))
         assert e2.valid
         depth = 8
-        assert max(len(run) for run in _prefix_runs(e2)) == 1
+        assert max(_nu_extensions(e2)) == 0
         walks = []
         walk = index_module.walk
 
@@ -639,8 +661,8 @@ class TestFredholmPruning:
         assert 0 < visited < every / 2
 
     def test_memory_does_not_grow_with_the_words(self, main_endo):
-        # E^2 at depth 12 walks 95 631 words; a set of their
-        # images takes about 9 MiB, the streams hold O(pairs * depth) words
+        # E^2 at depth 12 walks 95 631 words; a set of their images takes
+        # about 9 MiB, the image count holds the nu-prefixes and one column
         psi = path_map(power(main_endo, 2))
         tracemalloc.start()
         try:
@@ -652,9 +674,9 @@ class TestFredholmPruning:
 
 
 class TestPairCounts:
-    """The class counts against the lengths of each of its pairs' image
-    streams, at the short lengths where the walk has few or no heads and at
-    the lengths the tables ask for."""
+    """The class counts against the number of each of its pairs' images
+    (``pair_images``) at each length, at the short lengths where the walk has
+    few or no heads and at the lengths the tables ask for."""
 
     @staticmethod
     def _check(e):
@@ -671,9 +693,9 @@ class TestPairCounts:
                 first = common_followers(matrix, nu, mu)
                 for top in sorted(longest):
                     counts = _class_counts(matrix, first, i, top)
-                    stream = _root_images(matrix, i, nu, mu, nu, len(nu) + top)
-                    lengths = Counter(len(w) - len(nu) for w in stream)
-                    assert counts == [lengths[L] if L else 0 for L in range(top + 1)]
+                    want = [len(list(pair_images(matrix, i, nu, mu, L))) for L in range(1, top + 1)]
+                    # counts[0] is 0, and a negative top has no counts
+                    assert counts == [0] * (top >= 0) + want
                     checked += top >= 2 and sum(counts[2:]) > 0
         assert checked  # some walk had heads to visit
 
@@ -696,6 +718,43 @@ class TestPairCounts:
 
     def test_colliding_presentation(self):
         self._check(_forged_colliding())
+
+
+class TestImageCounts:
+    """The distinct images by length, without a word set."""
+
+    def test_equal_the_brute_force_image_sets(self, compose_cases):
+        cases = [e for triple in compose_cases for e in (triple[0], triple[2])]
+        cases += [_q_endo(), _forged_colliding(), _forged_strict_root()]
+        checked = 0
+        for e in cases:
+            bound = propagation(e)
+            for depth in range(1, 6):
+                if _words_up_to(e.matrix, depth + bound) > 20000:
+                    break
+                _, images = _brute_fredholm_tally(path_map(e), depth)
+                assert _image_counts(e, depth) == [0] + [len(images[j]) for j in images]
+                checked += 1
+        assert checked >= 250
+
+    @pytest.mark.parametrize("n, depth", [(3, 21), (4, 33)])
+    def test_deep_powers_count_without_walking(self, main_endo, monkeypatch, n, depth):
+        # E^3 at depth 21 and E^4 at depth 33 are far past what a walk over
+        # the images can reach; no two pairs share a nu, so no two domain
+        # words share an image, and the distinct images are the counted
+        # table's images
+        e = power(main_endo, n)
+        nus = [nu for pairs in e.raw_images for nu, _ in pairs]
+        assert len(set(nus)) == len(nus)
+
+        def refuse(*args):
+            raise AssertionError("the image count walked or evaluated a word")
+
+        monkeypatch.setattr(index_module, "walk", refuse)
+        monkeypatch.setattr(PartialPathMap, "dot_apply", refuse)
+        counts = _image_counts(e, depth)
+        table = length_transfer_counted(e, depth + propagation(e))
+        assert counts == [0] + [table.im_count(j) for j in range(1, depth + 1)]
 
 
 # ---------------------------------------------------------------------------

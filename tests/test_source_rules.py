@@ -9,12 +9,13 @@ has one word walk, ``sft_core.walk``: it is the only function in
 ``TransitionMatrix._successors``, whose field declaration is the one other
 place naming it, and ``src/cklef/index.py`` names none of ``iter_paths``,
 ``enumerate_paths`` and ``_successors``, so the index routes walk words
-only through ``walk``; and only two functions there name ``walk``, the
-class counter ``_class_counts`` and the root stream ``_root_images``, so
-a walk starts nowhere else.  Exactly one function there reads matrix
-powers: names ``count_paths``, ``path_columns``, ``.power`` or ``_powers``.
-Paths are counted by one recurrence, ``sft_core.path_columns``, which only
-``count_paths``, that power kernel and the validity check step, and no
+only through ``walk``; and only one function there names ``walk``, the
+class counter ``_class_counts``, so a walk starts nowhere else.  Exactly two
+functions there count paths: name ``count_paths``, ``path_columns``,
+``.power`` or ``_powers``; they are the power kernel ``_power_counts`` and
+the Fredholm count's distinct images ``_image_counts``.  Paths are counted
+by one recurrence, ``sft_core.path_columns``, which only ``count_paths``,
+those two and the validity check step, and no
 package source names the cache of powers it replaced, ``.power`` or
 ``_powers``.  Every field a package dataclass fills itself
 (``field(init=False)``) is listed here with the bound on its size.  The two tables
@@ -59,7 +60,8 @@ ENUMERATORS = {"iter_paths", "enumerate_paths", "_successors"}
 POWER_READERS = {"count_paths", "path_columns", ".power", "_powers"}
 # the one recurrence of path counts and the only functions that step it
 RECURRENCE_READERS = {
-    "endo": ["_ck_checks"], "index": ["_power_counts"], "sft_core": ["count_paths"],
+    "endo": ["_ck_checks"], "index": ["_power_counts", "_image_counts"],
+    "sft_core": ["count_paths"],
 }
 # every field a package dataclass fills itself (field(init=False)), with the
 # bound on its size; a table without one is a cache without a bound
@@ -77,7 +79,7 @@ KERNEL_READERS = {"_class_counts": "landing_table", "_power_counts": "length_tra
 TABLE_SCOPES = {
     "_table", "landing_table", "length_transfer_counted", "_require_covered", "fredholm_count",
 }
-# the one word walk, started only where the enumerated routes count or merge
+# the one word walk, started only where the landing table counts words
 WALKERS = {"walk"}
 # the canonical clopen form, which validity checks do without
 CANONICAL_FORMS = {"clopen_make", "ClopenSet"}
@@ -246,11 +248,11 @@ def test_walk_detector_sees_every_start():
     assert _naming_scopes(source, WALKERS) == ["b", "c", "inner", "e", "<lambda>", "<module>"]
 
 
-def test_index_routes_start_walks_in_two_places():
+def test_index_routes_start_walks_in_one_place():
     # ROADMAP's budget guard goes where walks start: the per-class count of
-    # the landing table and the per-root stream of the collision merge
+    # the landing table; the Fredholm count's images are path counts
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
-    assert _naming_scopes(source, WALKERS) == ["_class_counts", "_root_images"]
+    assert _naming_scopes(source, WALKERS) == ["_class_counts"]
 
 
 def test_sft_core_has_one_word_walk():
@@ -279,9 +281,10 @@ def test_power_reader_detector_sees_every_use():
     ]
 
 
-def test_index_routes_share_one_power_reader():
+def test_index_routes_count_paths_in_two_places():
+    # the counted table's kernel and the Fredholm count's distinct images
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
-    assert _naming_scopes(source, POWER_READERS) == ["_power_counts"]
+    assert _naming_scopes(source, POWER_READERS) == ["_power_counts", "_image_counts"]
 
 
 def test_one_recurrence_counts_paths():

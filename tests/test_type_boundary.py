@@ -142,6 +142,9 @@ NON_INT_PARAMETERS = {
         lambda e: fredholm_index_truncated(path_map(e), 6.0), "depth must be an int, got 6.0"
     ),
     "fredholm-zero": (lambda e: fredholm_index_truncated(path_map(e), 0), "depth must be >= 1"),
+    "fredholm-str": (
+        lambda e: fredholm_index_truncated(path_map(e), "3"), "depth must be an int, got '3'"
+    ),
     "polynomial-m": (lambda e: index_polynomial(e, 4.0, 1), "m must be an int, got 4.0"),
     "polynomial-N": (lambda e: index_polynomial(e, 4, 1.5), "N must be an int, got 1.5"),
     "counted-table": (
