@@ -6,11 +6,15 @@ series, telescoped boundary count, closed polynomial formula, truncated
 Fredholm count), the K-theory of O_A via Smith normal form together with the
 induced K_0 map and zeta function, and provides an exact Z/2-graded linear
 algebra harness verifying the abstract Lefschetz identity.
+
+An endomorphism is held, validated and composed as lists of presentation
+pairs (nu, mu), each the monomial s_nu s_mu* with coefficient 1; no
+integer combinations of monomials are built.  ``parse_document`` and
+``render_document`` load :mod:`cklef.cli` on first use.
 """
 
 from .errors import CkError
 from .sft_core import TransitionMatrix, validate_matrix, enumerate_paths, iter_paths, count_paths
-from .word_algebra import element, monomial, multiply, adjoint, equals, normalize
 from .endo import (
     GeometricEndomorphism,
     build_endomorphism,
@@ -52,6 +56,15 @@ from .graded import (
     index_pairing,
     koszul_flip_check,
 )
-from .cli import parse_document, render_document
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the document functions load cli on first use, so that
+    # ``python -m cklef.cli`` runs a module the package has not imported
+    if name in ("parse_document", "render_document"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

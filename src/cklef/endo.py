@@ -33,6 +33,7 @@ from .errors import (
 )
 from .sft_core import (
     ClopenSet,
+    Pair,
     TransitionMatrix,
     Word,
     clopen_make,
@@ -40,16 +41,6 @@ from .sft_core import (
     path_columns,
     require_allowable,
     terminus,
-)
-from .word_algebra import (
-    Element,
-    Pair,
-    adjoint,
-    element,
-    monomial_is_zero,
-    multiply,
-    normalize,
-    unit,
 )
 
 
@@ -65,10 +56,6 @@ class GeometricEndomorphism:
     raw_images: tuple[tuple[Pair, ...], ...]
     k: int
     valid: bool
-
-    def image_element(self, i: int) -> Element:
-        """The element t_i (1-based generator index)."""
-        return element(self.matrix, [(nu, mu, 1) for nu, mu in self.raw_images[i - 1]])
 
     def range_set(self, i: int) -> ClopenSet:
         """The range of t_i: the union of the range cylinders of its pairs."""
@@ -99,7 +86,7 @@ def build_endomorphism(
             nu, mu = tuple(nu), tuple(mu)
             require_allowable(matrix, nu)
             require_allowable(matrix, mu)
-            if monomial_is_zero(matrix, nu, mu):
+            if not common_followers(matrix, nu, mu):
                 raise ZeroMonomialPair(
                     f"pair {(nu, mu)} of generator {i} denotes the zero monomial"
                 )
@@ -241,72 +228,118 @@ def identity_endomorphism(matrix: TransitionMatrix) -> GeometricEndomorphism:
     return build_endomorphism(matrix, [[((i,), ())] for i in matrix.alphabet])
 
 
-def apply(endo: GeometricEndomorphism, x: Element) -> Element:
-    """Substitute s_i -> t_i, s_i* -> t_i* in ``x`` and multiply out."""
-    endo.require_valid()
-    return _apply(endo, x, {(): unit(endo.matrix)})
+def _multiply_monomials(matrix: TransitionMatrix, a: Pair, b: Pair) -> list[Pair]:
+    """The pairs of the product (s_nu s_mu*)(s_rho s_sigma*), each with
+    coefficient 1.
+
+    The middle factor s_mu* s_rho collapses by the word calculus: it is a
+    tail word when one of mu, rho extends the other, a follower-weighted sum
+    when they coincide, and zero otherwise.
+    """
+    nu, mu = a
+    rho, sigma = b
+    if len(rho) >= len(mu):
+        if rho[: len(mu)] != mu:
+            return []
+        tail = rho[len(mu):]
+        if tail:
+            # s_mu* s_rho = s_tail, valid when tail may follow nu.
+            if nu and matrix.entry(terminus(nu), tail[0]) == 0:
+                return []
+            new = (nu + tail, sigma)
+            return [new] if common_followers(matrix, *new) else []
+        # rho == mu: middle factor is the range projection Q_{t(mu)}.
+        fol_nu = matrix.followers(terminus(nu))
+        fol_mu = matrix.followers(terminus(mu))
+        fol_sigma = matrix.followers(terminus(sigma))
+        if (fol_nu & fol_sigma) <= fol_mu:
+            return [(nu, sigma)] if fol_nu & fol_sigma else []
+        return [(nu + (j,), sigma + (j,)) for j in sorted(fol_nu & fol_mu & fol_sigma)]
+    if mu[: len(rho)] != rho:
+        return []
+    tail = mu[len(rho):]
+    # s_mu* s_rho = s_tail*, valid when tail may follow sigma.
+    if sigma and matrix.entry(terminus(sigma), tail[0]) == 0:
+        return []
+    new = (nu, sigma + tail)
+    return [new] if common_followers(matrix, *new) else []
 
 
-def _apply(endo: GeometricEndomorphism, x: Element, memo: dict[Word, Element]) -> Element:
-    """The sum of ``c * t_nu t_mu*`` over the terms of ``x``, accumulated in
-    one table, from which a monomial is dropped when its coefficient
-    reaches 0."""
-    acc: dict[Pair, int] = {}
-    for (nu, mu), c in x.terms.items():
-        term = multiply(_image_of_word(endo, nu, memo), adjoint(_image_of_word(endo, mu, memo)))
-        for key, v in term.terms.items():
-            total = acc.get(key, 0) + c * v
-            if total:
-                acc[key] = total
-            else:
-                del acc[key]
-    return Element(matrix=endo.matrix, terms=acc)
+def _pair_product(matrix: TransitionMatrix, xs, ys) -> list[Pair]:
+    """The pairs of x y, for x and y the sums of the monomials of the pair
+    lists ``xs`` and ``ys``.  A pair the product reaches twice is listed
+    twice: it has coefficient 2.
+
+    s_mu* s_rho is zero unless one of mu and rho is a prefix of the other,
+    so a pair (nu, mu) of ``xs`` meets only the pairs (rho, sigma) of ``ys``
+    whose rho is a proper prefix of mu, looked up by mu's prefixes, and
+    those whose rho extends mu, one block of ``ys`` sorted by rho: the
+    words from mu up to mu followed by a letter past the alphabet.
+    """
+    ys = sorted(ys)
+    rhos = [rho for rho, _ in ys]
+    by_rho: dict[Word, list[Pair]] = {}
+    for b in ys:
+        by_rho.setdefault(b[0], []).append(b)
+    out = []
+    for a in xs:
+        mu = a[1]
+        block = ys[bisect_left(rhos, mu) : bisect_left(rhos, mu + (matrix.n + 1,))]
+        for b in [b for m in range(len(mu)) for b in by_rho.get(mu[:m], ())] + block:
+            out += _multiply_monomials(matrix, a, b)
+    return out
 
 
-def _image_of_word(endo: GeometricEndomorphism, w: Word, memo: dict[Word, Element]) -> Element:
-    """t_w = t_{w_1} ... t_{w_m}, extended from the longest prefix of ``w``
-    held in ``memo``, which maps words to their images.
+def _image_of_word(matrix: TransitionMatrix, w: Word, memo: dict[Word, list[Pair]]) -> list[Pair]:
+    """The pairs of t_w = t_{w_1} ... t_{w_m}, extended from the longest
+    prefix of ``w`` held in ``memo``, which maps words to their images.
 
-    The memo belongs to one :func:`apply` or :func:`compose` call: the call
-    seeds it with ``() -> unit`` and drops it on return, so it holds one
-    entry per distinct prefix that call multiplied out.  A letter's image
-    enters the memo the first time it is needed, and every new prefix costs
-    one ``multiply``.
+    The memo belongs to one :func:`compose` call: the call seeds it with the
+    empty word's unit and each letter's pairs and drops it on return, so it
+    holds one entry per distinct prefix that call multiplied out, and every
+    new prefix costs one :func:`_pair_product`.
     """
     n = len(w)
     while w[:n] not in memo:
         n -= 1
-    result = memo[w[:n]]
     for m in range(n, len(w)):
-        letter = memo.get(w[m:m + 1])
-        if letter is None:
-            letter = memo[w[m:m + 1]] = endo.image_element(w[m])
-        result = letter if m == 0 else multiply(result, letter)
-        memo[w[:m + 1]] = result
-    return result
+        memo[w[:m + 1]] = _pair_product(matrix, memo[w[:m]], memo[w[m:m + 1]])
+    return memo[w]
 
 
 def compose(e: GeometricEndomorphism, f: GeometricEndomorphism) -> GeometricEndomorphism:
-    """The endomorphism ``s_i -> apply(e, t_i^f)`` in its reduced presentation.
+    """The endomorphism ``s_i -> e(t_i^f)`` in its reduced presentation.
 
-    Each image is multiplied out into distinct monomials, its sibling pairs
-    are merged by :func:`_reduce`, and the result goes through the full
-    validity check of :func:`build_endomorphism`.
+    Each pair (nu, mu) of t_i^f becomes the product of the pairs of
+    ``t_nu^e`` with those of ``t_mu^e`` swapped (the adjoint).  A pair
+    listed twice in one image is a coefficient 2 and is refused; the
+    image's sibling pairs are merged by :func:`_reduce`, and the result goes
+    through the full validity check of :func:`build_endomorphism`.
     """
     e.require_valid()
     f.require_valid()
     if e.matrix != f.matrix:
         raise InvalidEndomorphism("cannot compose endomorphisms over different matrices")
-    memo = {(): unit(e.matrix)}
-    images = [_apply(e, f.image_element(i), memo) for i in e.matrix.alphabet]
+    matrix = e.matrix
+    memo = {(): [((), ())]}
+    memo.update({(i,): e.raw_images[i - 1] for i in matrix.alphabet})
     pair_lists = []
-    for i, elt in enumerate(images, start=1):
-        if any(c != 1 for c in elt.terms.values()):
+    for i, pairs in enumerate(f.raw_images, start=1):
+        image = [
+            pair
+            for nu, mu in pairs
+            for pair in _pair_product(
+                matrix,
+                _image_of_word(matrix, nu, memo),
+                [(sigma, rho) for rho, sigma in _image_of_word(matrix, mu, memo)],
+            )
+        ]
+        if len(set(image)) < len(image):
             raise InvalidEndomorphism(
                 f"composite image of generator {i} is not a sum of distinct monomials"
             )
-        pair_lists.append(_reduce(e.matrix, elt.terms))
-    return build_endomorphism(e.matrix, pair_lists)
+        pair_lists.append(_reduce(matrix, image))
+    return build_endomorphism(matrix, pair_lists)
 
 
 def _reduce(matrix: TransitionMatrix, pairs) -> list[Pair]:
@@ -325,10 +358,10 @@ def _reduce(matrix: TransitionMatrix, pairs) -> list[Pair]:
 
     The result is canonical when no merge is blocked.  Different sibling
     groups share no pair, so the order of merges does not matter.  Two
-    presentations of the same t_i expand to one normal form at a common
-    depth (as ``equals`` decides), and each expansion step is undone by one
-    merge; so when their nu-words are nonempty, both reduce to the same
-    pairs.
+    presentations of the same t_i split to the same pairs at a common
+    mu-length, as :func:`represent_at_depth` splits them, and each split
+    step is undone by one merge; so when their nu-words are nonempty, both
+    reduce to the same pairs.
     """
     pairs = set(pairs)
     while True:
@@ -444,9 +477,20 @@ def represent_at_depth(e: GeometricEndomorphism, k: int) -> GeometricEndomorphis
     if k < e.k:
         raise DepthTooSmall(f"cannot re-present at depth {k} below {e.k}")
     pair_lists = []
-    for i in e.matrix.alphabet:
-        norm = normalize(e.image_element(i), k)
-        pair_lists.append(sorted(norm.terms))
+    for pairs in e.raw_images:
+        split = []
+        for pair in pairs:
+            # s_nu s_mu* = sum of s_nuc s_muc* over the letters c that may
+            # follow both termini
+            frontier = [pair]
+            while len(frontier[0][1]) < k:
+                frontier = [
+                    (nu + (c,), mu + (c,))
+                    for nu, mu in frontier
+                    for c in sorted(common_followers(e.matrix, nu, mu))
+                ]
+            split += frontier
+        pair_lists.append(sorted(split))
     return build_endomorphism(e.matrix, pair_lists)
 
 

@@ -18,10 +18,6 @@ class ZeroRowOrColumn(CkError):
     """The matrix has an all-zero row or column (degenerate algebra)."""
 
 
-class MatrixMismatch(CkError):
-    """Operands were built over different transition matrices."""
-
-
 class DepthTooSmall(CkError):
     pass
 

@@ -13,9 +13,8 @@ import random
 from dataclasses import dataclass
 
 from .endo import GeometricEndomorphism, build_endomorphism
-from .errors import InvalidParameter
+from .errors import InvalidParameter, require_int
 from .sft_core import TransitionMatrix, Word, enumerate_paths, terminus
-from .word_algebra import Element, adjoint, element, multiply
 
 
 @dataclass(frozen=True)
@@ -24,6 +23,14 @@ class SampleStats:
 
     attempts: int
     accepted: int
+
+
+def _require_depth(depth) -> None:
+    """Refuse a word length that is not an ``int`` (:func:`require_int`) of
+    at least 1: the one empty word cannot be dealt into n nonempty groups."""
+    require_int(depth, "depth")
+    if depth < 1:
+        raise InvalidParameter(f"depth must be >= 1, got {depth}")
 
 
 def _random_partition(rng: random.Random, items: list, parts: int) -> list[list]:
@@ -49,8 +56,10 @@ def random_complete_graph_endomorphism(
     refined group supplies the nu-words; the mu-words are all words of
     length e, matched by a random bijection.  The resulting t_i are
     isometries with ranges partitioning the space, which is exactly the
-    Cuntz-Krieger condition over a complete graph.
+    Cuntz-Krieger condition over a complete graph.  ``depth`` must be an
+    ``int`` >= 1.
     """
+    _require_depth(depth)
     n = matrix.n
     if any(matrix.entry(i, j) != 1 for i in matrix.alphabet for j in matrix.alphabet):
         raise InvalidParameter("this generator requires an all-ones matrix")
@@ -78,37 +87,45 @@ def random_complete_graph_endomorphism(
             return endo, SampleStats(attempts=attempts, accepted=1)
 
 
-def _permutation_unitary(
-    matrix: TransitionMatrix, rng: random.Random, depth: int
-) -> Element:
-    """u = sum s_{sigma(w)} s_w* over length-``depth`` words.
+def _permutation(matrix: TransitionMatrix, rng: random.Random, depth: int) -> dict[Word, Word]:
+    """A random permutation sigma of the length-``depth`` words that keeps
+    each word's terminus.
 
-    sigma permutes words sharing a terminus letter, so every monomial is
-    nonzero; u is then unitary because both the sigma(w) and the w cylinders
-    partition the space.
+    Every monomial s_{sigma(w)} s_w* is then nonzero, and
+    u = sum s_{sigma(w)} s_w* is unitary because both the sigma(w) and the w
+    cylinders partition the space.
     """
-    words = list(enumerate_paths(matrix, depth))
     by_terminus: dict[int, list[Word]] = {}
-    for w in words:
+    for w in enumerate_paths(matrix, depth):
         by_terminus.setdefault(terminus(w), []).append(w)
-    mapping: dict[Word, Word] = {}
+    sigma: dict[Word, Word] = {}
     for group in by_terminus.values():
         images = list(group)
         rng.shuffle(images)
-        mapping.update(zip(group, images))
-    return element(matrix, [(mapping[w], w, 1) for w in words])
+        sigma.update(zip(group, images))
+    return sigma
 
 
 def random_inner_automorphism(
     matrix: TransitionMatrix, rng: random.Random, depth: int = 2
 ) -> GeometricEndomorphism:
-    """x -> u x u* for a random permutation unitary u; always valid."""
-    u = _permutation_unitary(matrix, rng, depth)
-    u_star = adjoint(u)
-    raw_pairs = []
-    for i in matrix.alphabet:
-        image = multiply(multiply(u, element(matrix, [((i,), (), 1)])), u_star)
-        if any(c != 1 for c in image.terms.values()):
-            raise AssertionError("conjugated generator is not a sum of monomials")
-        raw_pairs.append(sorted(image.terms))
+    """x -> u x u* for a random permutation unitary u; always valid.
+
+    With u = sum s_{sigma(w)} s_w* over the words w of length ``depth``,
+    s_w* s_i s_w' is s_c when w = i w_2 ... w_d and w' = w_2 ... w_d c for
+    a letter c that may follow w_d, and 0 otherwise, so u s_i u* is the sum
+    of s_{sigma(w) c} s_{sigma(w_2 ... w_d c)}* over those w and c.
+    ``depth`` must be an ``int`` >= 1.
+    """
+    _require_depth(depth)
+    sigma = _permutation(matrix, rng, depth)
+    raw_pairs = [
+        sorted(
+            (sigma[w] + (c,), sigma[w[1:] + (c,)])
+            for w in sigma
+            if w[0] == i
+            for c in matrix.followers(w[-1])
+        )
+        for i in matrix.alphabet
+    ]
     return build_endomorphism(matrix, raw_pairs)

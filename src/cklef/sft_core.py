@@ -29,6 +29,8 @@ from .errors import (
 )
 
 Word = tuple[int, ...]
+# a presentation pair (nu, mu), the monomial s_nu s_mu*
+Pair = tuple[Word, Word]
 
 EMPTY_WORD: Word = ()
 

@@ -69,6 +69,15 @@ def small_matrices():
     ]
 
 
+def seeded_matrix(n, rng):
+    """A seeded 0/1 matrix of size n with about n^2/2 ones and no zero row
+    or column."""
+    while True:
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        if all(any(r) for r in rows) and all(any(r[j] for r in rows) for j in range(n)):
+            return validate_matrix(rows)
+
+
 # A 4-letter matrix whose rows have different follower sets.
 Q_ROWS = ((0, 1, 1, 1), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))
 

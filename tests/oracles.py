@@ -8,17 +8,24 @@ are kept out of the package because nothing but the tests calls them:
   closed polynomial formula summed pair by pair
   (``polynomial_parts_pair_by_pair``), each from its own table of powers
   (``matrix_powers``), made by plain products and dropped when it returns;
-- the relations and cylinder supports of elements of O_A, read through the
-  monomial calculus (``generator_equal``, ``is_partial_isometry``,
+- the algebra of integer combinations of monomials s_nu s_mu* in O_A
+  (``Element``, with ``element``, ``monomial``, ``unit``, ``image_element``,
+  ``adjoint``, ``multiply`` on the package's monomial kernel, ``normalize``
+  and ``equals``), which the package does without: it composes and splits
+  pair lists of coefficient-1 monomials;
+- the relations and cylinder supports of elements of O_A, read through that
+  algebra (``generator_equal``, ``is_partial_isometry``,
   ``is_projection``, ``support``), against which the cylinder-set validity
   check is tested, and the K_0 map computed from those supports
   (``induced_k0_support_route``);
 - the images landing more than once, merged at each length over runs of
   pairs whose nu extend one minimal nu (``collisions_by_length``), from
   each pair's images at one length (``pair_images``);
-- composites multiplied out word by word (``compose_word_by_word``), with
-  the element sum ``add``, ``scale`` and ``zero``, and sibling pairs merged
-  one at a time, short of a repeated mu-word (``reduce_pairs``);
+- the substitution of an endomorphism into an element (``apply``) and
+  composites multiplied out with it word by word
+  (``compose_word_by_word``), with the element sum ``add``, ``scale`` and
+  ``zero``, and sibling pairs merged one at a time, short of a repeated
+  mu-word (``reduce_pairs``);
 - the Cuntz-Krieger relations on cylinder sets decided by comparing
   canonical forms (``ck_checks_canonical``, with ``is_partition``), the
   reference for the package's count of extending words;
@@ -29,31 +36,32 @@ are kept out of the package because nothing but the tests calls them:
 import heapq
 import operator
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import tee
+from typing import Mapping
 
 from cklef import linalg
 from cklef.graded import GradedMap, GradedPairing, GradedSpace
 from cklef.index import LengthTransfer, propagation
-from cklef.endo import _cylinders
-from cklef.errors import MatrixMismatch
+from cklef.endo import _cylinders, _multiply_monomials
+from cklef.errors import DepthTooSmall
 from cklef.sft_core import (
     EMPTY_WORD,
     ClopenSet,
+    Pair,
+    TransitionMatrix,
     clopen_make,
+    common_followers,
     iter_paths,
+    require_allowable,
     terminus,
     walk,
 )
-from cklef.word_algebra import (
-    Element,
-    adjoint,
-    element,
-    equals,
-    multiply,
-    normalize,
-    unit,
-)
+
+
+class MatrixMismatch(ValueError):
+    """Operands of an oracle built over different transition matrices."""
 
 
 def length_transfer_enumerated(psi, max_len):
@@ -204,8 +212,118 @@ def collisions_by_length(psi, depth):
 
 
 # ---------------------------------------------------------------------------
-# Elements of O_A through the monomial calculus.
+# Elements of O_A: integer combinations of monomials s_nu s_mu*.
+#
+# Products, adjoints and normal forms follow from the Cuntz-Krieger relations
+#
+#     s_i* s_i = sum_j A[i,j] s_j s_j*,        sum_i s_i s_i* = 1.
+#
+# Every computation stays in the integral span, so equality is decidable by
+# expanding both sides to a common mu-length and comparing term by term.
 # ---------------------------------------------------------------------------
+
+
+def monomial_is_zero(matrix, nu, mu):
+    """``s_nu s_mu* = 0`` iff no letter may follow both termini."""
+    return not common_followers(matrix, nu, mu)
+
+
+@dataclass(frozen=True)
+class Element:
+    """An integer combination of monomials ``s_nu s_mu*``.
+
+    ``terms`` maps (nu, mu) to a nonzero integer coefficient; zero monomials
+    are never stored.
+    """
+
+    matrix: TransitionMatrix
+    terms: Mapping[Pair, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", dict(self.terms))
+
+    def __hash__(self):
+        return hash((self.matrix, frozenset(self.terms.items())))
+
+    def max_mu_length(self):
+        return max((len(mu) for _, mu in self.terms), default=0)
+
+
+def element(matrix, terms):
+    """Build an element from (nu, mu, coefficient) triples, dropping zeros."""
+    acc = {}
+    for nu, mu, c in terms:
+        nu, mu = tuple(nu), tuple(mu)
+        require_allowable(matrix, nu)
+        require_allowable(matrix, mu)
+        if c == 0 or monomial_is_zero(matrix, nu, mu):
+            continue
+        key = (nu, mu)
+        acc[key] = acc.get(key, 0) + c
+        if acc[key] == 0:
+            del acc[key]
+    return Element(matrix=matrix, terms=acc)
+
+
+def monomial(matrix, nu, mu, coeff=1):
+    return element(matrix, [(tuple(nu), tuple(mu), coeff)])
+
+
+def unit(matrix):
+    return monomial(matrix, (), ())
+
+
+def image_element(e, i):
+    """The element t_i of a presentation (1-based generator index)."""
+    return element(e.matrix, [(nu, mu, 1) for nu, mu in e.raw_images[i - 1]])
+
+
+def adjoint(x):
+    """Swap nu and mu in every term (coefficients are integers, so no conjugation)."""
+    return Element(matrix=x.matrix, terms={(mu, nu): c for (nu, mu), c in x.terms.items()})
+
+
+def _check(x, y):
+    if x.matrix != y.matrix:
+        raise MatrixMismatch("elements over different matrices")
+
+
+def multiply(x, y):
+    """Every term of ``x`` times every term of ``y``, by the package's
+    monomial kernel, summed in one table."""
+    _check(x, y)
+    acc = Counter()
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            acc.update(dict.fromkeys(_multiply_monomials(x.matrix, a, b), ca * cb))
+    return Element(matrix=x.matrix, terms={pair: c for pair, c in acc.items() if c})
+
+
+def normalize(x, depth):
+    """Expand all terms until every mu-word has length ``depth``, which must
+    be at least the current maximum mu-length.  nu-lengths float.
+    """
+    d = x.max_mu_length()
+    if depth < d:
+        raise DepthTooSmall(f"depth {depth} below maximal mu-length {d}")
+    acc = Counter()
+    for (nu, mu), c in x.terms.items():
+        frontier = [(nu, mu)]
+        while frontier and len(frontier[0][1]) < depth:
+            # s_nu s_mu* = sum_j s_{nu j} s_{mu j}* over shared followers
+            frontier = [
+                (nu + (j,), mu + (j,))
+                for nu, mu in frontier
+                for j in sorted(common_followers(x.matrix, nu, mu))
+            ]
+        acc.update(dict.fromkeys(frontier, c))
+    return Element(matrix=x.matrix, terms={pair: c for pair, c in acc.items() if c})
+
+
+def equals(x, y):
+    _check(x, y)
+    d = max(x.max_mu_length(), y.max_mu_length())
+    return normalize(x, d).terms == normalize(y, d).terms
 
 
 def generator_equal(e, f):
@@ -213,7 +331,7 @@ def generator_equal(e, f):
     if e.matrix != f.matrix:
         return False
     return all(
-        equals(e.image_element(i), f.image_element(i)) for i in e.matrix.alphabet
+        equals(image_element(e, i), image_element(f, i)) for i in e.matrix.alphabet
     )
 
 
@@ -257,7 +375,7 @@ def induced_k0_support_route(e):
     letters = e.matrix.alphabet
     columns = []
     for i in letters:
-        t = e.image_element(i)
+        t = image_element(e, i)
         termini = Counter(terminus(w) for w in support(multiply(t, adjoint(t))).members)
         columns.append([termini[j] for j in letters])
     return tuple(zip(*columns))
@@ -268,8 +386,7 @@ def zero(matrix):
 
 
 def add(x, y):
-    if x.matrix != y.matrix:
-        raise MatrixMismatch("elements over different matrices")
+    _check(x, y)
     acc = dict(x.terms)
     for key, c in y.terms.items():
         acc[key] = acc.get(key, 0) + c
@@ -284,23 +401,29 @@ def scale(x, c):
     return Element(matrix=x.matrix, terms={k: c * v for k, v in x.terms.items()})
 
 
-def compose_word_by_word(e, f):
-    """The unreduced pair lists of e o f: every inner word multiplied out
-    from the unit, one freshly built letter image at a time, and each
-    image's distinct monomials sorted."""
+def apply(e, x):
+    """The substitution s_i -> t_i, s_i* -> t_i* of ``e`` in ``x``: the sum
+    of ``c * t_nu t_mu*`` over the terms of ``x``, every word multiplied out
+    from the unit, one freshly built letter image at a time."""
 
     def image_of_word(w):
         result = unit(e.matrix)
         for letter in w:
-            result = multiply(result, e.image_element(letter))
+            result = multiply(result, image_element(e, letter))
         return result
 
+    total = zero(e.matrix)
+    for (nu, mu), c in x.terms.items():
+        total = add(total, scale(multiply(image_of_word(nu), adjoint(image_of_word(mu))), c))
+    return total
+
+
+def compose_word_by_word(e, f):
+    """The unreduced pair lists of e o f: each t_i of ``f`` put through
+    :func:`apply`, and each image's distinct monomials sorted."""
     pair_lists = []
     for i in e.matrix.alphabet:
-        elt = zero(e.matrix)
-        for (nu, mu), c in f.image_element(i).terms.items():
-            term = multiply(image_of_word(nu), adjoint(image_of_word(mu)))
-            elt = add(elt, scale(term, c))
+        elt = apply(e, image_element(f, i))
         assert all(c == 1 for c in elt.terms.values())
         pair_lists.append(tuple(sorted(elt.terms)))
     return tuple(pair_lists)

@@ -386,8 +386,9 @@ class TestRunExitCodes:
 
 
 def test_module_runs_as_a_script(tmp_path):
-    # python -m cklef.cli runs main(); Python warns on stderr that the package
-    # imported cklef.cli first
+    # python -m cklef.cli runs main(), and prints nothing on stderr: the
+    # package does not import cklef.cli before runpy executes it, which
+    # would make Python warn
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -402,8 +403,9 @@ def test_module_runs_as_a_script(tmp_path):
 
     ok = script("main.ck")
     assert ok.returncode == 0 and ok.stdout.startswith("command: validate\n")
+    assert ok.stderr == ""
     bad = script("bad.ck")
-    assert bad.returncode == 2
+    assert bad.returncode == 2 and bad.stderr == ""
     assert bad.stdout == "parse error: expected 'A = <rows>' (line 2, column 1)\n"
 
 

@@ -6,7 +6,6 @@ import pytest
 from cklef import endo as endo_module
 from cklef.endo import (
     GeometricEndomorphism,
-    apply,
     build_endomorphism,
     compose,
     dot_apply,
@@ -29,25 +28,26 @@ from cklef.errors import (
 )
 from cklef.sampling import random_complete_graph_endomorphism, random_inner_automorphism
 from cklef.sft_core import enumerate_paths, is_allowable, terminus, validate_matrix
-from cklef.word_algebra import (
+from tests.conftest import Q_ROWS, seeded_matrix, small_matrices
+from tests.oracles import (
+    add,
     adjoint,
+    apply,
+    ck_checks_canonical,
+    compose_word_by_word,
     element,
     equals,
+    generator_equal,
+    image_element,
+    is_partial_isometry,
     monomial,
     monomial_is_zero,
     multiply,
-    unit,
-)
-from tests.conftest import Q_ROWS, small_matrices
-from tests.oracles import (
-    add,
-    ck_checks_canonical,
-    compose_word_by_word,
-    generator_equal,
-    is_partial_isometry,
+    normalize,
     reduce_pairs,
     scale,
     support,
+    unit,
     zero,
 )
 
@@ -121,7 +121,7 @@ class TestApply:
         for i in main_matrix.alphabet:
             assert equals(
                 apply(main_endo, monomial(main_matrix, (i,), ())),
-                main_endo.image_element(i),
+                image_element(main_endo, i),
             )
 
     def test_apply_word(self, main_endo, main_matrix):
@@ -231,30 +231,48 @@ class TestComposeAgainstWordByWord:
                 reduce_pairs(e.matrix, pairs) for pairs in unreduced.raw_images
             )
 
+    def test_inner_square_on_twelve_letters(self):
+        # the images of a depth-2 inner automorphism on a seeded 12-letter
+        # matrix hold hundreds of pairs, of which the pair product reads
+        # only those each mu-word meets
+        rng = random.Random(12)
+        matrix = seeded_matrix(12, rng)
+        u = random_inner_automorphism(matrix, rng, depth=2)
+        square = compose(u, u)
+        assert square.valid and sum(map(len, u.raw_images)) > 400
+        assert tuple((pairs, False) for pairs in square.raw_images) == tuple(
+            reduce_pairs(matrix, pairs) for pairs in compose_word_by_word(u, u)
+        )
+
     def test_each_prefix_multiplied_once(self, main_endo, monkeypatch):
         f = power(main_endo, 7)
         letters, products, checks = [], [], []
-        image_element = GeometricEndomorphism.image_element
-        multiply_ = endo_module.multiply
+        pair_product = endo_module._pair_product
         ck_checks = endo_module._ck_checks
 
-        def counted_image(self, i):
-            if self is main_endo:
-                letters.append(i)
-            return image_element(self, i)
+        class CountedImages(tuple):
+            def __getitem__(self, index):
+                letters.append(index)
+                return tuple.__getitem__(self, index)
 
-        def counted_multiply(x, y):
+        def counted_product(matrix, xs, ys):
             products.append(None)
-            return multiply_(x, y)
+            return pair_product(matrix, xs, ys)
 
         def counted_checks(matrix, raws, sources):
             checks.append(tuple(raws))
             return ck_checks(matrix, raws, sources)
 
-        monkeypatch.setattr(GeometricEndomorphism, "image_element", counted_image)
-        monkeypatch.setattr(endo_module, "multiply", counted_multiply)
+        monkeypatch.setattr(endo_module, "_pair_product", counted_product)
         monkeypatch.setattr(endo_module, "_ck_checks", counted_checks)
-        composite = compose(main_endo, f)
+        # the letter images are read from e's pair lists, so count the reads
+        counted = GeometricEndomorphism(
+            matrix=main_endo.matrix,
+            raw_images=CountedImages(main_endo.raw_images),
+            k=main_endo.k,
+            valid=main_endo.valid,
+        )
+        composite = compose(counted, f)
         prefixes = {
             w[:n]
             for pairs in f.raw_images
@@ -263,12 +281,12 @@ class TestComposeAgainstWordByWord:
             for n in range(1, len(w) + 1)
         }
         terms = sum(len(pairs) for pairs in f.raw_images)
-        assert len(letters) <= main_endo.matrix.n
+        assert 0 < len(letters) <= main_endo.matrix.n
         assert len(products) <= len(prefixes) + terms
         # the composite still goes through the full validity check
         assert checks == [composite.raw_images] and composite.valid
         # the memo belonged to the call: nothing was left on either factor
-        assert set(vars(main_endo)) == set(vars(f)) == {"matrix", "raw_images", "k", "valid"}
+        assert set(vars(counted)) == set(vars(f)) == {"matrix", "raw_images", "k", "valid"}
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +547,21 @@ class TestRepresentAtDepth:
         with pytest.raises(DepthTooSmall):
             represent_at_depth(main_endo, 1)
 
+    def test_split_is_the_normal_form(self, compose_cases):
+        # every presentation of the compose corpus with mu-words of length
+        # at most 4, at k .. k + 3: past that the split grows geometrically
+        # (E^8, with k = 16, would split to about 5 * 10^15 pairs at k + 3)
+        corpus = {id(e): e for case in compose_cases for e in case if e.k <= 4}
+        assert len(corpus) >= 20
+        for e in corpus.values():
+            for k in range(e.k, e.k + 4):
+                split = represent_at_depth(e, k)
+                assert split.valid
+                for i in e.matrix.alphabet:
+                    normal = normalize(image_element(e, i), k).terms
+                    assert set(normal.values()) == {1}
+                    assert split.raw_images[i - 1] == tuple(sorted(normal))
+
 
 def _reference_outcome(matrix, raw_pairs):
     """What a presentation builds to, decided on algebra elements.
@@ -684,7 +717,7 @@ class TestCkChecksAgainstElementOracle:
     def test_range_set_is_support_of_range_projection(self, main_endo):
         for e in _oracle_corpus(main_endo):
             for i in e.matrix.alphabet:
-                t = e.image_element(i)
+                t = image_element(e, i)
                 assert e.range_set(i) == support(multiply(t, adjoint(t)))
 
     def test_repeated_mu_with_disjoint_followers_rejected(self):

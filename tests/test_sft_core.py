@@ -6,7 +6,6 @@ from cklef.endo import represent_at_depth
 from cklef.errors import (
     EntryOutOfRange,
     InvalidParameter,
-    MatrixMismatch,
     NonSquare,
     UnallowableWord,
     ZeroRowOrColumn,
@@ -23,8 +22,8 @@ from cklef.sft_core import (
     validate_matrix,
     walk,
 )
-from tests.conftest import Q_ROWS, small_matrices
-from tests.oracles import is_partition, matrix_powers, per_pair_fill
+from tests.conftest import Q_ROWS, seeded_matrix, small_matrices
+from tests.oracles import MatrixMismatch, is_partition, matrix_powers, per_pair_fill
 
 
 class TestValidateMatrix:
@@ -308,20 +307,11 @@ def test_counted_table_matches_per_pair_fill(compose_cases):
         _assert_counted_table_is_per_pair_fill(e)
 
 
-def _seeded_matrix(n, rng):
-    """A seeded 0/1 matrix of size n with about n^2/2 ones and no zero row
-    or column."""
-    while True:
-        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-        if all(any(r) for r in rows) and all(any(r[j] for r in rows) for j in range(n)):
-            return validate_matrix(rows)
-
-
 def test_counted_table_matches_per_pair_fill_on_deeper_and_wider_inputs(main_endo):
     # re-presentations share (first, i) across mu-lengths; at n = 16 most
     # classes have a (first, i) of their own
     rng = random.Random(16)
-    inner = random_inner_automorphism(_seeded_matrix(16, rng), rng, depth=1)
+    inner = random_inner_automorphism(seeded_matrix(16, rng), rng, depth=1)
     for e in (represent_at_depth(main_endo, 3), represent_at_depth(main_endo, 4), inner):
         _assert_counted_table_is_per_pair_fill(e)
 

@@ -39,6 +39,10 @@ that names ``compose`` besides ``cli.cmd_compose``, which composes the two
 endomorphisms it is given, so ``ktheory.py`` names none.  The exact
 linear algebra has one elimination loop, so exactly one function in
 ``src/cklef/linalg.py`` replaces matrix rows inside a loop over pivots.
+The package composes and splits lists of coefficient-1 pairs, and keeps
+no algebra of integer combinations of monomials: no module defines or
+imports ``Element``, ``multiply``, ``normalize``, ``equals`` or
+``word_algebra``, which live on as the reference in ``tests/oracles.py``.
 The package holds no code that only the tests need, so every function,
 class and method of ``src/cklef`` is read by the package itself, by
 ``perfbench``, or by ``tests/test_acceptance.py``, outside a commented
@@ -88,6 +92,9 @@ CANONICAL_FORMS = {"clopen_make", "ClopenSet"}
 COMPOSERS = {"compose"}
 # the error of the mu-rule, which one function of endo.py raises
 MU_RULE = {"DuplicateMuAfterNormalization"}
+# the algebra of integer combinations of monomials, which lives in
+# tests/oracles.py: the package composes and splits pair lists instead
+WORD_ALGEBRA = {"Element", "multiply", "normalize", "equals", "word_algebra"}
 
 
 def _cached_functions(source: str) -> list[str]:
@@ -497,6 +504,55 @@ def test_one_function_decides_the_mu_rule():
     assert _naming_scopes(source, MU_RULE) == ["_sources"]
 
 
+def _algebra_names(source: str) -> list[str]:
+    """The names of ``WORD_ALGEBRA`` that ``source`` defines or imports: a
+    function, class or assigned name, an imported name or its alias, or a
+    module path that holds one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, DEFINITIONS):
+            names = [node.name]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names = [node.id]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [part for a in node.names for part in a.name.split(".")]
+            names += [a.asname for a in node.names if a.asname]
+            names += (getattr(node, "module", None) or "").split(".")
+        else:
+            continue
+        found += [name for name in names if name in WORD_ALGEBRA]
+    return found
+
+
+def test_algebra_detector_sees_every_spelling():
+    source = (
+        "from .word_algebra import Element, multiply as mul\n"
+        "import cklef.word_algebra\n"
+        "from . import word_algebra\n"
+        "from .sft_core import Word as normalize\n"
+        "class Element:\n    pass\n"
+        "def equals(x, y):\n    return x == y\n"
+        "multiply = None\n"
+        "def _multiply_monomials(a, b):\n    return multiply(a, b)\n"
+        "import os.path\n"
+    )
+    # the call of multiply is a read, not a definition
+    assert sorted(_algebra_names(source)) == [
+        "Element", "Element", "equals", "multiply", "multiply", "normalize",
+        "word_algebra", "word_algebra", "word_algebra",
+    ]
+
+
+def test_no_module_keeps_the_word_algebra():
+    assert not (PACKAGE / "word_algebra.py").exists()
+    offenders = {
+        path.name: names
+        for path in SOURCES
+        if (names := _algebra_names(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
 def _assigns_a_subscript(node) -> bool:
     targets = []
     for n in ast.walk(node):
@@ -549,9 +605,6 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 TEST_ONLY_ALLOWED = {
     # the documented inverse of --structured (README, "Subcommands")
     "cli.parse_structured",
-    # the substitution homomorphism endo defines; compose runs its body,
-    # _apply, with one memo shared across the generators
-    "endo.apply",
 }
 
 

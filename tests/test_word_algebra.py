@@ -2,19 +2,24 @@ import random
 
 import pytest
 
-from cklef.errors import DepthTooSmall, MatrixMismatch
+from cklef.errors import DepthTooSmall
 from cklef.sft_core import clopen_make, validate_matrix
-from cklef.word_algebra import (
+from tests.conftest import small_matrices
+from tests.oracles import (
+    MatrixMismatch,
+    add,
     adjoint,
     element,
     equals,
+    image_element,
+    is_partial_isometry,
     monomial,
     multiply,
     normalize,
+    support,
     unit,
+    zero,
 )
-from tests.conftest import small_matrices
-from tests.oracles import add, is_partial_isometry, support, zero
 
 
 def _random_element(matrix, rng, terms=3, max_len=3):
@@ -183,13 +188,13 @@ class TestRelations:
 
     def test_endomorphism_image_is_partial_isometry(self, main_endo):
         for i in main_endo.matrix.alphabet:
-            assert is_partial_isometry(main_endo.image_element(i))
+            assert is_partial_isometry(image_element(main_endo, i))
 
 
 class TestSupport:
     def test_image_range_projection_support(self, main_endo, main_matrix):
         # t_1 t_1* is the cylinder set {1, 2} at depth 1
-        t1 = main_endo.image_element(1)
+        t1 = image_element(main_endo, 1)
         p = multiply(t1, adjoint(t1))
         assert support(p) == clopen_make(main_matrix, {(1,), (2,)})
 
