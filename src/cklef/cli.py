@@ -50,7 +50,7 @@ from .errors import (
     ZeroRowOrColumn,
 )
 from .index import (
-    fredholm_count,
+    fredholm_index_truncated,
     index_polynomial_parts,
     index_series_counted,
     landing_table,
@@ -371,15 +371,12 @@ def cmd_index(doc: CkDocument, args) -> Report:
             report.add(f"index.k{k}", series.per_k[k])
         report.add("series.value", series.stabilized_value)
         report.add("series.depth", series.params["depth"])
-    if method in ("gamma", "fredholm", "all"):
-        # gamma_m is the partial sum to m, so from the series end on gamma is
-        # the index; the Fredholm count there reads its domain words off the
-        # same landing table and counts its distinct images itself.
-        psi = path_map(endo)
-        end = series_end(endo)
-        landing = landing_table(psi, end)
+    # gamma_m is the partial sum to m, so from the series end on gamma is the
+    # index; Fredholm counts its images and domain words there itself, so
+    # only gamma reads the landing table.
+    end = series_end(endo)
     if method in ("gamma", "all"):
-        shrink, stretch = landing.gamma_parts(end)
+        shrink, stretch = landing_table(path_map(endo), end).gamma_parts(end)
         report.add("gamma.m", end)
         report.add("gamma.shrink", shrink)
         report.add("gamma.stretch", stretch)
@@ -397,7 +394,7 @@ def cmd_index(doc: CkDocument, args) -> Report:
         report.add("polynomial.value", pos - neg)
     if method in ("fredholm", "all"):
         report.add("fredholm.depth", end)
-        report.add("fredholm.value", fredholm_count(psi, landing))
+        report.add("fredholm.value", fredholm_index_truncated(path_map(endo), end))
     return report
 
 

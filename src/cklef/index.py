@@ -21,14 +21,15 @@ in a letter adds the number of letters that may close it, so no word is
 built.  Matrix powers (:func:`_power_counts`) read the same counts off the
 columns of A^L stepped by :func:`~cklef.sft_core.path_columns`, exactly.
 
-The walk's table (:func:`landing_table`) is read by the enumerated series,
-by gamma, and by the Fredholm count for its domain words; the Fredholm count
-reads its distinct images off one pass over the prefixes of the pairs' nu
-and path counts past them (:func:`_image_counts`), so it holds no set of
-words.  The table from powers (:func:`length_transfer_counted`) is read by
-the counted series and the closed polynomial formula, whose parts are its
-gamma_m; it scales to deeply composed endomorphisms.  Nothing is cached; the
-enumerated routes are meant for moderate depths.
+The walk's table (:func:`landing_table`) is read by the enumerated series
+and by gamma.  The Fredholm count reads no table: one pass over the
+prefixes of the pairs' nu, or of their mu, and path counts past them give
+its distinct images and its domain words (:func:`_prefix_counts`), so it
+walks no word and holds no set of words.  The table from powers
+(:func:`length_transfer_counted`) is read by the counted series and the
+closed polynomial formula, whose parts are its gamma_m; it scales to deeply
+composed endomorphisms.  Nothing is cached; the enumerated routes are meant
+for moderate depths.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def _table(
 
 def landing_table(psi: PartialPathMap, depth: int) -> LengthTransfer:
     """The table at ``depth`` from one word walk per class: the enumerated
-    series, gamma and the Fredholm count read it."""
+    series and gamma read it."""
     require_int(depth, "depth")
     return _table(psi.endo, depth, _class_counts)
 
@@ -349,69 +350,117 @@ def index_polynomial(e: GeometricEndomorphism, m: int, N: int) -> int:
     return pos - neg
 
 
-def _image_counts(e: GeometricEndomorphism, depth: int) -> list[int]:
-    """``counts[j]``, j = 1 .. ``depth``: the number of distinct images of
-    length j, each counted once however many domain words land on it;
-    ``counts[0]`` is 0.
+def _prefix_counts(e: GeometricEndomorphism, depth: int, domain: bool) -> list[int]:
+    """``counts[j]``, j = 1 .. ``depth``: the distinct images of length j
+    (``domain`` false) or the domain words of length j (``domain`` true), from
+    one depth-first pass over the prefixes of the pairs' nu or mu, their
+    keys; ``counts[0]`` is 0.
 
-    The pair (nu, mu) of t_i sends mu + (i,) to nu when mu is nonempty and
-    its last letter precedes i, and mu + y + (i,) to nu + y for the words y
-    whose first letter is in ``first`` = common_followers(nu, mu) and whose
-    last letter precedes i.  So a word x, |x| >= 1, is an image exactly when
-    x = nu for a pair whose own word mu + (i,) is a domain word, or x = nu + y
-    with y nonempty, y[0] in its pair's ``first`` and x[-1] preceding i.
-    Let ends(u) be the generators i of the pairs whose nu is a proper prefix
-    of u and whose ``first`` holds u[|nu|]: x is an image of the second kind
-    exactly when x[-1] precedes some i in ends(x).  For nu a proper prefix
-    of u, (u + (a,))[|nu|] = u[|nu|], so ends(u + (a,)) adds to ends(u) only
-    pairs with nu = u, and ends is fixed along the extensions of a word that
-    is no longer a prefix of any nu.
+    The pair (nu, mu) of t_i sends its own word mu + (i,) to nu when mu is
+    nonempty and its last letter precedes i, and mu + y + (i,) to nu + y for
+    the words y whose first letter is in ``first`` =
+    common_followers(nu, mu) and whose last letter precedes i.  So a word x,
+    |x| >= 1, is an image of t_i exactly when x = nu for a pair of t_i with
+    an own word, or x = nu + y as above; and x + (i,) is a domain word of
+    t_i exactly when x = mu for a pair of t_i with an own word, or
+    x = mu + y as above.  Let ends(u) be the generators i of the pairs whose
+    key is a proper prefix of u and whose ``first`` holds u[|key|]: the
+    second kind is exactly the i in ends(x) that x[-1] precedes.  The pass
+    counts at length |x| + ``domain`` the own words of the pairs whose key
+    is x plus those i: capped at 1 for the images, so each image counts
+    once, and as they are for the domain words, one per generator
+    (:func:`_domain_counts` proves that this is one per domain word).  For a
+    key that is a proper prefix of u, (u + (a,))[|key|] = u[|key|], so
+    ends(u + (a,)) adds to ends(u) only pairs whose key is u, and ends is
+    fixed along the extensions of a word that is no longer a prefix of any
+    key.
 
-    One depth-first pass over the prefixes of the nu (the nu are allowable,
-    so each is reached by allowable steps) counts each prefix once if it is
-    an image of either kind.  A step u -> u + (a,) out of the prefixes is
+    The pass (the keys are allowable, so each is reached by allowable steps)
+    counts each prefix itself.  A step u -> u + (a,) out of the prefixes is
     recorded as an exit (ends, a, |u| + 1) when ends(u + (a,)) is nonempty;
-    a word that is no prefix of a nu extends exactly one step out, at its
-    longest prefix that is one, and is no image when that step's ends is
-    empty.  For each distinct ends, the column b -> [b precedes some i in
-    ends] stepped L times by :func:`~cklef.sft_core.path_columns` holds at a
-    the words of length L that may follow a and end in such a b: the
-    images that extend an exit (ends, a, length) by L letters.  No word past
-    the prefixes is built, and no validity property is used, so a forged
-    presentation is counted exactly too.
+    a word that is no prefix of a key extends exactly one step out, at its
+    longest prefix that is one, and counts nothing when that step's ends is
+    empty.  For each distinct ends, the column b -> the count at a word
+    ending in b, stepped L times by :func:`~cklef.sft_core.path_columns`,
+    holds at a the count over the words of length L that may follow a: the
+    words that extend an exit (ends, a, length) by L letters.  No word past
+    the prefixes is built.
     """
     matrix = e.matrix
+    shift = int(domain)
     starts: dict[Word, list[tuple[int, frozenset[int]]]] = {}
-    own: set[Word] = set()
+    own: Counter = Counter()
     for i in matrix.alphabet:
         for nu, mu in e.raw_images[i - 1]:
-            starts.setdefault(nu, []).append((i, common_followers(matrix, nu, mu)))
-            if mu and matrix.entry(mu[-1], i):
-                own.add(nu)
-    prefixes = {nu[:k] for nu in starts for k in range(len(nu) + 1)}
+            key = mu if domain else nu
+            starts.setdefault(key, []).append((i, common_followers(matrix, nu, mu)))
+            own[key] += bool(mu and matrix.entry(mu[-1], i))
+
+    def count(ends: frozenset[int], b: int, owned: int = 0) -> int:
+        # the domain words a head ending in b carries, or whether a word
+        # ending in b is an image
+        hits = owned + sum(matrix.entry(b, i) for i in ends)
+        return hits if domain else min(hits, 1)
+
+    prefixes = {key[:k] for key in starts for k in range(len(key) + 1)}
+    last = depth - shift
     counts = [0] * (depth + 1)
     exits: dict[frozenset[int], Counter] = {}
     stack: list[tuple[Word, frozenset[int]]] = [((), frozenset())]
     while stack:
         u, ends = stack.pop()
-        if len(u) >= depth:
+        if len(u) >= last:
             continue
         for a in matrix.followers(terminus(u)):
             x = u + (a,)
             x_ends = ends | {i for i, first in starts.get(u, ()) if a in first}
             if x in prefixes:
                 stack.append((x, x_ends))
-                counts[len(x)] += x in own or any(matrix.entry(a, i) for i in x_ends)
+                counts[len(x) + shift] += count(x_ends, a, own[x])
             elif x_ends:
                 exits.setdefault(x_ends, Counter())[a, len(x)] += 1
     for ends, steps in exits.items():
-        closing = [0] + [any(matrix.entry(b, i) for i in ends) for b in matrix.alphabet]
-        top = depth - min(length for _, length in steps)
+        closing = [0] + [count(ends, b) for b in matrix.alphabet]
+        top = last - min(length for _, length in steps)
         for L, column in enumerate(path_columns(matrix, closing, top)):
             for (a, length), size in steps.items():
-                if length + L <= depth:
-                    counts[length + L] += size * column[a]
+                if length + L <= last:
+                    counts[length + L + shift] += size * column[a]
     return counts
+
+
+def _image_counts(e: GeometricEndomorphism, depth: int) -> list[int]:
+    """The distinct images by length, each counted once however many
+    domain words land on it (:func:`_prefix_counts` over the nu).  No
+    validity property is used, so a forged presentation is counted exactly
+    too."""
+    return _prefix_counts(e, depth, domain=False)
+
+
+def _domain_counts(e: GeometricEndomorphism, depth: int) -> list[int]:
+    """The domain words by length (:func:`_prefix_counts` over the mu): on
+    every presentation that obeys the mu-rule, the per-pair count
+    ``dom_count`` of the tables (:func:`_table`).
+
+    Proof.  The table counts, for each pair (nu, mu) of t_i, its own word
+    mu + (i,) and its words mu + y + (i,), by length.  The pass counts, for
+    each head x, the own words of the pairs whose mu is x, one per pair as
+    the table does, plus the generators i in ends(x) that x[-1] precedes:
+    one per generator t_i with a pair whose word mu + y + (i,) is x + (i,),
+    where the table counts one per such pair.  The two differ only where
+    two pairs of one generator t_i both put i into ends(x): pairs (nu1, mu1) and (nu2, mu2), |mu1| <= |mu2|,
+    both keys proper prefixes of x with x[|mu1|] in first1 and x[|mu2|] in
+    first2.  If |mu1| = |mu2|, then mu1 = mu2, a repeated mu-word.  Else
+    mu2 extends mu1 with mu2[|mu1|] = x[|mu1|] in first1, so the first
+    pair's source region, the union of the cylinders mu1 + (c,) over c in
+    first1, contains the cylinder of mu2 and with it the second pair's
+    source region, which is not empty since no monomial is zero: two source
+    cylinders of one generator meet.  The mu-rule refuses both
+    (:func:`~cklef.endo._sources`), and ``build_endomorphism`` applies it to
+    every presentation it builds, valid or not.  So each domain word is
+    counted once by both.
+    """
+    return _prefix_counts(e, depth, domain=True)
 
 
 def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
@@ -422,21 +471,13 @@ def fredholm_index_truncated(psi: PartialPathMap, depth: int) -> int:
     outside the image, p_j being the number of all words of length j.  The
     p_j cancel term by term, (p_j - dom_j) - (p_j - im_j) = im_j - dom_j, so
     no word total is needed.  im_j counts each image once
-    (:func:`_image_counts`), where the landing table (:func:`landing_table`),
-    which gives dom_j, counts it once per domain word landing on it: so the
-    route differs from the series where a valid presentation collides
-    (:func:`_table`).  No word set is held.
+    (:func:`_image_counts`), where the tables count it once per domain word
+    landing on it: so the route differs from the series where a valid
+    presentation collides (:func:`_table`).  dom_j is counted over the
+    mu-prefixes (:func:`_domain_counts`), so the route reads no table and
+    walks no word.
     """
     require_int(depth, "depth")
     if depth < 1:
         raise InvalidParameter("depth must be >= 1")
-    return fredholm_count(psi, landing_table(psi, depth))
-
-
-def fredholm_count(psi: PartialPathMap, table: LengthTransfer) -> int:
-    """:func:`fredholm_index_truncated` at the depth ``table`` covers: the
-    distinct images less the domain words, the latter read off ``table``,
-    which must be ``psi``'s landing table at that depth, so
-    ``cklef index --method all`` builds one table for gamma and Fredholm."""
-    images = _image_counts(psi.endo, table.depth)
-    return sum(images[j] - table.dom_count(j) for j in range(1, table.depth + 1))
+    return sum(_image_counts(psi.endo, depth)) - sum(_domain_counts(psi.endo, depth))

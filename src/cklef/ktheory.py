@@ -408,8 +408,13 @@ def zeta_reconstruct(
 
     Uses the first deg_num + deg_den + 1 coefficients to solve the linear
     system and requires at least 2 held-out coefficients, all of which must
-    be reproduced by the fitted function.
+    be reproduced by the fitted function.  A degree that is not an ``int``
+    >= 0 raises :class:`InvalidParameter`.
     """
+    for degree, what in ((deg_num, "deg_num"), (deg_den, "deg_den")):
+        require_int(degree, what)
+        if degree < 0:
+            raise InvalidParameter(f"{what} must be >= 0")
     needed = deg_num + deg_den + 1
     if len(coeffs) < needed + 2:
         raise ReconstructionInconsistent(

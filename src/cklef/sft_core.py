@@ -26,6 +26,7 @@ from .errors import (
     NonSquare,
     UnallowableWord,
     ZeroRowOrColumn,
+    require_int,
 )
 
 Word = tuple[int, ...]
@@ -177,10 +178,11 @@ def count_paths(matrix: TransitionMatrix, a: int | None, b: int, L: int) -> int:
     such that ``u`` may follow a word with terminus ``a``.
 
     Equals ``(A^L)[a, b]``; ``a=None`` (empty terminus) admits any first
-    letter; a letter outside ``1..n`` or ``L < 1`` raises
-    :class:`InvalidParameter`.  It is step L of :func:`path_columns` from
+    letter; a letter outside ``1..n``, or an ``L`` that is not an ``int``
+    >= 1, raises :class:`InvalidParameter`.  It is step L of :func:`path_columns` from
     the unit column of b.
     """
+    require_int(L, "L")
     if L < 1:
         raise InvalidParameter("L must be >= 1")
     if b not in matrix.alphabet or not (a is None or a in matrix.alphabet):
@@ -234,8 +236,10 @@ def iter_paths(matrix: TransitionMatrix, k: int, start: Word = EMPTY_WORD) -> It
     The words of length ``k`` that :func:`walk` passes, so memory is O(k)
     however many words there are.  A ``start`` longer than ``k`` has no
     extension and yields nothing; one that is not allowable raises
-    :class:`UnallowableWord`.
+    :class:`UnallowableWord`, and a ``k`` that is not an ``int`` >= 0
+    raises :class:`InvalidParameter`.
     """
+    require_int(k, "k")
     if k < 0:
         raise InvalidParameter("k must be >= 0")
     start = require_allowable(matrix, tuple(start))

@@ -81,6 +81,9 @@ def seeded_matrix(n, rng):
 # A 4-letter matrix whose rows have different follower sets.
 Q_ROWS = ((0, 1, 1, 1), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))
 
+# A 4-letter matrix whose eigenvalue 1 has a 2 x 2 Jordan block.
+J_ROWS = ((1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 0), (1, 1, 0, 1))
+
 
 @pytest.fixture(scope="session")
 def compose_cases(main_endo):

@@ -22,6 +22,7 @@ from cklef.index import (
     IndexReport,
     LengthTransfer,
     _class_counts,
+    _domain_counts,
     _image_counts,
     _power_counts,
     fredholm_index_truncated,
@@ -39,7 +40,7 @@ from cklef.index import (
 )
 from cklef.sampling import random_complete_graph_endomorphism, random_inner_automorphism
 from cklef.sft_core import common_followers, enumerate_paths, validate_matrix
-from tests.conftest import Q_ROWS, small_matrices
+from tests.conftest import J_ROWS, Q_ROWS, small_matrices
 from tests.oracles import (
     collisions_by_length,
     compose_word_by_word,
@@ -289,6 +290,20 @@ class TestFredholmRoute:
     def test_depth_must_be_positive(self, main_endo):
         with pytest.raises(ValueError):
             fredholm_index_truncated(path_map(main_endo), 0)
+
+    def test_fifth_power_at_its_series_end(self, main_endo, monkeypatch):
+        # E^5 at depth 17 is past what the landing walk reaches in a test;
+        # the route reads neither the landing table nor a walk
+        e5 = power(main_endo, 5)
+        assert series_end(e5) == 17
+
+        def refuse(*args):
+            raise AssertionError("the Fredholm route filled a table or walked")
+
+        monkeypatch.setattr(index_module, "landing_table", refuse)
+        monkeypatch.setattr(index_module, "_table", refuse)
+        monkeypatch.setattr(index_module, "walk", refuse)
+        assert fredholm_index_truncated(path_map(e5), 17) == 1
 
 
 class TestAgreementProperties:
@@ -571,6 +586,7 @@ class TestFredholmPruning:
                 table.im_count(j) - len(images[j]) for j in images
             )
             assert _image_counts(e, depth) == [0] + [len(images[j]) for j in images]
+            assert _domain_counts(e, depth) == [0] + [dom[j] for j in dom]
             expected = sum(len(images[j]) - dom[j] for j in dom)
             assert fredholm_index_truncated(psi, depth) == expected
 
@@ -626,43 +642,43 @@ class TestFredholmPruning:
         self._check(forged, depths)
 
     def test_visits_fewer_words(self, main_endo, monkeypatch):
-        # a nu of the reduced E^2 is a proper prefix of two others; in the
-        # unreduced E^2, its pairs multiplied out word by word, no nu is a
-        # prefix of another, and only the class walks run
-        assert max(_nu_extensions(power(main_endo, 2))) == 2
-        e2 = build_endomorphism(main_endo.matrix, compose_word_by_word(main_endo, main_endo))
-        assert e2.valid
-        depth = 8
-        assert max(_nu_extensions(e2)) == 0
-        walks = []
-        walk = index_module.walk
+        # the route counts its images over the nu-prefixes and its domain
+        # words over the mu-prefixes, and the words past them by path
+        # counts, so it starts no walk and fills no table: on the reduced
+        # E^2, where a nu is a proper prefix of two others, and on the
+        # unreduced E^2, its pairs multiplied out word by word, where no nu
+        # is a prefix of another
+        e2 = power(main_endo, 2)
+        assert max(_nu_extensions(e2)) == 2
+        unreduced = build_endomorphism(main_endo.matrix, compose_word_by_word(main_endo, main_endo))
+        assert unreduced.valid
+        assert max(_nu_extensions(unreduced)) == 0
+        # no image collides, so the route gives the partial sums of the
+        # series, which differ between the two presentations at short depths
+        cases = [
+            (e, [length_transfer_counted(e, d + propagation(e)).gamma(d) for d in (2, 8)])
+            for e in (e2, unreduced)
+        ]
+        started = []
+        walk, table = index_module.walk, index_module._table
 
-        def recording_heads(matrix, start, first, top):
-            heads = []
-            walks.append(heads)
-            for head in walk(matrix, start, first, top):
-                heads.append(tuple(head))
-                yield head
+        def recording_walk(*args):
+            started.append("walk")
+            return walk(*args)
 
-        monkeypatch.setattr(index_module, "walk", recording_heads)
-        fredholm_index_truncated(path_map(e2), depth)
-        # one walk per (first, i) class, and no head walked twice in it
-        classes = {
-            (common_followers(e2.matrix, nu, mu), i)
-            for i in e2.matrix.alphabet
-            for nu, mu in e2.raw_images[i - 1]
-        }
-        assert len(walks) == len(classes) < sum(len(pairs) for pairs in e2.raw_images)
-        assert all(len(heads) == len(set(heads)) for heads in walks)
-        visited = sum(len(heads) for heads in walks)
-        every = sum(
-            len(enumerate_paths(e2.matrix, m)) for m in range(1, depth + propagation(e2) + 1)
-        )
-        assert 0 < visited < every / 2
+        def recording_table(*args):
+            started.append("_table")
+            return table(*args)
+
+        monkeypatch.setattr(index_module, "walk", recording_walk)
+        monkeypatch.setattr(index_module, "_table", recording_table)
+        for e, partial in cases:
+            assert [fredholm_index_truncated(path_map(e), d) for d in (2, 8)] == partial
+        assert started == []
 
     def test_memory_does_not_grow_with_the_words(self, main_endo):
-        # E^2 at depth 12 walks 95 631 words; a set of their images takes
-        # about 9 MiB, the image count holds the nu-prefixes and one column
+        # a set of E^2's images up to length 12 takes about 9 MiB; the route
+        # walks no word and holds the nu- or mu-prefixes and one column
         psi = path_map(power(main_endo, 2))
         tracemalloc.start()
         try:
@@ -755,6 +771,51 @@ class TestImageCounts:
         counts = _image_counts(e, depth)
         table = length_transfer_counted(e, depth + propagation(e))
         assert counts == [0] + [table.im_count(j) for j in range(1, depth + 1)]
+
+
+class TestDomainCounts:
+    """The domain words by length, counted over the mu-prefixes, against
+    the landing table's per-pair count."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, main_endo):
+        """E^1 .. E^5; the identity and seeded inner automorphisms of depths
+        1 and 2 over E's matrix, Q, J, the full 2-shift and K_3;
+        complete-graph samples over n = 2 and 3 with their squares; the Q
+        document; and both forged presentations."""
+        cases = [power(main_endo, n) for n in range(1, 6)]
+        rows = (main_endo.matrix.rows, Q_ROWS, J_ROWS, ((1, 1), (1, 1)), ((1, 1, 1),) * 3)
+        for seed, matrix in enumerate(map(validate_matrix, rows)):
+            cases.append(identity_endomorphism(matrix))
+            for depth in (1, 2):
+                cases.append(random_inner_automorphism(matrix, random.Random(500 + seed), depth))
+        rng = random.Random(511)
+        for n in (2, 3):
+            matrix = validate_matrix([[1] * n] * n)
+            for _ in range(2):
+                e, _ = random_complete_graph_endomorphism(matrix, rng)
+                cases += [e, power(e, 2)]
+        return cases + [_q_endo(), _forged_colliding(), _forged_strict_root()]
+
+    def test_equal_the_landing_table(self, corpus):
+        for e in corpus:
+            psi = path_map(e)
+            for depth in range(1, 9):
+                table = landing_table(psi, depth)
+                want = [0] + [table.dom_count(j) for j in range(1, depth + 1)]
+                assert _domain_counts(e, depth) == want
+
+    def test_a_generator_reached_twice_counts_once(self):
+        # t_1 = s_1 s_1* + s_1 s_11* on the full 2-shift breaks the mu-rule,
+        # built past the checks: the words 1 1 y 1, |y| = 1, are domain
+        # words of both pairs, which the table counts twice and the pass,
+        # one generator reached twice, once
+        matrix = validate_matrix([[1, 1], [1, 1]])
+        pairs = ((((1,), (1,)), ((1,), (1, 1))), (((2,), ()),))
+        forged = GeometricEndomorphism(matrix, pairs, 2, valid=True)
+        table = landing_table(path_map(forged), 4)
+        counts = _domain_counts(forged, 4)
+        assert [table.dom_count(j) - counts[j] for j in range(1, 5)] == [0, 0, 0, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ only through ``walk``; and only one function there names ``walk``, the
 class counter ``_class_counts``, so a walk starts nowhere else.  Exactly two
 functions there count paths: name ``count_paths``, ``path_columns``,
 ``.power`` or ``_powers``; they are the power kernel ``_power_counts`` and
-the Fredholm count's distinct images ``_image_counts``.  Paths are counted
+the prefix pass ``_prefix_counts`` that counts Fredholm's distinct images
+and domain words.  The Fredholm route reads no table and walks no word: no
+function of ``index.py`` that ``fredholm_index_truncated`` reaches names
+``landing_table``, ``_table``, ``_class_counts`` or ``walk``.  Paths are counted
 by one recurrence, ``sft_core.path_columns``, which only ``count_paths``,
 those two and the validity check step, and no
 package source names the cache of powers it replaced, ``.power`` or
@@ -64,7 +67,7 @@ ENUMERATORS = {"iter_paths", "enumerate_paths", "_successors"}
 POWER_READERS = {"count_paths", "path_columns", ".power", "_powers"}
 # the one recurrence of path counts and the only functions that step it
 RECURRENCE_READERS = {
-    "endo": ["_ck_checks"], "index": ["_power_counts", "_image_counts"],
+    "endo": ["_ck_checks"], "index": ["_power_counts", "_prefix_counts"],
     "sft_core": ["count_paths"],
 }
 # every field a package dataclass fills itself (field(init=False)), with the
@@ -80,11 +83,12 @@ BOUNDED_FIELDS = {
 # the two kernels of the one fill, each named by its own table alone
 KERNEL_READERS = {"_class_counts": "landing_table", "_power_counts": "length_transfer_counted"}
 # the functions of index.py that build a table or read the depth it covers
-TABLE_SCOPES = {
-    "_table", "landing_table", "length_transfer_counted", "_require_covered", "fredholm_count",
-}
+TABLE_SCOPES = {"_table", "landing_table", "length_transfer_counted", "_require_covered"}
 # the one word walk, started only where the landing table counts words
 WALKERS = {"walk"}
+# the landing table, its fill, its kernel and the walk, none of which the
+# Fredholm route reaches
+LANDING = {"landing_table", "_table", "_class_counts", "walk"}
 # the canonical clopen form, which validity checks do without
 CANONICAL_FORMS = {"clopen_make", "ClopenSet"}
 # the composition of two endomorphisms, which only the power ladder and the
@@ -257,7 +261,7 @@ def test_walk_detector_sees_every_start():
 
 def test_index_routes_start_walks_in_one_place():
     # ROADMAP's budget guard goes where walks start: the per-class count of
-    # the landing table; the Fredholm count's images are path counts
+    # the landing table; the Fredholm counts are path counts
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
     assert _naming_scopes(source, WALKERS) == ["_class_counts"]
 
@@ -289,13 +293,61 @@ def test_power_reader_detector_sees_every_use():
 
 
 def test_index_routes_count_paths_in_two_places():
-    # the counted table's kernel and the Fredholm count's distinct images
+    # the counted table's kernel and the Fredholm counts' prefix pass
     source = (PACKAGE / "index.py").read_text(encoding="utf-8")
-    assert _naming_scopes(source, POWER_READERS) == ["_power_counts", "_image_counts"]
+    assert _naming_scopes(source, POWER_READERS) == ["_power_counts", "_prefix_counts"]
+
+
+def _reached(source: str, root: str) -> dict[str, set[str]]:
+    """The module functions ``root`` reaches, itself included, through the
+    names it and each function it reaches use, nested functions included,
+    with the names each one uses, attributes by their last part."""
+    tree = ast.parse(source)
+    used = {
+        node.name: {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    reached: dict[str, set[str]] = {}
+    todo = [root]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached[name] = used[name]
+            todo += [other for other in used[name] if other in used]
+    return reached
+
+
+def test_reach_detector_follows_every_call():
+    source = (
+        "def walk(m):\n    return m\n"
+        "def route(m):\n    \"\"\"landing_table(m) in a docstring reads nothing.\"\"\"\n"
+        "    return helper(m) + index.other(m)\n"
+        "def helper(m):\n    def inner():\n        return deeper(m)\n    return inner\n"
+        "def deeper(m):\n    step = walk\n    return step(m)\n"
+        "def other(m):\n    return m\n"
+        "def unreached(m):\n    return landing_table(m)\n"
+    )
+    reached = _reached(source, "route")
+    assert sorted(reached) == ["deeper", "helper", "other", "route", "walk"]
+    assert {name for name, used in reached.items() if used & LANDING} == {"deeper"}
+
+
+def test_fredholm_reads_no_landing_table():
+    # the route counts its own images and domain words, so it stays
+    # independent of gamma and the enumerated series, which read the walk
+    source = (PACKAGE / "index.py").read_text(encoding="utf-8")
+    reached = _reached(source, "fredholm_index_truncated")
+    assert "_prefix_counts" in reached
+    assert {name for name, used in reached.items() if used & LANDING} == set()
 
 
 def test_one_recurrence_counts_paths():
-    # path counts are stepped by sft_core.path_columns alone, read by three
+    # path counts are stepped by sft_core.path_columns alone, read by four
     # functions, and no package source names a cache of powers again
     found = {
         path.stem: scopes

@@ -25,6 +25,7 @@ from cklef.index import (
     length_transfer_counted,
 )
 from cklef.ktheory import k0_reduce, k_groups, lefschetz_number, zeta_reconstruct
+from cklef.sft_core import count_paths, enumerate_paths, iter_paths
 from tests.conftest import MAIN_DOCUMENT
 
 
@@ -161,6 +162,27 @@ NON_INT_PARAMETERS = {
     ),
     "power-float": (lambda e: power(e, 2.0), "an exponent must be an int, got 2.0"),
     "power-zero": (lambda e: power(e, 0), "an exponent must be >= 1, got 0"),
+    "paths-float": (lambda e: enumerate_paths(e.matrix, 2.0), "k must be an int, got 2.0"),
+    "paths-bool": (lambda e: enumerate_paths(e.matrix, True), "k must be an int, got True"),
+    "iter-paths-str": (lambda e: list(iter_paths(e.matrix, "2")), "k must be an int, got '2'"),
+    "count-paths-bool": (
+        lambda e: count_paths(e.matrix, None, 1, True), "L must be an int, got True"
+    ),
+    "count-paths-float": (
+        lambda e: count_paths(e.matrix, None, 1, 2.0), "L must be an int, got 2.0"
+    ),
+    "zeta-num-negative": (
+        lambda e: zeta_reconstruct([0, 1, 1, 1, 1, 1], -1, 1), "deg_num must be >= 0"
+    ),
+    "zeta-den-negative": (
+        lambda e: zeta_reconstruct([0, 1, 1, 1, 1, 1], 1, -1), "deg_den must be >= 0"
+    ),
+    "zeta-num-float": (
+        lambda e: zeta_reconstruct([0, 1, 1, 1, 1, 1], 1.0, 1), "deg_num must be an int, got 1.0"
+    ),
+    "zeta-den-bool": (
+        lambda e: zeta_reconstruct([0, 1, 1, 1, 1, 1], 1, True), "deg_den must be an int, got True"
+    ),
 }
 
 
@@ -169,3 +191,9 @@ def test_integer_parameters_refuse_other_types(main_endo, call, message):
     with pytest.raises(InvalidParameter) as exc:
         call(main_endo)
     assert str(exc.value) == message
+
+
+def test_zero_degrees_are_accepted():
+    # a constant series fits p/q with deg p = deg q = 0
+    rf = zeta_reconstruct([3, 0, 0, 0], 0, 0)
+    assert rf.numerator == (Fraction(3),) and rf.denominator == (Fraction(1),)
