@@ -13,10 +13,10 @@ rows of U at invariant factors other than 1: a torsion row i modulo d_i,
 and a free row exactly.  A class is those r coordinates of U v, and an
 induced map T is checked well defined on the r rows of U T alone.
 
-The Smith form carries U^{-1} next to U, built by the inverse column
-operations, so an induced map descends to the free part in integers: only
-the free rows of U T U^{-1} are formed, at r n^2 cost, and nothing at all
-when K_0 is torsion.
+An induced map descends to the free part through the free rows U_F of U
+alone: once T keeps im(I - A^T), U_F T = M_0 U_F, and each row of M_0 is
+one exact solve on U_F's transpose.  So K_0 reads U's torsion and free
+rows, D and I - A^T, and no inverse of U; a torsion K_0 solves nothing.
 """
 
 from __future__ import annotations
@@ -44,31 +44,28 @@ IntMatrix = tuple[tuple[int, ...], ...]
 class SmithDecomposition:
     """U · M · V = D with unimodular U, V and a nonnegative divisibility chain.
 
-    ``u_inv`` is U^{-1}, kept in step with U by the inverse column operations.
-    The repr shows D alone: an entry of U, V or U^{-1} can have more digits
-    than Python will print.
+    The repr shows D alone: an entry of U or V can have more digits than
+    Python will print.
     """
 
     u: IntMatrix = field(repr=False)
     v: IntMatrix = field(repr=False)
     d: IntMatrix
-    u_inv: IntMatrix = field(repr=False)
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
+    """The Smith form of ``m``, whose rows must be equally long and whose
+    entries must be ``int``."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    d = [list(map(int, row)) for row in m]
+    if any(len(row) != cols for row in m):
+        raise DimensionMismatch(f"every row of the matrix must have {cols} entries")
+    for row in m:
+        for x in row:
+            require_int(x, "a matrix entry")
+    d = [list(row) for row in m]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    # The columns of U^{-1}, held as rows: each row operation E on U becomes
-    # the column operation E^{-1} on U^{-1}, a row operation on this transpose.
-    u_inv_cols = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        u_inv_cols[i], u_inv_cols[j] = u_inv_cols[j], u_inv_cols[i]
 
     def swap_cols(i, j):
         for row in d:
@@ -80,19 +77,12 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
         # row dst += q * row src
         d[dst] = [a + q * b for a, b in zip(d[dst], d[src])]
         u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
-        # ... so column src of U^{-1} -= q * column dst
-        u_inv_cols[src] = [a - q * b for a, b in zip(u_inv_cols[src], u_inv_cols[dst])]
 
     def add_col(src, dst, q):
         for row in d:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        u_inv_cols[i] = [-x for x in u_inv_cols[i]]
 
     for t in range(min(rows, cols)):
         while True:
@@ -107,7 +97,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
                 break
             _, pi, pj = min(candidates)
             if pi != t:
-                swap_rows(t, pi)
+                d[t], d[pi] = d[pi], d[t]
+                u[t], u[pi] = u[pi], u[t]
             if pj != t:
                 swap_cols(t, pj)
             pivot = d[t][t]
@@ -128,25 +119,17 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
                 continue
             # Enforce divisibility of the remaining block by the pivot.
             offender = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, rows)
-                    for j in range(t + 1, cols)
-                    if d[i][j] % pivot != 0
-                ),
-                None,
+                (i for i in range(t + 1, rows) if any(x % pivot for x in d[i][t + 1:])), None
             )
             if offender is None:
                 break
-            add_row(offender[0], t, 1)
+            add_row(offender, t, 1)
         if t < rows and d[t][t] < 0:
-            negate_row(t)
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
 
     return SmithDecomposition(
-        u=tuple(tuple(r) for r in u),
-        v=tuple(tuple(r) for r in v),
-        d=tuple(tuple(r) for r in d),
-        u_inv=tuple(zip(*u_inv_cols)),
+        u=tuple(map(tuple, u)), v=tuple(map(tuple, v)), d=tuple(map(tuple, d))
     )
 
 
@@ -232,7 +215,8 @@ def k0_reduce(kt: KTheoryData, v: Sequence[int]) -> KZeroClass:
 
 
 def generator_class(kt: KTheoryData, i: int) -> KZeroClass:
-    """The class e_i = [s_i s_i*] (1-based, i in 1..n)."""
+    """The class e_i = [s_i s_i*] (1-based, i in 1..n); ``i`` must be an ``int``."""
+    require_int(i, "generator index")
     if not 1 <= i <= kt.matrix.n:
         raise InvalidParameter(f"generator index must be in 1..{kt.matrix.n}, got {i}")
     v = [0] * kt.matrix.n
@@ -305,31 +289,42 @@ def _require_well_defined(kt: KTheoryData, t_rows: IntMatrix) -> None:
 
 
 def _descend_free(kt: KTheoryData, t_rows: IntMatrix) -> IntMatrix:
-    """Matrix of the descended map on the free part, in the SNF basis.
+    """Matrix M_0 of the descended map on the free part, in the SNF basis.
 
-    The free summands are the SNF coordinates at zero invariant factors, so
-    the descended matrix is U T U^{-1} restricted to those indices.  Only
-    that r x r block is formed, in integers: the free rows of U times T
-    times the free columns of U^{-1}.  Each such column x must satisfy
-    U x = e_j, an r n^2 check that U^{-1} is the inverse it claims to be.
+    A class's free coordinates are the free rows U_F of U times its vector,
+    so M_0 is the r x r matrix with U_F T = M_0 U_F.  Two facts let M_0 be
+    read off U_F alone:
+
+    * Once T passes :func:`_require_well_defined`, the free rows of
+      U T U^{-1} vanish off the free columns.  Then T (I - A^T) =
+      (I - A^T) X for an integer X, and U (I - A^T) = D V^{-1} is zero on
+      the free rows, so U_F T (I - A^T) = 0.  With C the free rows of
+      U T U^{-1}, U_F T = C U, so C D V^{-1} = 0, C D = 0, and column k of
+      C vanishes wherever d_k != 0: M_0 is C on the free columns.
+    * U_F's rows span the rational left kernel of I - A^T as a saturated
+      lattice.  They lie in it, as above; they are independent, being rows
+      of the invertible U; and there are n - rank(I - A^T) of them.  An
+      integer y in their rational span is w U with w = y U^{-1} integral
+      and zero off the free rows, so y is an integer combination of them.
+
+    So for each free row i, U_i T has one coordinate vector x over U_F, and
+    x is integral: M_0's row for i solves U_F^T x = U_i T, by
+    :func:`~cklef.linalg.solve`, which checks x on all n equations.  A T
+    that leaves a row without a solution, or without an integral one, is
+    refused.
     """
-    n = kt.matrix.n
-    u, u_inv = kt.snf.u, kt.snf.u_inv
-    images = []
-    for j in kt.free_indices:
-        x = [u_inv[r][j] for r in range(n)]
-        if any(
-            sum(a * b for a, b in zip(u[i], x)) != (1 if i == j else 0)
-            for i in range(n)
-        ):
+    u = kt.snf.u
+    basis = tuple(zip(*(u[i] for i in kt.free_indices)))  # U_F^T, n x r
+    columns = tuple(zip(*t_rows))
+    free = []
+    for i in kt.free_indices:
+        x = linalg.solve(basis, [sum(a * b for a, b in zip(u[i], col)) for col in columns])
+        if x is None or any(c.denominator != 1 for c in x):
             raise WellDefinednessFailure(
-                f"column {j + 1} of the Smith U^-1 is not inverse to U"
+                f"free row {i + 1} of U T is no integer combination of U's free rows"
             )
-        images.append([sum(a * b for a, b in zip(row, x)) for row in t_rows])
-    return tuple(
-        tuple(sum(a * b for a, b in zip(u[i], y)) for y in images)
-        for i in kt.free_indices
-    )
+        free.append(tuple(map(int, x)))
+    return tuple(free)
 
 
 @dataclass(frozen=True)
@@ -383,6 +378,9 @@ def zeta_coefficients(e: GeometricEndomorphism, n_max: int) -> list[int]:
     read as the ladder yields it, and a power above ceil(n_max / 2) is let
     go once read.  ``n_max`` must be an ``int`` >= 0.
     """
+    require_int(n_max, "n_max")
+    if n_max < 0:
+        raise InvalidParameter(f"n_max must be >= 0, got {n_max}")
     e.require_valid()
     ladder = powers(e, n_max)
     kt = k_groups(e.matrix)

@@ -237,12 +237,16 @@ def iter_paths(matrix: TransitionMatrix, k: int, start: Word = EMPTY_WORD) -> It
     however many words there are.  A ``start`` longer than ``k`` has no
     extension and yields nothing; one that is not allowable raises
     :class:`UnallowableWord`, and a ``k`` that is not an ``int`` >= 0
-    raises :class:`InvalidParameter`.
+    raises :class:`InvalidParameter`, both at the call, before any word.
     """
     require_int(k, "k")
     if k < 0:
         raise InvalidParameter("k must be >= 0")
-    start = require_allowable(matrix, tuple(start))
+    return _extensions(matrix, k, require_allowable(matrix, tuple(start)))
+
+
+def _extensions(matrix: TransitionMatrix, k: int, start: Word) -> Iterator[Word]:
+    """The generator :func:`iter_paths` returns, over checked arguments."""
     if len(start) >= k:
         if len(start) == k:
             yield start

@@ -78,6 +78,22 @@ def seeded_matrix(n, rng):
             return validate_matrix(rows)
 
 
+def polynomial_map(matrix, rng):
+    """T = p(A^T), as rows, for a random integer polynomial p of degree at
+    most 3 with coefficients in -3..3.  T commutes with I - A^T, so it keeps
+    im(I - A^T): the maps an induced K_0 map may be."""
+    n = matrix.n
+    at = [[matrix.rows[j][i] for j in range(n)] for i in range(n)]
+    t = [[0] * n for _ in range(n)]
+    for c in [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]:
+        # Horner's step T <- T A^T + c I
+        t = [
+            [sum(t[i][k] * at[k][j] for k in range(n)) + c * (i == j) for j in range(n)]
+            for i in range(n)
+        ]
+    return tuple(map(tuple, t))
+
+
 # A 4-letter matrix whose rows have different follower sets.
 Q_ROWS = ((0, 1, 1, 1), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))
 

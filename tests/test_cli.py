@@ -311,6 +311,11 @@ class TestRunExitCodes:
         assert code == 1
         assert out.startswith("error:")
 
+    def test_negative_terms_name_the_count(self, main_file):
+        assert run(["zeta", main_file, "--terms", "-1"]) == (
+            "error: n_max must be >= 0, got -1\n", 1
+        )
+
     @pytest.mark.parametrize("n", ["1", "2"])
     def test_power_of_an_invalid_presentation_is_one(self, n):
         # t^1 is refused like t^2

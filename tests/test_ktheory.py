@@ -36,7 +36,7 @@ from cklef.ktheory import (
     zeta_reconstruct,
 )
 from cklef.sft_core import validate_matrix
-from tests.conftest import MAIN_DOCUMENT, MAIN_PAIRS, MAIN_ROWS, Q_ROWS
+from tests.conftest import MAIN_DOCUMENT, MAIN_PAIRS, MAIN_ROWS, Q_ROWS, polynomial_map
 from tests import oracles
 
 
@@ -106,32 +106,21 @@ class TestSmithNormalForm:
                 else:
                     assert b == 0
 
+    def test_ragged_rows_refused(self):
+        with pytest.raises(DimensionMismatch):
+            smith_normal_form([[1, 2], [3]])
+
     def test_repr_survives_a_huge_transform(self):
-        # Python refuses to print an int of more than 4 300 digits; U, V and
-        # U^-1 reach such entries at n = 128, and the repr of the K-theory
-        # data holding them must not raise
+        # Python refuses to print an int of more than 4 300 digits; U and V
+        # reach such entries at n = 128, and the repr of the K-theory data
+        # holding them must not raise
         huge = 10**5000
-        snf = ktheory.SmithDecomposition(
-            u=((1, huge), (0, 1)), v=((huge,),), d=((1, 0), (0, 2)), u_inv=((1, -huge), (0, 1))
-        )
+        snf = ktheory.SmithDecomposition(u=((1, huge), (0, 1)), v=((huge,),), d=((1, 0), (0, 2)))
         assert repr(snf) == "SmithDecomposition(d=((1, 0), (0, 2)))"
         e = build_endomorphism(validate_matrix(MAIN_ROWS), MAIN_PAIRS)
         kt = dataclasses.replace(k_groups(e.matrix), snf=snf)
         assert "d=((1, 0), (0, 2))" in repr(kt)
         assert "d=((1, 0), (0, 2))" in repr(dataclasses.replace(induced_k0(e), ktheory=kt))
-
-    def test_u_inv_is_inverse(self):
-        assert smith_normal_form([]).u_inv == ()
-        rng = random.Random(17)
-        shapes = [(1, 1), (3, 1), (1, 3)] + [
-            (rng.randint(1, 6), rng.randint(1, 6)) for _ in range(60)
-        ]
-        for rows, cols in shapes:
-            m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-            snf = smith_normal_form(m)
-            eye = [[int(i == j) for j in range(rows)] for i in range(rows)]
-            assert _mat_mul(snf.u, snf.u_inv) == eye
-            assert _mat_mul(snf.u_inv, snf.u) == eye
 
 
 class TestKGroups:
@@ -257,21 +246,25 @@ def _fraction_descent(kt, t_rows):
     u = linalg.to_matrix(kt.snf.u)
     conj = linalg.mat_mul(linalg.mat_mul(u, linalg.to_matrix(t_rows)), oracles.inverse(u))
     assert all(c.denominator == 1 for row in conj for c in row)
+    # the free rows of U T U^{-1} vanish off the free columns
+    assert all(conj[i][j] == 0 for i in kt.free_indices for j in range(kt.matrix.n)
+               if j not in kt.free_indices)
     return tuple(tuple(int(conj[i][j]) for j in kt.free_indices) for i in kt.free_indices)
 
 
 class TestIntegerDescent:
     def test_matches_fraction_conjugation(self):
-        # 150 matrices of free rank 0 and at least 150 of free rank >= 1
+        # 150 matrices of free rank 0 and at least 150 of free rank >= 1, each
+        # with a map p(A^T), which keeps im(I - A^T) as the descent requires
         rng = random.Random(23)
         ranks = []
         while ranks.count(0) < 150 or len(ranks) - ranks.count(0) < 150:
-            n = rng.randint(1, 10)
-            kt = k_groups(_random_01(rng, n))
+            kt = k_groups(_random_01(rng, rng.randint(1, 10)))
             if kt.rank_k0_free == 0 and ranks.count(0) >= 150:
                 continue
             ranks.append(kt.rank_k0_free)
-            t = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
+            t = polynomial_map(kt.matrix, rng)
+            _require_well_defined(kt, t)
             assert _descend_free(kt, t) == _fraction_descent(kt, t), (kt.matrix.rows, t)
         assert max(ranks) >= 2
 
@@ -286,18 +279,15 @@ class TestIntegerDescent:
         assert ind.ktheory.rank_k0_free == 2
         assert ind.free_part == ((1, 0), (0, 1))
 
-    def test_wrong_u_inv_column_rejected(self, main_matrix):
+    def test_map_outside_the_contract_refused(self, main_matrix):
+        # e_1 -> e_1 and every other e_i -> 0 does not keep im(I - A^T): the
+        # free row (-1, 0, 1) of U goes to (-1, 0, 0), no multiple of it
         kt = k_groups(main_matrix)
-        (j,) = kt.free_indices
-        bad = [list(row) for row in kt.snf.u_inv]
-        bad[0][j] += 1
-        broken = dataclasses.replace(
-            kt, snf=dataclasses.replace(kt.snf, u_inv=tuple(map(tuple, bad)))
-        )
-        t = tuple(tuple(int(i == c) for c in range(3)) for i in range(3))
-        assert _descend_free(kt, t) == ((1,),)
+        t = tuple(tuple(int(r == c == 0) for c in range(3)) for r in range(3))
         with pytest.raises(WellDefinednessFailure):
-            _descend_free(broken, t)
+            _require_well_defined(kt, t)
+        with pytest.raises(WellDefinednessFailure):
+            _descend_free(kt, t)
 
 
 def _full_reading(kt, v):

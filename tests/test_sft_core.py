@@ -224,7 +224,7 @@ class TestIterPaths:
         # (1, 3, 3), so the start is checked whatever k is
         for k in (1, 2, 3):
             with pytest.raises(UnallowableWord):
-                list(iter_paths(main_matrix, k, (1, 3)))
+                iter_paths(main_matrix, k, (1, 3))
 
     def test_length_zero(self):
         for m in small_matrices():
@@ -235,8 +235,9 @@ class TestIterPaths:
             list(iter_paths(main_matrix, -1))
 
     def test_negative_length_is_invalid_parameter(self, main_matrix):
+        # refused at the call, not at the first word
         with pytest.raises(InvalidParameter):
-            list(iter_paths(main_matrix, -1))
+            iter_paths(main_matrix, -1)
 
     def test_streams_lazily(self, main_matrix):
         words = iter_paths(main_matrix, 40)

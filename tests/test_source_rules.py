@@ -42,6 +42,11 @@ that names ``compose`` besides ``cli.cmd_compose``, which composes the two
 endomorphisms it is given, so ``ktheory.py`` names none.  The exact
 linear algebra has one elimination loop, so exactly one function in
 ``src/cklef/linalg.py`` replaces matrix rows inside a loop over pivots.
+K_0 reads the Smith form's U through its rows and keeps no inverse of it:
+no package source names ``u_inv``, and in ``src/cklef/ktheory.py`` only
+``k0_reduce``, ``_require_well_defined`` and ``_descend_free`` read ``.u``
+of a Smith form, each on U's torsion and free rows, so a Smith form that
+produces only those rows would serve every reader.
 The package composes and splits lists of coefficient-1 pairs, and keeps
 no algebra of integer combinations of monomials: no module defines or
 imports ``Element``, ``multiply``, ``normalize``, ``equals`` or
@@ -99,6 +104,11 @@ MU_RULE = {"DuplicateMuAfterNormalization"}
 # the algebra of integer combinations of monomials, which lives in
 # tests/oracles.py: the package composes and splits pair lists instead
 WORD_ALGEBRA = {"Element", "multiply", "normalize", "equals", "word_algebra"}
+# the inverse of the Smith form's U, which K_0 does without, in any spelling
+INVERSE_OF_U = re.compile(r"\bu_inv\w*")
+# the functions of ktheory.py that read U off a Smith form: the row
+# interface a Smith form producing only U's torsion and free rows supplies
+U_READERS = ["k0_reduce", "_require_well_defined", "_descend_free"]
 
 
 def _cached_functions(source: str) -> list[str]:
@@ -647,6 +657,34 @@ def test_elimination_detector_sees_the_fraction_references():
 def test_linalg_has_one_elimination_loop():
     source = (PACKAGE / "linalg.py").read_text(encoding="utf-8")
     assert _elimination_loops(source) == ["_gauss_jordan"]
+
+
+def test_smith_row_detector_sees_every_use():
+    source = (
+        "def a(kt):\n    \"\"\"kt.snf.u in a docstring reads nothing.\"\"\"\n    return kt\n"
+        "def b(kt):\n    return kt.snf.u[0]\n"
+        "def c(snf):\n    u, v = snf.u, snf.v\n    return u\n"
+        "def d(kt):\n    u = [[1]]\n    return u, kt.snf.uu, kt.snf.v\n"
+        "f = lambda snf: snf.u\n"
+        "def g(kt):\n    def inner():\n        return kt.snf.u\n    return inner\n"
+        "def h(snf):\n    return snf.u_inv, SmithDecomposition(u=snf.u_inv_cols)\n"
+        "# mu_inverse and menu_inv name no inverse of U\n"
+    )
+    assert _naming_scopes(source, {".u"}) == ["b", "c", "<lambda>", "inner"]
+    assert INVERSE_OF_U.findall(source) == ["u_inv", "u_inv_cols"]
+
+
+def test_k0_reads_u_through_its_rows():
+    # the descent solves on U's free rows instead of conjugating by U^-1,
+    # so a row-restricted Smith form would serve all of K_0
+    offenders = {
+        path.name: names
+        for path in SOURCES
+        if (names := INVERSE_OF_U.findall(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+    source = (PACKAGE / "ktheory.py").read_text(encoding="utf-8")
+    assert _naming_scopes(source, {".u"}) == U_READERS
 
 
 

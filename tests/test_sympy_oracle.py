@@ -3,8 +3,9 @@
 sympy is a test-only dependency; these tests skip when it is absent.  The
 Smith-form comparison stops at n = 32, where sympy still answers in
 milliseconds; at n = 64 it takes about a minute.  The K_0 descent is checked
-the same way: sympy inverts U over QQ, and its U T U^{-1} restricted to the
-free indices must be the integer block the package forms.  The fraction-free
+the same way: for a map T = p(A^T), which keeps im(I - A^T), sympy inverts U
+over QQ, and its U T U^{-1} restricted to the free indices must be the
+integer block the package solves for on U's free rows.  The fraction-free
 kernels of cklef.linalg -- inverse, solve and the integral characteristic
 polynomial -- are checked on random integer and rational matrices up to
 d = 10, singular and rectangular ones included.
@@ -16,8 +17,9 @@ from fractions import Fraction
 import pytest
 
 from cklef import linalg
-from cklef.ktheory import _descend_free, k_groups
+from cklef.ktheory import _descend_free, _require_well_defined, k_groups
 from cklef.sft_core import validate_matrix
+from tests.conftest import polynomial_map
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
@@ -136,16 +138,17 @@ def test_descent_matches_sympy_conjugation():
             kt = k_groups(_random_matrix(rng, n, density))
             qq = sympy.QQ
             u = DomainMatrix.from_Matrix(sympy.Matrix(kt.snf.u)).convert_to(qq)
-            u_inv = DomainMatrix.from_Matrix(sympy.Matrix(kt.snf.u_inv)).convert_to(qq)
-            assert u * u_inv == DomainMatrix.eye(n, qq), n
-            sympy_inv = u.inv()
-            assert sympy_inv == u_inv, n
-            t = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            t = polynomial_map(kt.matrix, rng)
+            _require_well_defined(kt, t)
             t_dm = DomainMatrix.from_Matrix(sympy.Matrix(t)).convert_to(qq)
-            conj = (u * t_dm * sympy_inv).to_Matrix()
+            conj = (u * t_dm * u.inv()).to_Matrix()
+            # the free rows of U T U^{-1} vanish off the free columns
+            assert all(
+                conj[i, j] == 0 for i in kt.free_indices for j in range(n) if j not in kt.free_indices
+            ), n
             expected = tuple(
                 tuple(int(conj[i, j]) for j in kt.free_indices) for i in kt.free_indices
             )
-            assert _descend_free(kt, tuple(map(tuple, t))) == expected, n
+            assert _descend_free(kt, t) == expected, n
             ranks.append(kt.rank_k0_free)
     assert max(ranks) >= 1

@@ -24,7 +24,15 @@ from cklef.index import (
     index_polynomial,
     length_transfer_counted,
 )
-from cklef.ktheory import k0_reduce, k_groups, lefschetz_number, zeta_reconstruct
+from cklef.ktheory import (
+    generator_class,
+    k0_reduce,
+    k_groups,
+    lefschetz_number,
+    smith_normal_form,
+    zeta_coefficients,
+    zeta_reconstruct,
+)
 from cklef.sft_core import count_paths, enumerate_paths, iter_paths
 from tests.conftest import MAIN_DOCUMENT
 
@@ -165,12 +173,28 @@ NON_INT_PARAMETERS = {
     "paths-float": (lambda e: enumerate_paths(e.matrix, 2.0), "k must be an int, got 2.0"),
     "paths-bool": (lambda e: enumerate_paths(e.matrix, True), "k must be an int, got True"),
     "iter-paths-str": (lambda e: list(iter_paths(e.matrix, "2")), "k must be an int, got '2'"),
+    # refused at the call, before the first word is asked for
+    "iter-paths-str-call": (lambda e: iter_paths(e.matrix, "2"), "k must be an int, got '2'"),
     "count-paths-bool": (
         lambda e: count_paths(e.matrix, None, 1, True), "L must be an int, got True"
     ),
     "count-paths-float": (
         lambda e: count_paths(e.matrix, None, 1, 2.0), "L must be an int, got 2.0"
     ),
+    "snf-float": (
+        lambda e: smith_normal_form([[1.5, 0], [0, 2]]), "a matrix entry must be an int, got 1.5"
+    ),
+    "snf-str": (lambda e: smith_normal_form([["3"]]), "a matrix entry must be an int, got '3'"),
+    "generator-bool": (
+        lambda e: generator_class(k_groups(e.matrix), True),
+        "generator index must be an int, got True",
+    ),
+    "generator-float": (
+        lambda e: generator_class(k_groups(e.matrix), 2.0),
+        "generator index must be an int, got 2.0",
+    ),
+    "zeta-terms-negative": (lambda e: zeta_coefficients(e, -1), "n_max must be >= 0, got -1"),
+    "zeta-terms-float": (lambda e: zeta_coefficients(e, 2.0), "n_max must be an int, got 2.0"),
     "zeta-num-negative": (
         lambda e: zeta_reconstruct([0, 1, 1, 1, 1, 1], -1, 1), "deg_num must be >= 0"
     ),
