@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import (
@@ -49,13 +49,21 @@ class GeometricEndomorphism:
     """A validated presentation ``s_i -> t_i = sum s_nu s_mu*``.
 
     ``raw_images`` keeps the pairs as given; ``k`` is the length of the
-    longest raw mu-word.
+    longest raw mu-word.  The endomorphism owns its induced map on K_0,
+    left out of equality, hashing and repr, as the matrix owns its
+    K-groups: :func:`cklef.ktheory.induced_k0` fills it on its first call,
+    so that ``lefschetz_number`` reads it without a second descent.
     """
 
     matrix: TransitionMatrix
     raw_images: tuple[tuple[Pair, ...], ...]
     k: int
     valid: bool
+    # _induced_k0 holds the InducedK0 once computed: at most one entry.
+    _induced_k0: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_induced_k0", [])
 
     def range_set(self, i: int) -> ClopenSet:
         """The range of t_i: the union of the range cylinders of its pairs."""

@@ -8,7 +8,9 @@ be verified on the full group.
 
 The Smith form U (I - A^T) V = D is computed once per matrix: the matrix
 owns its K-groups, so ``induced_k0``, ``lefschetz_number`` and
-``zeta_coefficients`` read the same decomposition.  K_0 reads only the r
+``zeta_coefficients`` read the same decomposition.  Likewise the
+endomorphism owns its induced K_0, checked and descended once, which
+``lefschetz_number`` reads.  K_0 reads only the r
 rows of U at invariant factors other than 1: a torsion row i modulo d_i,
 and a free row exactly.  A class is those r coordinates of U v, and an
 induced map T is checked well defined on the r rows of U T alone.
@@ -55,7 +57,29 @@ class SmithDecomposition:
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
     """The Smith form of ``m``, whose rows must be equally long and whose
-    entries must be ``int``."""
+    entries must be ``int``.
+
+    Step t eliminates on the block of rows and columns t onward.  Its pivot
+    is the least (|x|, i, j) over the block's nonzero entries x = D[i][j];
+    it is swapped to (t, t), its multiples are taken off the rest of column t
+    and then of row t by floor division, and the step repeats until both
+    are clear.  Then the pivot must divide the rest of the block: the first
+    row below t holding an entry it does not divide is added to row t, and
+    the step repeats.  U records the row operations and V the column ones.
+
+    The elimination touches only entries an operation can change, which
+    gives the same U, V and D as operating on whole rows and columns:
+
+    * D is diagonal outside the block, so rows t onward are zero left of
+      column t, and a row operation on D starts at column t;
+    * a column operation adds a multiple of column t, which no column pass
+      changes, so it updates only the rows nonzero in column t, fixed for
+      the pass; after a row pass with no remainder that is row t alone;
+    * the block's first +-1 in row-major order is the least (|x|, i, j), so
+      the full scan runs only when the block holds no unit, and a unit
+      pivot divides everything, so no divisibility search follows it;
+    * once the block is zero, every later block is zero too.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if any(len(row) != cols for row in m):
@@ -67,67 +91,83 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithDecomposition:
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        d[dst] = [a + q * b for a, b in zip(d[dst], d[src])]
+    def add_row(src, dst, q, t):
+        # row dst += q * row src; both are zero left of column t in D
+        d[dst][t:] = [a + q * b for a, b in zip(d[dst][t:], d[src][t:])]
         u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
 
     for t in range(min(rows, cols)):
         while True:
-            # Deterministic pivot: smallest nonzero magnitude, ties by (row, col).
-            candidates = [
-                (abs(d[i][j]), i, j)
-                for i in range(t, rows)
-                for j in range(t, cols)
-                if d[i][j] != 0
-            ]
-            if not candidates:
-                break
-            _, pi, pj = min(candidates)
+            found = _pivot(d, t)
+            if found is None:
+                return _decomposition(u, v, d)
+            pi, pj = found
             if pi != t:
                 d[t], d[pi] = d[pi], d[t]
                 u[t], u[pi] = u[pi], u[t]
             if pj != t:
-                swap_cols(t, pj)
+                for row in d[t:]:
+                    row[t], row[pj] = row[pj], row[t]
+                for row in v:
+                    row[t], row[pj] = row[pj], row[t]
             pivot = d[t][t]
             dirty = False
             for i in range(t + 1, rows):
                 if d[i][t] != 0:
-                    q = d[i][t] // pivot
-                    add_row(t, i, -q)
+                    add_row(t, i, -(d[i][t] // pivot), t)
                     if d[i][t] != 0:
                         dirty = True
+            live = [d[i] for i in range(t, rows) if d[i][t] != 0]
             for j in range(t + 1, cols):
                 if d[t][j] != 0:
-                    q = d[t][j] // pivot
-                    add_col(t, j, -q)
+                    q = -(d[t][j] // pivot)
+                    for row in live:
+                        row[j] += q * row[t]
+                    for row in v:
+                        row[j] += q * row[t]
                     if d[t][j] != 0:
                         dirty = True
             if dirty:
                 continue
+            if pivot in (1, -1):
+                break
             # Enforce divisibility of the remaining block by the pivot.
             offender = next(
                 (i for i in range(t + 1, rows) if any(x % pivot for x in d[i][t + 1:])), None
             )
             if offender is None:
                 break
-            add_row(offender, t, 1)
-        if t < rows and d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
+            add_row(offender, t, 1, t)
+        if d[t][t] < 0:
+            d[t][t] = -d[t][t]
             u[t] = [-x for x in u[t]]
 
+    return _decomposition(u, v, d)
+
+
+def _pivot(d: list[list[int]], t: int) -> tuple[int, int] | None:
+    """The position (i, j) of the least (|x|, i, j) over the nonzero entries
+    x = d[i][j] with i, j >= t, or None when there are none."""
+    for i in range(t, len(d)):
+        row = d[i]
+        units = [j for j in (_find(row, 1, t), _find(row, -1, t)) if j is not None]
+        if units:
+            return i, min(units)
+    best = min(
+        ((abs(x), i, j) for i in range(t, len(d)) for j, x in enumerate(d[i][t:], t) if x),
+        default=None,
+    )
+    return None if best is None else best[1:]
+
+
+def _find(row: list[int], x: int, start: int) -> int | None:
+    try:
+        return row.index(x, start)
+    except ValueError:
+        return None
+
+
+def _decomposition(u, v, d) -> SmithDecomposition:
     return SmithDecomposition(
         u=tuple(map(tuple, u)), v=tuple(map(tuple, v)), d=tuple(map(tuple, d))
     )
@@ -224,18 +264,6 @@ def generator_class(kt: KTheoryData, i: int) -> KZeroClass:
     return k0_reduce(kt, v)
 
 
-def _range_class_vector(matrix: TransitionMatrix, nu, mu) -> list[int]:
-    """Z^n vector of the class of s_nu (s_mu* s_mu) s_nu*.
-
-    s_mu* s_mu projects onto cylinders starting with a follower of t(mu);
-    compressing by s_nu kills the followers not allowed after t(nu), and each
-    surviving cylinder projection s_{nu j} s_{nu j}* has class e_j.  An empty
-    word has every letter as a follower.
-    """
-    shared = common_followers(matrix, nu, mu)
-    return [1 if j in shared else 0 for j in matrix.alphabet]
-
-
 @dataclass(frozen=True)
 class InducedK0:
     """The induced K_0 data of an endomorphism."""
@@ -246,19 +274,36 @@ class InducedK0:
 
 
 def induced_k0(e: GeometricEndomorphism) -> InducedK0:
-    """alpha_* on K_0 from the pair termini, checked well-defined on the quotient."""
+    """alpha_* on K_0 from the pair termini, checked well-defined on the
+    quotient; computed on the first call and held by ``e``."""
+    held = e._induced_k0
+    if not held:
+        held.append(_induced_k0(e))
+    return held[0]
+
+
+def _induced_k0(e: GeometricEndomorphism) -> InducedK0:
+    """Column i of T is the class of t_i t_i* = sum s_nu (s_mu* s_mu) s_nu*.
+
+    s_mu* s_mu projects onto the cylinders starting with a follower of
+    mu's terminus; compressing by s_nu keeps the followers allowed after
+    nu's terminus too, and each surviving cylinder projection
+    s_{nu j} s_{nu j}* has class e_j.  So a pair adds 1 at each letter of
+    ``common_followers(nu, mu)``; an empty word has every letter as a
+    follower.
+    """
     e.require_valid()
     matrix = e.matrix
     kt = k_groups(matrix)
     n = matrix.n
     columns = []
-    for i in matrix.alphabet:
+    for pairs in e.raw_images:
         acc = [0] * n
-        for nu, mu in e.raw_images[i - 1]:
-            for j, c in enumerate(_range_class_vector(matrix, nu, mu)):
-                acc[j] += c
+        for nu, mu in pairs:
+            for j in common_followers(matrix, nu, mu):
+                acc[j - 1] += 1
         columns.append(acc)
-    t_rows = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
+    t_rows = tuple(zip(*columns))
     _require_well_defined(kt, t_rows)
     free = _descend_free(kt, t_rows)
     return InducedK0(on_generators=t_rows, free_part=free, ktheory=kt)
@@ -339,23 +384,27 @@ class LefschetzResult:
 def lefschetz_number(
     e: GeometricEndomorphism, k1_action: Sequence[Sequence] | None = None
 ) -> LefschetzResult:
-    """tr(M_0) - tr(M_1) on rationalized K-theory.
+    """tr(M_0) - tr(M_1) on rationalized K-theory, with M_0 the induced K_0
+    that ``e`` holds.
 
-    With ``k1_action`` supplied this is an independent quantity to compare
-    against the index.  Without it the K_1 trace is *derived* from the index
-    via the Lefschetz identity and explicitly flagged as such (the paper
-    gives no general algorithm for the K_1 action).
+    With ``k1_action`` supplied, a square matrix of ``int`` entries of the
+    rank of K_1, this is an independent quantity to compare against the
+    index.  Without it the K_1 trace is *derived* from the index via the
+    Lefschetz identity and explicitly flagged as such (the paper gives no
+    general algorithm for the K_1 action).
     """
     ind = induced_k0(e)
     kt = ind.ktheory
     tr0 = Fraction(sum(ind.free_part[i][i] for i in range(len(ind.free_part))))
     if k1_action is not None:
-        m1 = linalg.to_matrix(k1_action)
-        if len(m1) != kt.rank_k1 or any(len(r) != kt.rank_k1 for r in m1):
+        if len(k1_action) != kt.rank_k1 or any(len(r) != kt.rank_k1 for r in k1_action):
             raise DimensionMismatch(
                 f"K_1 action must be {kt.rank_k1}x{kt.rank_k1}"
             )
-        tr1 = Fraction(linalg.trace(m1))  # a Fraction like trace_k0, for ints too
+        for row in k1_action:
+            for x in row:
+                require_int(x, "a K_1 action entry")
+        tr1 = Fraction(linalg.trace(k1_action))
         return LefschetzResult(
             value=tr0 - tr1, mode="supplied", trace_k0=tr0, trace_k1=tr1
         )

@@ -30,6 +30,9 @@ are kept out of the package because nothing but the tests calls them:
   canonical forms (``ck_checks_canonical``, with ``is_partition``), the
   reference for the package's count of extending words;
 - Gauss-Jordan inverse and solve over ``Fraction``;
+- the Smith form by whole-row and whole-column operations
+  (``smith_normal_form_reference``), against which the package's
+  elimination on the live block is tested;
 - graded maps and pairings that only the tests build.
 """
 
@@ -573,6 +576,88 @@ def solve(a, b):
     for row, col in pivots:
         x[col] = aug[row][cols]
     return tuple(x)
+
+
+# ---------------------------------------------------------------------------
+# The Smith form by whole-row and whole-column operations.
+# ---------------------------------------------------------------------------
+
+
+def smith_normal_form_reference(m):
+    """(U, V, D) with U m V = D, by the package's pivot rule on whole rows
+    and columns: every step rescans the whole block for the least
+    (|x|, i, j), every operation rewrites every entry of its row or column,
+    and a divisibility search follows every pivot.  The reference for the
+    package's elimination on the live block, which must give the same
+    (U, V, D)."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    d = [list(row) for row in m]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        # row dst += q * row src
+        d[dst] = [a + q * b for a, b in zip(d[dst], d[src])]
+        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in d:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    for t in range(min(rows, cols)):
+        while True:
+            # Deterministic pivot: smallest nonzero magnitude, ties by (row, col).
+            candidates = [
+                (abs(d[i][j]), i, j)
+                for i in range(t, rows)
+                for j in range(t, cols)
+                if d[i][j] != 0
+            ]
+            if not candidates:
+                break
+            _, pi, pj = min(candidates)
+            if pi != t:
+                d[t], d[pi] = d[pi], d[t]
+                u[t], u[pi] = u[pi], u[t]
+            if pj != t:
+                swap_cols(t, pj)
+            pivot = d[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if d[i][t] != 0:
+                    q = d[i][t] // pivot
+                    add_row(t, i, -q)
+                    if d[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, cols):
+                if d[t][j] != 0:
+                    q = d[t][j] // pivot
+                    add_col(t, j, -q)
+                    if d[t][j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            # Enforce divisibility of the remaining block by the pivot.
+            offender = next(
+                (i for i in range(t + 1, rows) if any(x % pivot for x in d[i][t + 1:])), None
+            )
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+        if t < rows and d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+
+    return tuple(map(tuple, u)), tuple(map(tuple, v)), tuple(map(tuple, d))
 
 
 # ---------------------------------------------------------------------------

@@ -285,8 +285,11 @@ class TestComposeAgainstWordByWord:
         assert len(products) <= len(prefixes) + terms
         # the composite still goes through the full validity check
         assert checks == [composite.raw_images] and composite.valid
-        # the memo belonged to the call: nothing was left on either factor
-        assert set(vars(counted)) == set(vars(f)) == {"matrix", "raw_images", "k", "valid"}
+        # the memo belonged to the call: nothing was left on either factor,
+        # whose one owned field, the induced K_0, compose leaves unfilled
+        fields = {"matrix", "raw_images", "k", "valid", "_induced_k0"}
+        assert set(vars(counted)) == set(vars(f)) == fields
+        assert counted._induced_k0 == f._induced_k0 == []
 
 
 @pytest.fixture(scope="module")

@@ -110,6 +110,49 @@ class TestSmithNormalForm:
         with pytest.raises(DimensionMismatch):
             smith_normal_form([[1, 2], [3]])
 
+    def test_matches_whole_row_reference_on_random_matrices(self):
+        # the elimination on the live block gives the (U, V, D) of whole-row
+        # and whole-column operations: on empty, rectangular and singular
+        # matrices, and on matrices with no unit entry, where the pivot
+        # search falls back to the full scan
+        rng = random.Random(34)
+        corpus = [[], [[]], [[0]], [[-1]], [[6, 4], [4, 6]]]
+        for _ in range(400):
+            rows = rng.randint(1, 7)
+            cols = rows if rng.random() < 0.25 else rng.randint(1, 7)
+            entries = [x for x in range(-9, 10) if rng.random() < 0.6 or x == 0]
+            if rng.random() < 0.3:
+                entries = [x for x in entries if x not in (1, -1)]
+            m = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+            if rows >= 3 and rng.random() < 0.3:
+                # a row that depends on two others
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+            corpus.append(m)
+        no_unit = rectangular = singular = 0
+        for m in corpus:
+            snf = smith_normal_form(m)
+            assert (snf.u, snf.v, snf.d) == oracles.smith_normal_form_reference(m), m
+            diag = [snf.d[i][i] for i in range(min(len(snf.u), len(snf.v)))]
+            no_unit += any(map(any, m)) and not any(x in (1, -1) for row in m for x in row)
+            rectangular += len(snf.u) != len(snf.v)
+            singular += len(snf.u) == len(snf.v) and 0 in diag
+        assert no_unit >= 50 and rectangular >= 200 and singular >= 20, (no_unit, rectangular, singular)
+
+    def test_matches_whole_row_reference_on_presentations(self):
+        # I - A^T for 0/1 matrices with exactly n^2/2 ones and no zero row
+        # or column, at every n from 8 to 40
+        rng = random.Random(40)
+        for n in range(8, 41):
+            while True:
+                ones = set(rng.sample(range(n * n), n * n // 2))
+                a = [[int(i * n + j in ones) for j in range(n)] for i in range(n)]
+                if all(map(any, a)) and all(map(any, zip(*a))):
+                    break
+            m = [[int(i == j) - a[j][i] for j in range(n)] for i in range(n)]
+            snf = smith_normal_form(m)
+            assert (snf.u, snf.v, snf.d) == oracles.smith_normal_form_reference(m), n
+
     def test_repr_survives_a_huge_transform(self):
         # Python refuses to print an int of more than 4 300 digits; U and V
         # reach such entries at n = 128, and the repr of the K-theory data
@@ -197,14 +240,15 @@ class TestInducedK0:
         # e_2 - A^T e_2 to a nonzero class, in K_0 = Z and in K_0 = Z/2
         matrix = validate_matrix([list(r) for r in rows])
         e = identity_endomorphism(matrix)
-        induced_k0(e)
 
         def only_e1(m, nu, mu):
-            return [int(nu == (1,) and j == 1) for j in m.alphabet]
+            return frozenset({1}) if nu == (1,) else frozenset()
 
-        monkeypatch.setattr(ktheory, "_range_class_vector", only_e1)
+        # forge T on an endomorphism whose induced K_0 is not yet held
+        monkeypatch.setattr(ktheory, "common_followers", only_e1)
         with pytest.raises(WellDefinednessFailure):
             induced_k0(e)
+        assert e._induced_k0 == []
 
     def test_support_route_agrees_in_quotient(self, main_endo, main_matrix):
         kt = k_groups(main_matrix)
@@ -444,6 +488,31 @@ class TestOneSmithForm:
         assert filled == empty and hash(filled) == hash(empty)
         assert repr(filled) == repr(empty)
         assert k_groups(empty) == kt and k_groups(empty) is not kt
+
+    def test_held_induced_k0_leaves_equality_alone(self):
+        matrix = validate_matrix(MAIN_ROWS)
+        filled = build_endomorphism(matrix, MAIN_PAIRS)
+        empty = build_endomorphism(matrix, MAIN_PAIRS)
+        ind = induced_k0(filled)
+        assert filled._induced_k0 == [ind] and empty._induced_k0 == []
+        assert filled == empty and hash(filled) == hash(empty)
+        assert repr(filled) == repr(empty)
+        assert induced_k0(empty) == ind and induced_k0(empty) is not ind
+        assert induced_k0(filled) is ind
+
+    def test_lefschetz_reads_the_held_induced_k0(self, monkeypatch):
+        calls = []
+        for name in ("_require_well_defined", "_descend_free"):
+            inner = getattr(ktheory, name)
+            monkeypatch.setattr(
+                ktheory, name, lambda kt, t, name=name, inner=inner: calls.append(name) or inner(kt, t)
+            )
+        e = build_endomorphism(validate_matrix(MAIN_ROWS), MAIN_PAIRS)
+        induced_k0(e)
+        assert calls == ["_require_well_defined", "_descend_free"]
+        assert lefschetz_number(e, k1_action=[[0]]).value == 1
+        assert lefschetz_number(e).value == 1
+        assert calls == ["_require_well_defined", "_descend_free"]
 
 
 class TestLefschetz:

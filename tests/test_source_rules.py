@@ -78,6 +78,7 @@ RECURRENCE_READERS = {
 # every field a package dataclass fills itself (field(init=False)), with the
 # bound on its size; a table without one is a cache without a bound
 BOUNDED_FIELDS = {
+    "GeometricEndomorphism._induced_k0": "at most 1 entry",
     "GradedPairing._inverses": "at most 2 entries, one per degree",
     "LengthTransfer._dom": "one entry per domain length of the table",
     "LengthTransfer._im": "one entry per image length of the table",

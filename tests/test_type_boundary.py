@@ -185,6 +185,18 @@ NON_INT_PARAMETERS = {
         lambda e: smith_normal_form([[1.5, 0], [0, 2]]), "a matrix entry must be an int, got 1.5"
     ),
     "snf-str": (lambda e: smith_normal_form([["3"]]), "a matrix entry must be an int, got '3'"),
+    "lefschetz-k1-float": (
+        lambda e: lefschetz_number(e, k1_action=[[0.1]]),
+        "a K_1 action entry must be an int, got 0.1",
+    ),
+    "lefschetz-k1-str": (
+        lambda e: lefschetz_number(e, k1_action=[["1/3"]]),
+        "a K_1 action entry must be an int, got '1/3'",
+    ),
+    "lefschetz-k1-bool": (
+        lambda e: lefschetz_number(e, k1_action=[[True]]),
+        "a K_1 action entry must be an int, got True",
+    ),
     "generator-bool": (
         lambda e: generator_class(k_groups(e.matrix), True),
         "generator index must be an int, got True",
